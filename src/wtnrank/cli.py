@@ -12,8 +12,11 @@ same inputs reproduces every file byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -98,6 +101,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if not self.input.exists():
             raise FileNotFoundError(f"input file not found: {self.input}")
         if self.aggregate is not None and not self.aggregate.exists():
@@ -456,14 +461,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    staging = None
     try:
         config = config_from_args(args)
         config.out.mkdir(parents=True, exist_ok=True)
+        # write into a sibling directory and move files over only once the
+        # command has succeeded, so a failed run leaves nothing in --out
+        staging = Path(tempfile.mkdtemp(prefix=".wtnrank-", dir=config.out.parent))
         money = _load_money(config)
-        written = _COMMANDS[config.command](config, money)
+        staged = _COMMANDS[config.command](replace(config, out=staging), money)
+        written = []
+        for path in staged:
+            final = config.out / path.name
+            os.replace(path, final)
+            written.append(final)
     except (WtnError, OSError, ValueError) as exc:
         print(f"wtnrank: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
     for path in written:
         print(path)
     return 0

@@ -8,6 +8,7 @@ product index).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -85,8 +86,8 @@ def pagerank(
     The residual contracts at least by the damping factor per iteration, so
     alpha=0.5 at tol=1e-12 needs at most ~42 iterations.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n = G.size

@@ -8,6 +8,11 @@ complement (s), the reduction
 keeps every direct and indirect pathway between the chosen nodes and stays
 column-stochastic. Its stationary vector equals the normalized restriction
 of the full PageRank, which the test suite uses as the exactness oracle.
+
+(1 - G_ss) is solved exactly, one way at every size: its link part
+I - alpha S_ss is block diagonal over products and is solved block by
+block, and the dangling and teleport terms are a rank-2 update applied
+with the Woodbury identity.
 """
 
 from __future__ import annotations
@@ -20,13 +25,6 @@ import numpy as np
 
 from ._text import fmt, write_lines
 from .gmatrix import GoogleMatrix
-
-#: Complement sizes up to this use one dense LU solve; larger ones fall back
-#: to a truncated Neumann series against the implicit operator.
-DENSE_SOLVE_THRESHOLD = 4096
-
-NEUMANN_TOL = 1e-12
-_NEUMANN_MAX_TERMS = 100_000
 
 #: Column-sum tolerance of the reduced matrix.
 REDUCED_SUM_TOL = 1e-10
@@ -114,58 +112,45 @@ def _dense_block(G: GoogleMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndar
     return G.alpha * S + (1.0 - G.alpha) * np.outer(G.v.values[rows], np.ones(len(cols)))
 
 
-def _neumann_solve(G: GoogleMatrix, s_ids: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
-    """Sum_m G_ss^m rhs without densifying G_ss (teleport handled as rank-one)."""
-    S_ss = G.S.matrix[s_ids][:, s_ids].tocsc()
-    dangling_s = np.flatnonzero(G.S.dangling[s_ids])
-    v_s = G.v.values[s_ids]
-    alpha, n = G.alpha, G.size
-
-    def apply_ss(X):
-        out = alpha * (S_ss @ X)
-        if dangling_s.size:
-            out += (alpha / n) * X[dangling_s].sum(axis=0)
-        out += (1.0 - alpha) * np.outer(v_s, X.sum(axis=0))
-        return out
-
-    total = rhs.copy()
-    term = rhs
-    for _ in range(_NEUMANN_MAX_TERMS):
-        term = apply_ss(term)
-        total += term
-        if np.abs(term).sum(axis=0).max() <= tol:
-            return total
-    raise np.linalg.LinAlgError("Neumann series for (1 - G_ss)^{-1} did not converge")
-
-
-def reduced_google_matrix(
-    G: GoogleMatrix,
-    subset: NodeSubset,
-    dense_threshold: int = DENSE_SOLVE_THRESHOLD,
-    neumann_tol: float = NEUMANN_TOL,
-) -> ReducedGoogleMatrix:
+def reduced_google_matrix(G: GoogleMatrix, subset: NodeSubset) -> ReducedGoogleMatrix:
     """Compute G_R = G_rr + G_rs (1 - G_ss)^{-1} G_sr for the subset.
 
-    The inverse is never formed: for complements up to ``dense_threshold``
-    the n_kept right-hand sides are solved against a dense factorization of
-    (1 - G_ss); beyond that a truncated Neumann series against the implicit
-    operator is used. Column stochasticity of the result is asserted.
+    The inverse is never formed. With d_s the dangling indicator of the
+    complement, 1 - G_ss = A - U V^T where A = I - alpha S_ss is block
+    diagonal over products, U = [alpha/N 1, (1 - alpha) v_s] and
+    V = [d_s, 1]. Each product block of A is solved densely against
+    [G_sr, U], then a 2 x 2 Woodbury capacitance system adds the rank-2
+    correction, so the cost is one dense solve per product block of at
+    most n_countries nodes. Raises LinAlgError if (1 - G_ss) is singular;
+    column stochasticity of the result is asserted.
     """
     if subset.size_total != G.size:
         raise ValueError("subset was built for a different node space")
     r_ids = np.asarray(subset.node_ids, dtype=np.int64)
     s_ids = subset.complement()
+    alpha = G.alpha
+    U = np.column_stack([np.full(len(s_ids), alpha / G.size), (1.0 - alpha) * G.v.values[s_ids]])
+    Z = np.hstack([_dense_block(G, s_ids, r_ids), U])
+    # node = p * n_countries + c and s_ids ascend, so each product is one run of rows
+    bounds = np.searchsorted(s_ids, G.space.n_countries * np.arange(G.space.n_products + 1))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        block = s_ids[lo:hi]
+        A = np.eye(hi - lo) - alpha * G.S.matrix[block][:, block].toarray()
+        Z[lo:hi] = np.linalg.solve(A, Z[lo:hi])
+    # (A - U V^T)^{-1} B = A^{-1} B + A^{-1} U C^{-1} V^T A^{-1} B with C = I - V^T A^{-1} U.
+    # A itself is never singular (alpha S_ss has column sums <= alpha < 1), so a
+    # singular (1 - G_ss) shows in C; past this condition number the rounding
+    # of C alone can exceed the column-sum tolerance.
+    VtZ = np.vstack([Z[G.S.dangling[s_ids]].sum(axis=0), Z.sum(axis=0)])
+    capacitance = np.eye(2) - VtZ[:, -2:]
+    cond = np.linalg.cond(capacitance)
+    if not cond * np.finfo(float).eps < REDUCED_SUM_TOL:
+        raise np.linalg.LinAlgError(
+            f"(1 - G_ss) is singular: Woodbury capacitance condition number {cond:.3g}"
+        )
+    X = Z[:, :-2] + Z[:, -2:] @ np.linalg.solve(capacitance, VtZ[:, :-2])
     G_rr = _dense_block(G, r_ids, r_ids)
-    G_sr = _dense_block(G, s_ids, r_ids)
     G_rs = _dense_block(G, r_ids, s_ids)
-    if len(s_ids) <= dense_threshold:
-        G_ss = _dense_block(G, s_ids, s_ids)
-        try:
-            X = np.linalg.solve(np.eye(len(s_ids)) - G_ss, G_sr)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"(1 - G_ss) is singular: {exc}") from exc
-    else:
-        X = _neumann_solve(G, s_ids, G_sr, neumann_tol)
     reduced = ReducedGoogleMatrix(G_rr + G_rs @ X, subset, G.direction)
     reduced.validate()
     return reduced

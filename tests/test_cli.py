@@ -155,6 +155,8 @@ class TestPipeline:
         assert any(name.startswith("sensitivity_") and name.endswith(".json") for name in names)
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        # the staging directories next to --out are gone
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["one", "two"]
 
     def test_explicit_flags_override_defaults(self, trade_file, tmp_path):
         code = run(
@@ -216,3 +218,19 @@ class TestFailureModes:
 
     def test_missing_aggregation_file(self, trade_file, tmp_path):
         assert run("balance", trade_file, tmp_path, "--aggregate", "ghost.csv") == 1
+
+    def test_non_finite_tolerance(self, trade_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        for tol in ("inf", "nan"):
+            assert run("rank", trade_file, out, "--tol", tol) == 1
+            assert "tol must be positive and finite" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_failed_pipeline_leaves_no_artifacts(self, trade_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "unrelated.txt").write_text("kept\n")
+        assert run("pipeline", trade_file, out, "--subset", "C000,ZZZ") == 1
+        assert "ZZZ" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["unrelated.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]

@@ -79,8 +79,9 @@ class TestPagerank:
 
     def test_parameter_validation(self, small_money):
         G = build_google(small_money)
-        with pytest.raises(ValueError):
-            pagerank(G, tol=0.0)
+        for tol in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="tolerance"):
+                pagerank(G, tol=tol)
         with pytest.raises(ValueError):
             pagerank(G, max_iter=0)
 

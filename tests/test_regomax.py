@@ -14,7 +14,7 @@ from wtnrank import (
     write_reduced_matrix,
 )
 from wtnrank.errors import UnknownCountryError
-from wtnrank.regomax import ReducedGoogleMatrix
+from wtnrank.regomax import REDUCED_SUM_TOL, ReducedGoogleMatrix
 from wtnrank.testkit import (
     SyntheticSpec,
     dense_regomax_oracle,
@@ -63,6 +63,13 @@ class TestReduction:
             G, subset = reduced_fixture(seed=seed)
             GR = reduced_google_matrix(G, subset)
             assert np.max(np.abs(GR.matrix - dense_regomax_oracle(G, subset))) < 1e-10
+        # at the oracle's N = 500 cap, with kept nodes in several product blocks
+        money = synthetic_money(SyntheticSpec(seed=11, n_countries=48, n_products=10, density=0.3))
+        for direction in ("direct", "inverted"):
+            G = build_google(money, direction)
+            subset = NodeSubset((3, 50, 101, 102, 250, 479), G.size)
+            GR = reduced_google_matrix(G, subset)
+            assert np.max(np.abs(GR.matrix - dense_regomax_oracle(G, subset))) < 1e-10
 
     def test_inverted_direction_matches_oracle(self):
         G, subset = reduced_fixture(seed=3, direction="inverted")
@@ -100,12 +107,36 @@ class TestReduction:
         GR = reduced_google_matrix(G, subset)
         assert np.allclose(GR.matrix, 0.5, atol=1e-14, rtol=0)
 
-    def test_neumann_path_matches_dense_solve(self):
-        G, subset = reduced_fixture(seed=1, n_countries=7, n_products=3, kept=5)
-        dense_path = reduced_google_matrix(G, subset)
-        # dense_threshold=0 forces the series even for this small complement
-        series_path = reduced_google_matrix(G, subset, dense_threshold=0)
-        assert np.max(np.abs(dense_path.matrix - series_path.matrix)) < 1e-10
+    def test_singular_complement_named(self):
+        # country 0 trades nothing and gets no teleport weight, so no mass
+        # ever leaves the complement: G_ss is column-stochastic. Unrounded
+        # weights keep an LU from spotting the singularity exactly.
+        dense = np.random.default_rng(1).uniform(1.0, 100.0, size=(2, 4, 4))
+        dense[:, 0, :] = 0.0
+        dense[:, :, 0] = 0.0
+        for p in range(2):
+            np.fill_diagonal(dense[p], 0.0)
+        money = money_from_dense(dense)
+        for direction in ("direct", "inverted"):
+            G = build_google(money, direction, personalization="volume-by-country")
+            with pytest.raises(np.linalg.LinAlgError, match=r"\(1 - G_ss\) is singular"):
+                reduced_google_matrix(G, NodeSubset((0, 4), 8))
+
+    def test_large_complement_keeps_restricted_pagerank(self):
+        # 420 x 10 with the top 4 PageRank countries kept: complement 4160
+        money = synthetic_money(SyntheticSpec(seed=0, n_countries=420, n_products=10, density=0.1))
+        G = build_google(money)
+        P, report = pagerank(G)
+        assert report.converged
+        countries = P.values.reshape(10, 420).sum(axis=0)
+        top = [G.registry.codes[c] for c in np.argsort(-countries, kind="stable")[:4]]
+        subset, _ = subset_from_countries(G, top)
+        assert len(subset.complement()) == 4160
+        GR = reduced_google_matrix(G, subset)
+        assert np.max(np.abs(GR.matrix.sum(axis=0) - 1.0)) < REDUCED_SUM_TOL
+        restricted = P.values[list(subset.node_ids)]
+        restricted = restricted / restricted.sum()
+        assert np.max(np.abs(dense_stationary(GR.matrix) - restricted)) < 1e-8
 
     def test_permutation_equivariance(self):
         G, _ = reduced_fixture(seed=4)
