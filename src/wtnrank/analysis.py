@@ -11,8 +11,7 @@ personalization vector, since the perturbation shifts the product weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -116,32 +115,21 @@ def perturb_money(
 
     With ``country`` given, only that country's flows of the product are
     scaled: its export columns by default, its import rows with
-    side="import". Exact Decimal entries are preserved.
+    side="import". The flows keep their keys; only the values are multiplied.
     """
+    if not np.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     if 1.0 + delta <= 0.0:
         raise ValueError(f"1 + delta must stay positive, got delta={delta}")
     if not 0 <= product < money.n_products:
         raise ValueError(f"product index {product} out of range")
     if side not in PERTURB_SIDES:
         raise ValueError(f"side must be one of {PERTURB_SIDES}")
-    factor = Decimal(1.0 + delta)
-    target_idx = money.registry.index_of(country) if country is not None else None
-
-    def hit(key) -> bool:
-        p, importer, exporter = key
-        if p != product:
-            return False
-        if target_idx is None:
-            return True
-        return exporter == target_idx if side == "export" else importer == target_idx
-
-    with localcontext() as ctx:
-        ctx.prec = 50
-        entries = {
-            key: (value * factor if hit(key) else value)
-            for key, value in money.entries.items()
-        }
-    return MoneyMatrix(money.registry, money.year, entries, money.n_products)
+    hit = money.product == product
+    if country is not None:
+        flows = money.exporter if side == "export" else money.importer
+        hit &= flows == money.registry.index_of(country)
+    return replace(money, value=np.where(hit, money.value * (1.0 + delta), money.value))
 
 
 def gma_country_probabilities(
@@ -213,15 +201,18 @@ def balance_sensitivity(money: MoneyMatrix, config: SensitivityConfig) -> Sensit
     return SensitivityVector(codes, values, config, tuple(reports))
 
 
-def sensitivity_richardson(money: MoneyMatrix, config: SensitivityConfig) -> dict:
+def sensitivity_richardson(money: MoneyMatrix, config: SensitivityConfig, d_h: np.ndarray | None = None) -> dict:
     """Estimates at h, h/2 and h/4 plus the convergence ratio per country.
 
     For a second-order-accurate central difference the ratio
     (D_h - D_{h/2}) / (D_{h/2} - D_{h/4}) tends to 4; values inside [3, 5]
-    confirm the step sits in the asymptotic range.
+    confirm the step sits in the asymptotic range. ``d_h`` takes the values
+    :func:`balance_sensitivity` already returned for ``config``, which saves
+    its two perturbed evaluations; without it D_h is computed here.
     """
     h = config.step
-    d_h, _ = _central_difference(money, config, h)
+    if d_h is None:
+        d_h, _ = _central_difference(money, config, h)
     d_h2, _ = _central_difference(money, config, h / 2.0)
     d_h4, _ = _central_difference(money, config, h / 4.0)
     with np.errstate(invalid="ignore", divide="ignore"):

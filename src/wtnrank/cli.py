@@ -27,12 +27,11 @@ from .analysis import (
     DEFAULT_STEP,
     PERTURB_SIDES,
     SensitivityConfig,
-    gma_balance,
     gma_country_probabilities,
-    iea_balance,
     iea_country_probabilities,
     balance_sensitivity,
     sensitivity_richardson,
+    trade_balance,
     write_balance,
     write_sensitivity,
 )
@@ -168,12 +167,12 @@ def _load_money(config: RunConfig):
     return load_money_matrix(config.input, config.year, aggregation)
 
 
-def _build_table(config: RunConfig, money):
-    p_c, pstar_c, reports = gma_country_probabilities(
+def _country_vectors(config: RunConfig, money) -> tuple:
+    """PageRank, CheiRank, import and export country vectors, in that order."""
+    p_c, pstar_c, _ = gma_country_probabilities(
         money, config.alpha, config.tol, config.max_iter, config.personalization
     )
-    phat_c, phatstar_c = iea_country_probabilities(money)
-    return build_rank_table(p_c, pstar_c, phat_c, phatstar_c), reports
+    return (p_c, pstar_c, *iea_country_probabilities(money))
 
 
 def _plane_svg(points, x_label: str, y_label: str, cutoff: int) -> list[str]:
@@ -235,8 +234,10 @@ _PLANE_AXES = {"google": ("K", "Kstar"), "volume": ("Khat", "Khatstar")}
 
 def cmd_rank(config: RunConfig, money) -> list[Path]:
     """Rank table, top-k table and the two rank-plane scatters."""
-    table, _ = _build_table(config, money)
-    year = money.year
+    return _write_rank(config, money.year, build_rank_table(*_country_vectors(config, money)))
+
+
+def _write_rank(config: RunConfig, year: int, table) -> list[Path]:
     written = [
         write_rank_table(table, config.out / f"rank_table_{year}.csv"),
         write_top_table(table, config.out / f"top_table_{year}.csv", config.top),
@@ -255,20 +256,17 @@ def cmd_rank(config: RunConfig, money) -> list[Path]:
 
 def cmd_balance(config: RunConfig, money) -> list[Path]:
     """Per-country balance, both sources, keyed by canonical code."""
-    gma = gma_balance(
-        money,
-        alpha=config.alpha,
-        tol=config.tol,
-        max_iter=config.max_iter,
-        personalization=config.personalization,
-    )
-    iea = iea_balance(money)
-    return [write_balance(config.out / f"balance_{money.year}.csv", gma, iea)]
+    return _write_balance(config, money.year, *_country_vectors(config, money))
 
 
-def _richardson_summary(money, sens_config: SensitivityConfig) -> dict:
+def _write_balance(config: RunConfig, year: int, p_c, pstar_c, phat_c, phatstar_c) -> list[Path]:
+    gma, iea = trade_balance(p_c, pstar_c, "gma"), trade_balance(phat_c, phatstar_c, "iea")
+    return [write_balance(config.out / f"balance_{year}.csv", gma, iea)]
+
+
+def _richardson_summary(money, sensitivity) -> dict:
     """Convergence diagnostic: ratio of successive halved-step differences."""
-    result = sensitivity_richardson(money, sens_config)
+    result = sensitivity_richardson(money, sensitivity.config, sensitivity.values)
     spread = np.abs(result["d_h2"] - result["d_h4"])
     mask = spread > 1e-12
     checked = int(mask.sum())
@@ -313,7 +311,7 @@ def cmd_sensitivity(config: RunConfig, money) -> list[Path]:
         )
         manifest["sources"][source] = {
             "reports": [report.as_dict() for report in result.reports],
-            "richardson": _richardson_summary(money, sens_config),
+            "richardson": _richardson_summary(money, result),
         }
     written.append(write_json(config.out / f"sensitivity_{target}_{year}.json", manifest))
     return written
@@ -352,7 +350,7 @@ def cmd_dump(config: RunConfig, money) -> list[Path]:
 def _pipeline_products(money) -> list[int]:
     """Default sensitivity targets: the usual fuel/machinery slices when
     they carry volume, otherwise the largest slice present."""
-    volumes = money.to_dense().sum(axis=(1, 2))
+    volumes = money.product_volumes()
     chosen = [p for p in PIPELINE_PRODUCTS if p < money.n_products and volumes[p] > 0.0]
     if not chosen:
         chosen = [int(np.argmax(volumes))]
@@ -360,20 +358,18 @@ def _pipeline_products(money) -> list[int]:
 
 
 def cmd_pipeline(config: RunConfig, money) -> list[Path]:
-    """Everything for one year: ranks, balance, sensitivities, REGOMAX."""
-    written = cmd_rank(config, money)
-    written += cmd_balance(config, money)
-    if config.sens_product is not None:
-        products = [config.sens_product]
-    else:
-        products = _pipeline_products(money)
+    """Everything for one year: ranks, balance, sensitivities, REGOMAX.
+
+    Ranks, balance and the default REGOMAX subset share one set of country vectors.
+    """
+    vectors = _country_vectors(config, money)
+    table = build_rank_table(*vectors)
+    written = _write_rank(config, money.year, table)
+    written += _write_balance(config, money.year, *vectors)
+    products = _pipeline_products(money) if config.sens_product is None else [config.sens_product]
     for product in products:
         written += cmd_sensitivity(replace(config, sens_product=product), money)
-    subset = config.subset
-    if not subset:
-        table, _ = _build_table(config, money)
-        count = min(PIPELINE_SUBSET_SIZE, len(table.codes) - 1)
-        subset = tuple(table.top("K", count))
+    subset = config.subset or tuple(table.top("K", min(PIPELINE_SUBSET_SIZE, len(table.codes) - 1)))
     written += cmd_regomax(replace(config, subset=subset), money)
     return written
 

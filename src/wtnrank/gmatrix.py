@@ -170,15 +170,12 @@ def build_stochastic(money: MoneyMatrix, direction: str = "direct") -> Stochasti
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
-    dense = money.to_dense()
-    if not dense.any():
+    if not money.value.size:
         raise EmptyNetworkError("money matrix has no flows; no network to build")
     space = NodeSpace(money.n_countries, money.n_products)
-    blocks = []
-    for p in range(money.n_products):
-        block = dense[p] if direction == "direct" else dense[p].T
-        blocks.append(sparse.csc_matrix(block))
-    matrix = sparse.block_diag(blocks, format="csc")
+    rows, cols = (money.importer, money.exporter) if direction == "direct" else (money.exporter, money.importer)
+    base = money.product * money.n_countries
+    matrix = sparse.csc_matrix((money.value, (base + rows, base + cols)), shape=(space.size, space.size))
     sums = np.asarray(matrix.sum(axis=0)).ravel()
     dangling = sums == 0.0
     scale = np.where(dangling, 1.0, sums)
@@ -197,8 +194,7 @@ def build_personalization(money: MoneyMatrix, mode: str = "uniform-by-product") 
     """
     if mode not in PERSONALIZATION_MODES:
         raise ValueError(f"mode must be one of {PERSONALIZATION_MODES}")
-    dense = money.to_dense()
-    product_volume = dense.sum(axis=(1, 2))
+    product_volume = money.product_volumes()
     total = product_volume.sum()
     if total == 0.0:
         raise EmptyNetworkError("money matrix has zero total volume")
@@ -206,14 +202,12 @@ def build_personalization(money: MoneyMatrix, mode: str = "uniform-by-product") 
         weights = product_volume / (money.n_countries * total)
         values = np.repeat(weights, money.n_countries)
     else:
-        values = np.zeros(money.n_countries * money.n_products)
-        for p in range(money.n_products):
-            if product_volume[p] == 0.0:
-                continue
-            country_volume = dense[p].sum(axis=1) + dense[p].sum(axis=0)
-            # within-product shares sum to 1; the block carries V_p / V
-            block = (product_volume[p] / total) * (country_volume / country_volume.sum())
-            values[p * money.n_countries:(p + 1) * money.n_countries] = block
+        imports, exports = money.node_volumes()
+        country_volume = (imports + exports).reshape(money.n_products, money.n_countries)
+        block_volume = country_volume.sum(axis=1, keepdims=True)
+        # within-product shares sum to 1 (a zero-volume block stays 0); the block carries V_p / V
+        shares = country_volume / np.where(block_volume > 0, block_volume, 1.0)
+        values = ((product_volume / total)[:, None] * shares).ravel()
     return PersonalizationVector(values, mode)
 
 

@@ -4,16 +4,16 @@ Reads delimited trade files (``year,exporter,importer,sitc,value_usd``),
 resolves country codes, applies bloc aggregation (e.g. the 27 EU members
 collapsed onto ``EUU``) and assembles the per-product money tensor.
 
-Monetary values are carried as :class:`decimal.Decimal` end to end so that
-aggregation and assembly are exact; the numerical modules convert to float64
-once, via :meth:`MoneyMatrix.to_dense`.
+Monetary values are carried as :class:`decimal.Decimal` through parsing,
+aggregation and duplicate summation, so those sums are exact; assembly rounds
+each sum to float64 once, into the COO arrays of :class:`MoneyMatrix`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation, localcontext
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -45,6 +45,9 @@ REQUIRED_COLUMNS = ("year", "exporter", "importer", "sitc", "value_usd")
 FLOW_COLUMN = "flow"
 _EXPORT_FLOWS = {"x", "export"}
 _IMPORT_FLOWS = {"m", "import"}
+
+#: MoneyMatrix array fields, in key order and then the value.
+COO_FIELDS = ("product", "importer", "exporter", "value")
 
 # Decimal precision for money accumulation. Trade values carry ~15
 # significant digits; 50 keeps every sum in this domain exact.
@@ -249,55 +252,77 @@ def apply_aggregation(records: Sequence[TradeRecord], registry: CountryRegistry)
     ]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MoneyMatrix:
     """Money tensor: entry (p, c, c') = USD of product p exported from c' to c.
 
-    Entries are exact Decimals keyed by (product, importer index, exporter
-    index); the dense float64 view used by the numerical modules is built
-    lazily and cached. The diagonal (c == c') is identically zero.
+    Held as COO arrays sorted by (product, importer, exporter): int64
+    ``product``/``importer``/``exporter`` indexes and float64 ``value``s,
+    one entry per non-zero flow. The constructor validates and sorts them,
+    drops zero values and makes the arrays read-only. The diagonal
+    (c == c') is identically zero.
     """
 
     registry: CountryRegistry
     year: int
-    entries: dict[tuple[int, int, int], Decimal]
+    product: np.ndarray
+    importer: np.ndarray
+    exporter: np.ndarray
+    value: np.ndarray
     n_products: int = N_PRODUCTS
-    _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        for (p, imp_, exp_), value in self.entries.items():
-            if not 0 <= p < self.n_products:
-                raise ValueError(f"product index {p} outside 0-{self.n_products - 1}")
-            if imp_ == exp_:
-                raise ValueError(f"diagonal entry for country index {imp_} must be zero")
-            if not 0 <= imp_ < self.registry.n or not 0 <= exp_ < self.registry.n:
-                raise ValueError("country index outside registry range")
-            if value < 0:
-                raise ValueError("negative money entry")
+        n = self.registry.n
+        arrays = [np.asarray(getattr(self, name), dtype=np.int64) for name in COO_FIELDS[:3]]
+        arrays.append(np.asarray(self.value, dtype=np.float64))
+        product, importer, exporter, value = arrays
+        if value.ndim != 1 or not product.shape == importer.shape == exporter.shape == value.shape:
+            raise ValueError("product, importer, exporter and value must be 1-D arrays of one length")
+        if np.any((product < 0) | (product >= self.n_products)):
+            raise ValueError(f"product index outside 0-{self.n_products - 1}")
+        if np.any((importer < 0) | (importer >= n) | (exporter < 0) | (exporter >= n)):
+            raise ValueError("country index outside registry range")
+        if np.any(importer == exporter):
+            raise ValueError("diagonal entries (importer == exporter) must be zero")
+        if not np.isfinite(value).all():
+            raise ValueError("non-finite money entry (inf or nan)")
+        if np.any(value < 0):
+            raise ValueError("negative money entry")
+        key = (product * n + importer) * n + exporter
+        order = np.argsort(key, kind="stable")
+        if np.any(np.diff(key[order]) == 0):
+            raise ValueError("duplicate money entry for one (product, importer, exporter)")
+        keep = order[value[order] != 0]
+        for name, array in zip(COO_FIELDS, arrays):
+            array = array[keep]   # a copy: the caller's arrays are never aliased
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def n_countries(self) -> int:
         return self.registry.n
 
-    def total_volume(self) -> Decimal:
-        """Exact total traded volume V (sum of all entries)."""
-        with localcontext() as ctx:
-            ctx.prec = _MONEY_PRECISION
-            return sum(self.entries.values(), Decimal(0))
+    def product_volumes(self) -> np.ndarray:
+        """Total traded volume of each product, shape (n_products,)."""
+        return np.bincount(self.product, weights=self.value, minlength=self.n_products)
+
+    def node_volumes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Import and export volume of every node p * n_countries + c."""
+        base = self.product * self.n_countries
+        size = self.n_products * self.n_countries
+        imports = np.bincount(base + self.importer, weights=self.value, minlength=size)
+        exports = np.bincount(base + self.exporter, weights=self.value, minlength=size)
+        return imports, exports
 
     def to_dense(self) -> np.ndarray:
-        """Float64 view of shape (n_products, n_countries, n_countries)."""
-        if self._dense is None:
-            dense = np.zeros((self.n_products, self.registry.n, self.registry.n))
-            for (p, imp_, exp_), value in self.entries.items():
-                dense[p, imp_, exp_] = float(value)
-            self._dense = dense
-        return self._dense
+        """Float64 array of shape (n_products, n_countries, n_countries)."""
+        dense = np.zeros((self.n_products, self.registry.n, self.registry.n))
+        dense[self.product, self.importer, self.exporter] = self.value
+        return dense
 
     def transposed(self) -> "MoneyMatrix":
         """Money matrix with every flow reversed (importer <-> exporter)."""
-        swapped = {(p, exp_, imp_): v for (p, imp_, exp_), v in self.entries.items()}
-        return MoneyMatrix(self.registry, self.year, swapped, self.n_products)
+        return replace(self, importer=self.exporter, exporter=self.importer)
 
     @classmethod
     def from_dense(
@@ -306,16 +331,14 @@ class MoneyMatrix:
         registry: CountryRegistry,
         year: int,
     ) -> "MoneyMatrix":
-        """Build from a float array; float -> Decimal conversion is exact."""
+        """Build from a float array of shape (n_products, n, n), keeping its non-zero cells."""
         dense = np.asarray(dense, dtype=float)
         if dense.ndim != 3 or dense.shape[1] != dense.shape[2]:
             raise ValueError(f"expected shape (n_products, n, n), got {dense.shape}")
         if dense.shape[1] != registry.n:
             raise ValueError("country dimension does not match registry")
-        entries = {}
-        for p, imp_, exp_ in zip(*np.nonzero(dense)):
-            entries[(int(p), int(imp_), int(exp_))] = Decimal(float(dense[p, imp_, exp_]))
-        return cls(registry, year, entries, n_products=dense.shape[0])
+        cells = np.nonzero(dense)
+        return cls(registry, year, *cells, dense[cells], n_products=dense.shape[0])
 
 
 def assemble_money_matrix(
@@ -326,28 +349,30 @@ def assemble_money_matrix(
     """Accumulate aggregated records into a MoneyMatrix.
 
     Records must already be aggregated (no self flows, codes canonical).
-    Accumulation runs in sorted record order with exact Decimal sums, so the
-    result is independent of the input row order bit for bit.
+    Duplicate flows are summed exactly in Decimal and each sum is rounded
+    to float once, so the result is independent of the input row order bit
+    for bit.
     """
     if not records:
         raise ValueError("no records to assemble")
     years = {rec.year for rec in records}
     if len(years) > 1:
         raise ValueError(f"records span multiple years: {sorted(years)}")
-    entries: dict[tuple[int, int, int], Decimal] = {}
-    ordered = sorted(records, key=lambda r: (r.sitc_digit, r.importer, r.exporter))
+    n = registry.n
+    sums: dict[int, Decimal] = {}   # keyed (product * n + importer) * n + exporter
     with localcontext() as ctx:
         ctx.prec = _MONEY_PRECISION
-        for rec in ordered:
+        for rec in records:
             if registry.canonical(rec.exporter) != rec.exporter or registry.canonical(rec.importer) != rec.importer:
                 raise ValueError(f"record {rec.exporter}->{rec.importer} not aggregated")
             if rec.exporter == rec.importer:
                 raise ValueError(f"self flow {rec.exporter}->{rec.importer} must be removed by aggregation")
-            key = (rec.sitc_digit, registry.index_of(rec.importer), registry.index_of(rec.exporter))
-            if rec.value_usd == 0:
-                continue
-            entries[key] = entries.get(key, Decimal(0)) + rec.value_usd
-    return MoneyMatrix(registry, years.pop(), entries, n_products=n_products)
+            key = (rec.sitc_digit * n + registry.index_of(rec.importer)) * n + registry.index_of(rec.exporter)
+            sums[key] = sums.get(key, Decimal(0)) + rec.value_usd
+    product, cell = np.divmod(np.fromiter(sums, dtype=np.int64, count=len(sums)), n * n)
+    value = np.fromiter(map(float, sums.values()), dtype=np.float64, count=len(sums))
+    del sums   # free the Decimals before the constructor's temporaries
+    return MoneyMatrix(registry, years.pop(), product, *np.divmod(cell, n), value, n_products)
 
 
 def read_aggregation_file(source: IO | Iterable[str] | bytes | str) -> dict[str, str]:

@@ -103,12 +103,7 @@ def pagerank(
         if residual < tol:
             converged = True
             break
-    registry = G.registry
-    keys = tuple(
-        (registry.codes[c], p)
-        for p in range(G.space.n_products)
-        for c in range(G.space.n_countries)
-    )
+    keys = tuple((code, p) for p in range(G.space.n_products) for code in G.registry.codes)
     vector = ProbabilityVector(x, _NODE_KINDS[G.direction], "node", keys, G.space)
     return vector, SolverReport(iterations, residual, converged)
 
@@ -142,21 +137,14 @@ def aggregate_product(P: ProbabilityVector) -> ProbabilityVector:
 
 def volume_probabilities(money: MoneyMatrix) -> tuple[ProbabilityVector, ProbabilityVector]:
     """Import/export volume shares per node, both normalized by the total volume."""
-    dense = money.to_dense()
-    total = dense.sum()
+    total = money.value.sum()
     if total == 0.0:
         raise EmptyNetworkError("money matrix has zero total volume")
-    imports = dense.sum(axis=2) / total   # (p, c): inflow into c
-    exports = dense.sum(axis=1) / total   # (p, c): outflow from c
-    registry = money.registry
-    keys = tuple(
-        (registry.codes[c], p)
-        for p in range(money.n_products)
-        for c in range(money.n_countries)
-    )
+    imports, exports = money.node_volumes()
+    keys = tuple((code, p) for p in range(money.n_products) for code in money.registry.codes)
     space = NodeSpace(money.n_countries, money.n_products)
-    p_hat = ProbabilityVector(imports.ravel(), "import_volume", "node", keys, space)
-    p_hat_star = ProbabilityVector(exports.ravel(), "export_volume", "node", keys, space)
+    p_hat = ProbabilityVector(imports / total, "import_volume", "node", keys, space)
+    p_hat_star = ProbabilityVector(exports / total, "export_volume", "node", keys, space)
     return p_hat, p_hat_star
 
 

@@ -9,13 +9,14 @@ meaningful. Deliberately naive; sizes are capped accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 
 from ._text import write_lines
 from .gmatrix import GoogleMatrix
-from .ingest import CountryRegistry, MoneyMatrix
+from .ingest import COO_FIELDS, CountryRegistry, MoneyMatrix
 from .regomax import NodeSubset
 
 _DENSE_PAGERANK_CAP = 2000
@@ -167,11 +168,12 @@ def write_trade_file(money: MoneyMatrix, path) -> Path:
     """Render a money matrix back into the ingest file format.
 
     Each entry becomes one row with the product's index as a single-digit
-    SITC code, sorted like the aggregated record stream, so loading the file
-    for ``money.year`` reproduces the matrix exactly (values are Decimal).
+    SITC code, in entry order, its value written as the exact decimal
+    expansion of the float, so loading the file for ``money.year``
+    reproduces the matrix exactly.
     """
     lines = ["year,exporter,importer,sitc,value_usd"]
     codes = money.registry.codes
-    for (p, importer, exporter), value in sorted(money.entries.items()):
-        lines.append(f"{money.year},{codes[exporter]},{codes[importer]},{p},{value}")
+    for p, importer, exporter, value in zip(*(getattr(money, name).tolist() for name in COO_FIELDS)):
+        lines.append(f"{money.year},{codes[exporter]},{codes[importer]},{p},{Decimal(value)}")
     return write_lines(path, lines)

@@ -1,11 +1,10 @@
 """Shared fixtures plus the acceptance-criteria summary hook."""
 
-from decimal import Decimal
-
 import numpy as np
 import pytest
 
 from wtnrank import MoneyMatrix
+from wtnrank.ingest import COO_FIELDS
 from wtnrank.testkit import SyntheticSpec, synthetic_money, synthetic_registry
 
 
@@ -19,12 +18,11 @@ def small_money():
 def symmetric_money():
     """Two countries trading identical values both ways in every product."""
     registry = synthetic_registry(2)
-    entries = {}
-    for p in range(2):
-        value = Decimal(100 + 10 * p)
-        entries[(p, 0, 1)] = value
-        entries[(p, 1, 0)] = value
-    return MoneyMatrix(registry, 2018, entries, 2)
+    product = [0, 0, 1, 1]
+    importer = [0, 1, 0, 1]
+    exporter = [1, 0, 1, 0]
+    value = [100.0, 100.0, 110.0, 110.0]
+    return MoneyMatrix(registry, 2018, product, importer, exporter, value, 2)
 
 
 def money_from_dense(dense: np.ndarray, year: int = 2018) -> MoneyMatrix:
@@ -32,6 +30,11 @@ def money_from_dense(dense: np.ndarray, year: int = 2018) -> MoneyMatrix:
     dense = np.asarray(dense, dtype=float)
     registry = synthetic_registry(dense.shape[1])
     return MoneyMatrix.from_dense(dense, registry, year)
+
+
+def flows(money: MoneyMatrix) -> list[tuple]:
+    """(product, importer, exporter, value) of every entry, in entry order."""
+    return list(zip(*(getattr(money, name).tolist() for name in COO_FIELDS)))
 
 
 def pytest_configure(config):

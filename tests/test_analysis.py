@@ -1,7 +1,5 @@
 """Trade balance, perturbations and sensitivity differencing."""
 
-from decimal import Decimal, localcontext
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,7 @@ from wtnrank.analysis import write_balance, write_sensitivity
 from wtnrank.errors import ConvergenceError
 from wtnrank.testkit import SyntheticSpec, synthetic_money, synthetic_registry
 
-from conftest import money_from_dense
+from conftest import flows, money_from_dense
 
 
 def country_vec(values, kind="pagerank"):
@@ -91,35 +89,36 @@ class TestTradeBalance:
         assert iea_balance(money).values[1] == 0.5
 
 
+def perturbed_as_expected(money, perturbed, factor, hit):
+    """Same flows; values scaled by ``factor`` exactly where ``hit`` says so."""
+    expected = [
+        (p, imp, exp, value * factor if hit(p, imp, exp) else value) for p, imp, exp, value in flows(money)
+    ]
+    return flows(perturbed) == expected
+
+
 class TestPerturbMoney:
     def test_zero_delta_identity(self, small_money):
-        assert perturb_money(small_money, 0, 0.0).entries == small_money.entries
+        assert flows(perturb_money(small_money, 0, 0.0)) == flows(small_money)
 
     def test_global_slice_doubling(self, small_money):
         doubled = perturb_money(small_money, 1, 1.0)
-        with localcontext() as ctx:
-            ctx.prec = 60
-            for (p, imp, exp), value in small_money.entries.items():
-                expected = value * 2 if p == 1 else value
-                assert doubled.entries[(p, imp, exp)] == expected
+        assert perturbed_as_expected(small_money, doubled, 2.0, lambda p, imp, exp: p == 1)
 
     def test_country_export_scaling(self, small_money):
         target = small_money.registry.codes[1]
         scaled = perturb_money(small_money, 0, 0.5, country=target)
-        with localcontext() as ctx:
-            ctx.prec = 60
-            for (p, imp, exp), value in small_money.entries.items():
-                hit = p == 0 and exp == 1
-                assert scaled.entries[(p, imp, exp)] == (value * Decimal(1.5) if hit else value)
+        assert perturbed_as_expected(small_money, scaled, 1.5, lambda p, imp, exp: p == 0 and exp == 1)
 
     def test_country_import_scaling(self, small_money):
         target = small_money.registry.codes[1]
         scaled = perturb_money(small_money, 0, 0.5, country=target, side="import")
-        with localcontext() as ctx:
-            ctx.prec = 60
-            for (p, imp, exp), value in small_money.entries.items():
-                hit = p == 0 and imp == 1
-                assert scaled.entries[(p, imp, exp)] == (value * Decimal(1.5) if hit else value)
+        assert perturbed_as_expected(small_money, scaled, 1.5, lambda p, imp, exp: p == 0 and imp == 1)
+
+    @pytest.mark.parametrize("delta", [np.inf, np.nan])
+    def test_non_finite_delta(self, small_money, delta):
+        with pytest.raises(ValueError, match="finite"):
+            perturb_money(small_money, 0, delta)
 
     def test_delta_floor(self, small_money):
         with pytest.raises(ValueError):
@@ -156,6 +155,15 @@ class TestSensitivity:
         mask = np.abs(result["d_h2"] - result["d_h4"]) > 1e-9
         assert mask.any()
         assert np.all((result["ratio"][mask] >= 3.0) & (result["ratio"][mask] <= 5.0))
+
+    @pytest.mark.parametrize("source", ["gma", "iea"])
+    def test_richardson_reuses_given_d_h(self, small_money, source):
+        config = SensitivityConfig(product=0, source=source)
+        sens = balance_sensitivity(small_money, config)
+        given = sensitivity_richardson(small_money, config, sens.values)
+        computed = sensitivity_richardson(small_money, config)
+        for key in ("d_h", "d_h2", "d_h4", "ratio"):
+            assert np.array_equal(given[key], computed[key], equal_nan=True)
 
     def test_reports_attached_for_gma(self, small_money):
         sens = balance_sensitivity(small_money, SensitivityConfig(product=0))

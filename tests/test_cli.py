@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from wtnrank import cli
+from wtnrank import analysis, cli
 from wtnrank.ranks import RANK_TABLE_HEADER
 from wtnrank.testkit import SyntheticSpec, synthetic_money, write_trade_file
 
@@ -157,6 +157,32 @@ class TestPipeline:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
         # the staging directories next to --out are gone
         assert sorted(p.name for p in tmp_path.iterdir()) == ["one", "two"]
+
+    def test_matches_standalone_rank_and_balance(self, trade_file, tmp_path):
+        alone, whole = tmp_path / "alone", tmp_path / "whole"
+        assert run("rank", trade_file, alone) == 0
+        assert run("balance", trade_file, alone) == 0
+        assert run("pipeline", trade_file, whole) == 0
+        for path in alone.iterdir():
+            assert path.read_bytes() == (whole / path.name).read_bytes(), path.name
+
+    def test_counts_unperturbed_and_perturbed_evaluations(self, trade_file, tmp_path, monkeypatch):
+        calls = {"unperturbed": 0, "perturbed": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            cli, "gma_country_probabilities", counting("unperturbed", cli.gma_country_probabilities)
+        )
+        monkeypatch.setattr(analysis, "perturb_money", counting("perturbed", analysis.perturb_money))
+        assert run("pipeline", trade_file, tmp_path, "--sens-product", "0") == 0
+        # ranks, balance and the REGOMAX subset share one unperturbed solve;
+        # each source runs D_h (2 evaluations) plus D_h/2 and D_h/4 (4 more)
+        assert calls == {"unperturbed": 1, "perturbed": 2 * 6}
 
     def test_explicit_flags_override_defaults(self, trade_file, tmp_path):
         code = run(

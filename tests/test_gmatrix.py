@@ -69,7 +69,7 @@ class TestBuildStochastic:
     def test_all_zero_money(self):
         registry = synthetic_registry(2)
         with pytest.raises(EmptyNetworkError):
-            build_stochastic(MoneyMatrix(registry, 2018, {}, 1), "direct")
+            build_stochastic(MoneyMatrix.from_dense(np.zeros((1, 2, 2)), registry, 2018), "direct")
 
     def test_block_diagonal_over_products(self, small_money):
         S = build_stochastic(small_money, "direct")
@@ -120,7 +120,7 @@ class TestPersonalization:
     def test_zero_total_volume(self):
         registry = synthetic_registry(2)
         with pytest.raises(EmptyNetworkError):
-            build_personalization(MoneyMatrix(registry, 2018, {}, 1))
+            build_personalization(MoneyMatrix.from_dense(np.zeros((1, 2, 2)), registry, 2018))
 
     def test_volume_by_country_mode(self, small_money):
         v = build_personalization(small_money, "volume-by-country")

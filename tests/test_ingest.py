@@ -18,6 +18,9 @@ from wtnrank import (
     sitc_to_product,
 )
 from wtnrank.errors import NoRecordsError, ParseError, UnknownCountryError
+from wtnrank.testkit import synthetic_registry
+
+from conftest import flows
 
 HEADER = "year,exporter,importer,sitc,value_usd"
 
@@ -167,7 +170,16 @@ class TestAssemble:
         registry = CountryRegistry.build(records, None)
         money = assemble_money_matrix(records, registry)
         usa, chn = registry.index_of("USA"), registry.index_of("CHN")
-        assert money.entries[(7, usa, chn)] == Decimal(30)
+        assert flows(money) == [(7, usa, chn, 30.0)]
+
+    def test_duplicates_summed_in_decimal_then_rounded_once(self):
+        records = [
+            TradeRecord(2018, "CHN", "USA", 7, Decimal("0.1")),
+            TradeRecord(2018, "CHN", "USA", 7, Decimal("0.2")),
+        ]
+        money = assemble_money_matrix(records, CountryRegistry.build(records, None))
+        assert money.value.tolist() == [0.3]
+        assert 0.1 + 0.2 != 0.3  # summing the floats would give 0.30000000000000004
 
     def test_unmentioned_slice_is_zero(self):
         records = [TradeRecord(2018, "CHN", "USA", 7, Decimal(10))]
@@ -196,7 +208,10 @@ class TestAssemble:
         registry = CountryRegistry.build(records, None)
         aggregated = apply_aggregation(records, registry)
         money = assemble_money_matrix(aggregated, registry)
-        assert money.total_volume() == sum(r.value_usd for r in aggregated)
+        index = registry.index_of
+        expected = [(r.sitc_digit, index(r.importer), index(r.exporter), r.value_usd) for r in aggregated]
+        # aggregation already summed duplicates exactly; assembly rounds each sum once
+        assert flows(money) == [(p, imp, exp, float(value)) for p, imp, exp, value in sorted(expected)]
 
 
 class TestRecordValidation:
@@ -223,7 +238,7 @@ class TestLoad:
         first = load_money_matrix(path, 2018)
         second = load_money_matrix(path, 2018)
         assert first.registry.codes == second.registry.codes
-        assert first.entries == second.entries
+        assert flows(first) == flows(second)
 
     def test_aggregated_load(self, tmp_path):
         path = tmp_path / "trade.csv"
@@ -233,7 +248,7 @@ class TestLoad:
         )
         money = load_money_matrix(path, 2018, {"DEU": "EUU", "FRA": "EUU"})
         assert money.registry.codes == ("EUU", "USA")
-        assert money.total_volume() == Decimal(15)
+        assert flows(money) == [(3, 1, 0, 15.0)]
 
 
 class TestMoneyMatrix:
@@ -256,4 +271,35 @@ class TestMoneyMatrix:
         dense[0, 0, 1] = 0.1  # not exactly representable; conversion must be bitwise
         registry = CountryRegistry(codes=("AAA", "BBB"), names=("AAA", "BBB"), aggregation={})
         money = MoneyMatrix.from_dense(dense, registry, 2018)
-        assert float(money.entries[(0, 0, 1)]) == dense[0, 0, 1]
+        assert flows(money) == [(0, 0, 1, dense[0, 0, 1])]
+
+    def test_constructor_sorts_and_drops_zero_values(self):
+        registry = synthetic_registry(3)
+        product, importer, exporter = [1, 0, 0, 1], [2, 1, 0, 0], [0, 0, 2, 1]
+        money = MoneyMatrix(registry, 2018, product, importer, exporter, [4.0, 0.0, 2.0, 3.0], 2)
+        assert flows(money) == [(0, 0, 2, 2.0), (1, 0, 1, 3.0), (1, 2, 0, 4.0)]
+        assert not money.value.flags.writeable
+
+    @pytest.mark.parametrize(
+        "product,importer,exporter,value,message",
+        [
+            ([2], [0], [1], [1.0], "product index"),
+            ([0], [0], [3], [1.0], "registry range"),
+            ([0], [1], [1], [1.0], "diagonal"),
+            ([0], [0], [1], [-1.0], "negative"),
+            ([0], [0], [1], [np.inf], "non-finite"),
+            ([0], [0], [1], [np.nan], "non-finite"),
+            ([0, 0], [0, 0], [1, 1], [1.0, 2.0], "duplicate"),
+            ([0, 1], [0], [1], [1.0], "one length"),
+        ],
+    )
+    def test_constructor_validation(self, product, importer, exporter, value, message):
+        with pytest.raises(ValueError, match=message):
+            MoneyMatrix(synthetic_registry(3), 2018, product, importer, exporter, value, 2)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_from_dense_rejects_non_finite(self, bad):
+        dense = np.zeros((1, 2, 2))
+        dense[0, 0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            MoneyMatrix.from_dense(dense, synthetic_registry(2), 2018)
