@@ -1,12 +1,15 @@
 """Trade-record ingestion.
 
-Reads delimited trade files (``year,exporter,importer,sitc,value_usd``),
-resolves country codes, applies bloc aggregation (e.g. the 27 EU members
-collapsed onto ``EUU``) and assembles the per-product money tensor.
+Reads delimited trade files (``year,exporter,importer,sitc,value_usd``)
+into the per-product money tensor in one pass over the rows: each row is
+checked, its country codes are mapped onto their bloc (e.g. the 27 EU
+members collapsed onto ``EUU``), self-flows are dropped and every other
+value is added to the sum of its (product, importer, exporter) key.
 
-Monetary values are carried as :class:`decimal.Decimal` through parsing,
-aggregation and duplicate summation, so those sums are exact; assembly rounds
-each sum to float64 once, into the COO arrays of :class:`MoneyMatrix`.
+Monetary values are carried as :class:`decimal.Decimal` through parsing and
+that summation, so the sums are exact; after the pass each sum is rounded to
+float64 once, into the COO arrays of :class:`MoneyMatrix`. The country
+registry is the sorted set of canonical codes of every row of the year.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import csv
 import io
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation, localcontext
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping
 
 import numpy as np
 
@@ -52,6 +55,7 @@ COO_FIELDS = ("product", "importer", "exporter", "value")
 # Decimal precision for money accumulation. Trade values carry ~15
 # significant digits; 50 keeps every sum in this domain exact.
 _MONEY_PRECISION = 50
+_ZERO = Decimal(0)
 
 
 def sitc_to_product(code: str) -> int:
@@ -62,25 +66,6 @@ def sitc_to_product(code: str) -> int:
     if lead not in "0123456789":
         raise ValueError(f"invalid SITC code {code!r}: leading character must be a digit")
     return int(lead)
-
-
-@dataclass(frozen=True)
-class TradeRecord:
-    """One directed trade flow: ``value_usd`` of product ``sitc_digit`` from exporter to importer."""
-
-    year: int
-    exporter: str
-    importer: str
-    sitc_digit: int
-    value_usd: Decimal
-
-    def __post_init__(self):
-        if not self.exporter or not self.importer:
-            raise ValueError("country codes must be non-empty")
-        if self.value_usd < 0:
-            raise ValueError(f"negative trade value {self.value_usd}")
-        if not 0 <= self.sitc_digit <= 9:
-            raise ValueError(f"product index {self.sitc_digit} outside 0-9")
 
 
 @dataclass(frozen=True)
@@ -113,10 +98,6 @@ class CountryRegistry:
     def n(self) -> int:
         return len(self.codes)
 
-    def canonical(self, code: str) -> str:
-        """Resolve a raw code to its canonical (bloc-aggregated) form."""
-        return self.aggregation.get(code, code)
-
     def index_of(self, code: str) -> int:
         try:
             return self._index[code]
@@ -125,31 +106,6 @@ class CountryRegistry:
 
     def __contains__(self, code: str) -> bool:
         return code in self._index
-
-    @classmethod
-    def build(
-        cls,
-        records: Iterable[TradeRecord],
-        aggregation: Mapping[str, str] | None = None,
-        names: Mapping[str, str] | None = None,
-    ) -> "CountryRegistry":
-        """Build a registry from the codes present in ``records``.
-
-        Partner-only countries (appearing only as importer) are included.
-        Display names default to the code itself.
-        """
-        aggregation = dict(aggregation or {})
-        canonical = set()
-        for rec in records:
-            canonical.add(aggregation.get(rec.exporter, rec.exporter))
-            canonical.add(aggregation.get(rec.importer, rec.importer))
-        codes = tuple(sorted(canonical))
-        names = names or {}
-        return cls(
-            codes=codes,
-            names=tuple(names.get(c, c) for c in codes),
-            aggregation=aggregation,
-        )
 
 
 def _as_text(source: IO | Iterable[str]) -> Iterable[str]:
@@ -174,13 +130,7 @@ def _parse_value(raw: str, line: int) -> Decimal:
     return value
 
 
-def parse_trade_records(source: IO | Iterable[str] | bytes | str, year: int) -> list[TradeRecord]:
-    """Parse a header-bearing delimited trade file, keeping rows of ``year``.
-
-    Raises ParseError (naming the line) for structural problems and
-    NoRecordsError when the file holds no row for the requested year.
-    """
-    reader = csv.reader(_as_text(source))
+def _read_header(reader) -> list[str]:
     try:
         header = next(reader)
     except StopIteration:
@@ -192,64 +142,10 @@ def parse_trade_records(source: IO | Iterable[str] | bytes | str, year: int) -> 
     extras = [c for c in header if c not in REQUIRED_COLUMNS and c != FLOW_COLUMN]
     if extras:
         raise ParseError(1, f"unknown column(s) {', '.join(extras)}")
-    pos = {name: header.index(name) for name in header}
-    has_flow = FLOW_COLUMN in pos
-
-    records = []
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(line, f"expected {len(header)} columns, found {len(row)}")
-        try:
-            row_year = int(row[pos["year"]].strip())
-        except ValueError:
-            raise ParseError(line, f"non-numeric year {row[pos['year']]!r}") from None
-        if row_year != year:
-            continue
-        if has_flow:
-            flow = row[pos[FLOW_COLUMN]].strip().lower()
-            if flow in _IMPORT_FLOWS:
-                continue  # mirror report of a flow already present export-side
-            if flow not in _EXPORT_FLOWS:
-                raise ParseError(line, f"unknown flow direction {row[pos[FLOW_COLUMN]]!r}")
-        exporter = row[pos["exporter"]].strip()
-        importer = row[pos["importer"]].strip()
-        if not exporter or not importer:
-            raise ParseError(line, "empty country code")
-        try:
-            product = sitc_to_product(row[pos["sitc"]].strip())
-        except ValueError as exc:
-            raise ParseError(line, str(exc)) from None
-        value = _parse_value(row[pos["value_usd"]], line)
-        records.append(TradeRecord(row_year, exporter, importer, product, value))
-    if not records:
-        raise NoRecordsError(year)
-    return records
-
-
-def apply_aggregation(records: Sequence[TradeRecord], registry: CountryRegistry) -> list[TradeRecord]:
-    """Collapse member codes onto their bloc and merge the resulting flows.
-
-    Flows whose exporter and importer collapse to the same country (bloc
-    self-trade included) are dropped. Merged values are summed exactly in
-    Decimal; the output is sorted by (year, product, importer, exporter),
-    which makes the operation idempotent and order-independent.
-    """
-    merged: dict[tuple[int, int, str, str], Decimal] = {}
-    with localcontext() as ctx:
-        ctx.prec = _MONEY_PRECISION
-        for rec in records:
-            exporter = registry.canonical(rec.exporter)
-            importer = registry.canonical(rec.importer)
-            if exporter == importer:
-                continue
-            key = (rec.year, rec.sitc_digit, importer, exporter)
-            merged[key] = merged.get(key, Decimal(0)) + rec.value_usd
-    return [
-        TradeRecord(year, exporter, importer, product, value)
-        for (year, product, importer, exporter), value in sorted(merged.items())
-    ]
+    duplicates = sorted({c for c in header if header.count(c) > 1})
+    if duplicates:
+        raise ParseError(1, f"duplicate column(s) {', '.join(duplicates)}")
+    return header
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,38 +237,80 @@ class MoneyMatrix:
         return cls(registry, year, *cells, dense[cells], n_products=dense.shape[0])
 
 
-def assemble_money_matrix(
-    records: Sequence[TradeRecord],
-    registry: CountryRegistry,
-    n_products: int = N_PRODUCTS,
+def read_money_matrix(
+    source: IO | Iterable[str] | bytes | str,
+    year: int,
+    aggregation: Mapping[str, str] | None = None,
 ) -> MoneyMatrix:
-    """Accumulate aggregated records into a MoneyMatrix.
+    """Read a header-bearing delimited trade file into the money tensor of ``year``.
 
-    Records must already be aggregated (no self flows, codes canonical).
-    Duplicate flows are summed exactly in Decimal and each sum is rounded
-    to float once, so the result is independent of the input row order bit
-    for bit.
+    One pass over the rows: each row of ``year`` is checked, its codes are
+    mapped onto their bloc, and its value is added exactly in Decimal to the
+    sum of its (product, importer, exporter) key, unless the flow is a
+    self-flow. The registry holds the sorted canonical codes of every row of
+    the year, self-flows included. Each sum is rounded to float once, so the
+    result does not depend on the row order, bit for bit.
+
+    Raises ParseError (naming the line) for structural problems and
+    NoRecordsError when no row of ``year`` is left, or only self-flows.
     """
-    if not records:
-        raise ValueError("no records to assemble")
-    years = {rec.year for rec in records}
-    if len(years) > 1:
-        raise ValueError(f"records span multiple years: {sorted(years)}")
-    n = registry.n
-    sums: dict[int, Decimal] = {}   # keyed (product * n + importer) * n + exporter
+    aggregation = dict(aggregation or {})
+    reader = csv.reader(_as_text(source))
+    header = _read_header(reader)
+    width = len(header)
+    i_year, i_exporter, i_importer, i_sitc, i_value = map(header.index, REQUIRED_COLUMNS)
+    i_flow = header.index(FLOW_COLUMN) if FLOW_COLUMN in header else None
+    canonical = aggregation.get
+    codes: set[str] = set()
+    sums: dict[tuple[int, str, str], Decimal] = {}
     with localcontext() as ctx:
         ctx.prec = _MONEY_PRECISION
-        for rec in records:
-            if registry.canonical(rec.exporter) != rec.exporter or registry.canonical(rec.importer) != rec.importer:
-                raise ValueError(f"record {rec.exporter}->{rec.importer} not aggregated")
-            if rec.exporter == rec.importer:
-                raise ValueError(f"self flow {rec.exporter}->{rec.importer} must be removed by aggregation")
-            key = (rec.sitc_digit * n + registry.index_of(rec.importer)) * n + registry.index_of(rec.exporter)
-            sums[key] = sums.get(key, Decimal(0)) + rec.value_usd
-    product, cell = np.divmod(np.fromiter(sums, dtype=np.int64, count=len(sums)), n * n)
-    value = np.fromiter(map(float, sums.values()), dtype=np.float64, count=len(sums))
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise ParseError(line, f"expected {width} columns, found {len(row)}")
+            try:
+                row_year = int(row[i_year].strip())
+            except ValueError:
+                raise ParseError(line, f"non-numeric year {row[i_year]!r}") from None
+            if row_year != year:
+                continue
+            if i_flow is not None:
+                flow = row[i_flow].strip().lower()
+                if flow in _IMPORT_FLOWS:
+                    continue  # mirror report of a flow already present export-side
+                if flow not in _EXPORT_FLOWS:
+                    raise ParseError(line, f"unknown flow direction {row[i_flow]!r}")
+            exporter = row[i_exporter].strip()
+            importer = row[i_importer].strip()
+            if not exporter or not importer:
+                raise ParseError(line, "empty country code")
+            try:
+                product = sitc_to_product(row[i_sitc].strip())
+            except ValueError as exc:
+                raise ParseError(line, str(exc)) from None
+            value = _parse_value(row[i_value], line)
+            exporter = canonical(exporter, exporter)
+            importer = canonical(importer, importer)
+            codes.add(exporter)
+            codes.add(importer)
+            if exporter != importer:
+                key = (product, importer, exporter)
+                sums[key] = sums.get(key, _ZERO) + value
+    if not codes:
+        raise NoRecordsError(year)
+    ordered = tuple(sorted(codes))
+    registry = CountryRegistry(codes=ordered, names=ordered, aggregation=aggregation)
+    if not sums:
+        raise NoRecordsError(year)
+    index, count = registry._index, len(sums)
+    product = np.fromiter((p for p, _, _ in sums), dtype=np.int64, count=count)
+    importer = np.fromiter((index[i] for _, i, _ in sums), dtype=np.int64, count=count)
+    exporter = np.fromiter((index[e] for _, _, e in sums), dtype=np.int64, count=count)
+    value = np.fromiter(map(float, sums.values()), dtype=np.float64, count=count)
     del sums   # free the Decimals before the constructor's temporaries
-    return MoneyMatrix(registry, years.pop(), product, *np.divmod(cell, n), value, n_products)
+    return MoneyMatrix(registry, year, product, importer, exporter, value)
 
 
 def read_aggregation_file(source: IO | Iterable[str] | bytes | str) -> dict[str, str]:
@@ -404,11 +342,6 @@ def load_money_matrix(
     year: int,
     aggregation: Mapping[str, str] | None = None,
 ) -> MoneyMatrix:
-    """Parse ``path``, build the registry, aggregate and assemble in one go."""
+    """Open ``path`` and read the money tensor of ``year`` with :func:`read_money_matrix`."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        records = parse_trade_records(fh, year)
-    registry = CountryRegistry.build(records, aggregation)
-    aggregated = apply_aggregation(records, registry)
-    if not aggregated:
-        raise NoRecordsError(year)
-    return assemble_money_matrix(aggregated, registry)
+        return read_money_matrix(fh, year, aggregation)

@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wtnrank import MoneyMatrix
 from wtnrank.ingest import COO_FIELDS
 from wtnrank.testkit import SyntheticSpec, synthetic_money, synthetic_registry
+
+# Property tests draw the same examples on every run, with no time limit per
+# example: a slow machine must not turn a passing test into a failing one.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Parsing, aggregation and money-matrix assembly."""
+"""Reading trade rows into the money tensor: checks, aggregation and summation."""
 
 import io
 from decimal import Decimal
@@ -9,12 +9,9 @@ import pytest
 from wtnrank import (
     CountryRegistry,
     MoneyMatrix,
-    TradeRecord,
-    apply_aggregation,
-    assemble_money_matrix,
     load_money_matrix,
-    parse_trade_records,
     read_aggregation_file,
+    read_money_matrix,
     sitc_to_product,
 )
 from wtnrank.errors import NoRecordsError, ParseError, UnknownCountryError
@@ -23,65 +20,82 @@ from wtnrank.testkit import synthetic_registry
 from conftest import flows
 
 HEADER = "year,exporter,importer,sitc,value_usd"
+EU = {"DEU": "EUU", "FRA": "EUU"}
 
 
-def parse(rows, year=2018):
-    return parse_trade_records(io.StringIO("\n".join([HEADER] + rows)), year)
+def read(rows, year=2018, aggregation=None, header=HEADER):
+    return read_money_matrix(io.StringIO("\n".join([header] + rows)), year, aggregation)
 
 
 class TestParse:
     def test_single_row(self):
-        records = parse(["2018,CHN,USA,7,5.0e10"])
-        assert records == [TradeRecord(2018, "CHN", "USA", 7, Decimal("5.0e10"))]
+        money = read(["2018,CHN,USA,7,5.0e10"])
+        assert money.year == 2018
+        assert money.registry.codes == ("CHN", "USA")
+        assert flows(money) == [(7, 1, 0, 5.0e10)]
 
     def test_year_filter(self):
-        records = parse(["2016,CHN,USA,7,1", "2018,CHN,USA,7,2", "2016,DEU,FRA,0,3"])
-        assert len(records) == 1
-        assert records[0].value_usd == Decimal(2)
+        money = read(["2016,CHN,USA,7,1", "2018,CHN,USA,7,2", "2016,DEU,FRA,0,3"])
+        assert money.registry.codes == ("CHN", "USA")
+        assert flows(money) == [(7, 1, 0, 2.0)]
 
     def test_negative_value_names_line(self):
         with pytest.raises(ParseError) as err:
-            parse(["2018,CHN,USA,7,10", "2018,USA,CHN,7,-3"])
+            read(["2018,CHN,USA,7,10", "2018,USA,CHN,7,-3"])
         assert err.value.line == 3
 
     def test_non_numeric_value(self):
         with pytest.raises(ParseError):
-            parse(["2018,CHN,USA,7,abc"])
+            read(["2018,CHN,USA,7,abc"])
 
     def test_wrong_column_count(self):
         with pytest.raises(ParseError) as err:
-            parse(["2018,CHN,USA,7"])
+            read(["2018,CHN,USA,7"])
         assert err.value.line == 2
 
     def test_bad_header(self):
         with pytest.raises(ParseError) as err:
-            parse_trade_records(io.StringIO("year,exporter,importer\n"), 2018)
+            read_money_matrix(io.StringIO("year,exporter,importer\n"), 2018)
         assert err.value.line == 1
+
+    @pytest.mark.parametrize(
+        "header,row",
+        [
+            (HEADER + ",value_usd", "2018,CHN,USA,7,5,-999"),
+            (HEADER + ",exporter", "2018,CHN,USA,7,5,BRA"),
+        ],
+        ids=["value_usd", "exporter"],
+    )
+    def test_duplicate_column_rejected(self, header, row):
+        with pytest.raises(ParseError, match="duplicate column") as err:
+            read([row], header=header)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("row", ["2018,,USA,7,1", "2018,CHN, ,7,1"], ids=["exporter", "importer"])
+    def test_empty_country_code_names_line(self, row):
+        with pytest.raises(ParseError, match="empty country code") as err:
+            read(["2018,CHN,USA,7,10", row])
+        assert err.value.line == 3
 
     def test_no_records_for_year(self):
         with pytest.raises(NoRecordsError):
-            parse(["2016,CHN,USA,7,1"])
+            read(["2016,CHN,USA,7,1"])
 
     def test_empty_file(self):
         with pytest.raises(ParseError):
-            parse_trade_records(io.StringIO(""), 2018)
+            read_money_matrix(io.StringIO(""), 2018)
 
     def test_full_sitc_code_uses_leading_digit(self):
-        records = parse(["2018,CHN,USA,71234,5"])
-        assert records[0].sitc_digit == 7
+        assert flows(read(["2018,CHN,USA,71234,5"])) == [(7, 1, 0, 5.0)]
 
     def test_flow_column_keeps_exports_skips_imports(self):
-        header = HEADER + ",flow"
-        text = "\n".join(
-            [header, "2018,CHN,USA,7,10,X", "2018,USA,CHN,7,20,M", "2018,CHN,USA,3,5,export"]
-        )
-        records = parse_trade_records(io.StringIO(text), 2018)
-        assert [(r.exporter, r.sitc_digit) for r in records] == [("CHN", 7), ("CHN", 3)]
+        rows = ["2018,CHN,USA,7,10,X", "2018,USA,CHN,7,20,M", "2018,CHN,USA,3,5,export"]
+        money = read(rows, header=HEADER + ",flow")
+        assert flows(money) == [(3, 1, 0, 5.0), (7, 1, 0, 10.0)]
 
     def test_unknown_flow_direction(self):
-        header = HEADER + ",flow"
         with pytest.raises(ParseError) as err:
-            parse_trade_records(io.StringIO(header + "\n2018,CHN,USA,7,10,sideways\n"), 2018)
+            read(["2018,CHN,USA,7,10,sideways"], header=HEADER + ",flow")
         assert err.value.line == 2
 
 
@@ -96,40 +110,34 @@ class TestSitc:
             sitc_to_product(code)
 
 
-def eu_registry(records):
-    return CountryRegistry.build(records, {"DEU": "EUU", "FRA": "EUU"})
-
-
 class TestAggregation:
     def test_intra_bloc_flow_dropped(self):
-        records = [TradeRecord(2018, "DEU", "FRA", 3, Decimal(10))]
-        assert apply_aggregation(records, eu_registry(records)) == []
+        money = read(["2018,DEU,FRA,3,10", "2018,CHN,USA,3,1"], aggregation=EU)
+        # the bloc stays in the registry although its only flow was a self-flow
+        assert money.registry.codes == ("CHN", "EUU", "USA")
+        assert flows(money) == [(3, 2, 0, 1.0)]
 
     def test_member_flows_merge(self):
-        records = [
-            TradeRecord(2018, "DEU", "USA", 3, Decimal(10)),
-            TradeRecord(2018, "FRA", "USA", 3, Decimal(5)),
-        ]
-        merged = apply_aggregation(records, eu_registry(records))
-        assert merged == [TradeRecord(2018, "EUU", "USA", 3, Decimal(15))]
+        money = read(["2018,DEU,USA,3,10", "2018,FRA,USA,3,5"], aggregation=EU)
+        assert money.registry.codes == ("EUU", "USA")
+        assert flows(money) == [(3, 1, 0, 15.0)]
 
     def test_non_member_pass_through(self):
-        records = [TradeRecord(2018, "CHN", "USA", 3, Decimal(7))]
-        assert apply_aggregation(records, eu_registry(records)) == records
+        money = read(["2018,CHN,USA,3,7"], aggregation=EU)
+        assert money.registry.codes == ("CHN", "USA")
+        assert flows(money) == [(3, 1, 0, 7.0)]
 
     def test_idempotent(self):
-        records = [
-            TradeRecord(2018, "DEU", "USA", 3, Decimal(10)),
-            TradeRecord(2018, "FRA", "USA", 3, Decimal(5)),
-            TradeRecord(2018, "USA", "DEU", 1, Decimal(2)),
-        ]
-        registry = eu_registry(records)
-        once = apply_aggregation(records, registry)
-        assert apply_aggregation(once, registry) == once
+        once = read(["2018,DEU,USA,3,10", "2018,FRA,USA,3,5", "2018,USA,DEU,1,2"], aggregation=EU)
+        codes = once.registry.codes
+        rows = [f"2018,{codes[e]},{codes[i]},{p},{v!r}" for p, i, e, v in flows(once)]
+        twice = read(rows, aggregation=EU)
+        assert twice.registry.codes == codes
+        assert flows(twice) == flows(once)
 
     def test_aggregation_file(self):
         text = "member_code,bloc_code\nDEU,EUU\nFRA,EUU\n"
-        assert read_aggregation_file(io.StringIO(text)) == {"DEU": "EUU", "FRA": "EUU"}
+        assert read_aggregation_file(io.StringIO(text)) == EU
 
     def test_aggregation_file_bad_header(self):
         with pytest.raises(ParseError):
@@ -141,91 +149,62 @@ class TestAggregation:
             read_aggregation_file(io.StringIO(text))
 
     def test_chained_aggregation_rejected(self):
-        records = [TradeRecord(2018, "AAA", "CCC", 0, Decimal(1))]
-        with pytest.raises(ValueError):
-            CountryRegistry.build(records, {"AAA": "BBB", "BBB": "CCC"})
+        with pytest.raises(ValueError, match="aggregation chains"):
+            read(["2018,AAA,CCC,0,1"], aggregation={"AAA": "BBB", "BBB": "CCC"})
 
 
 class TestRegistry:
     def test_alphabetical_and_partner_only(self):
-        records = [
-            TradeRecord(2018, "USA", "CHN", 0, Decimal(1)),
-            TradeRecord(2018, "BRA", "USA", 0, Decimal(1)),
-        ]
-        registry = CountryRegistry.build(records, None)
-        assert registry.codes == ("BRA", "CHN", "USA")
+        money = read(["2018,USA,CHN,0,1", "2018,BRA,USA,0,1"])
+        assert money.registry.codes == ("BRA", "CHN", "USA")
 
     def test_index_of_unknown(self):
-        registry = CountryRegistry.build([TradeRecord(2018, "USA", "CHN", 0, Decimal(1))], None)
+        registry = read(["2018,USA,CHN,0,1"]).registry
         with pytest.raises(UnknownCountryError):
             registry.index_of("FRA")
 
 
 class TestAssemble:
     def test_summation(self):
-        records = [
-            TradeRecord(2018, "CHN", "USA", 7, Decimal(10)),
-            TradeRecord(2018, "CHN", "USA", 7, Decimal(20)),
-        ]
-        registry = CountryRegistry.build(records, None)
-        money = assemble_money_matrix(records, registry)
-        usa, chn = registry.index_of("USA"), registry.index_of("CHN")
+        money = read(["2018,CHN,USA,7,10", "2018,CHN,USA,7,20"])
+        usa, chn = money.registry.index_of("USA"), money.registry.index_of("CHN")
         assert flows(money) == [(7, usa, chn, 30.0)]
 
     def test_duplicates_summed_in_decimal_then_rounded_once(self):
-        records = [
-            TradeRecord(2018, "CHN", "USA", 7, Decimal("0.1")),
-            TradeRecord(2018, "CHN", "USA", 7, Decimal("0.2")),
-        ]
-        money = assemble_money_matrix(records, CountryRegistry.build(records, None))
+        money = read(["2018,CHN,USA,7,0.1", "2018,CHN,USA,7,0.2"])
         assert money.value.tolist() == [0.3]
         assert 0.1 + 0.2 != 0.3  # summing the floats would give 0.30000000000000004
 
     def test_unmentioned_slice_is_zero(self):
-        records = [TradeRecord(2018, "CHN", "USA", 7, Decimal(10))]
-        registry = CountryRegistry.build(records, None)
-        money = assemble_money_matrix(records, registry)
+        money = read(["2018,CHN,USA,7,10"])
         assert money.to_dense()[4].sum() == 0.0
 
     def test_self_flow_rejected(self):
-        records = [TradeRecord(2018, "USA", "USA", 7, Decimal(10))]
-        registry = CountryRegistry.build(records, None)
-        with pytest.raises(ValueError):
-            assemble_money_matrix(records, registry)
+        money = read(["2018,USA,USA,7,10", "2018,CHN,USA,7,1"])
+        assert money.registry.codes == ("CHN", "USA")
+        assert flows(money) == [(7, 1, 0, 1.0)]
+        with pytest.raises(NoRecordsError):
+            read(["2018,USA,USA,7,10"])
 
     def test_mixed_years_rejected(self):
-        records = [
-            TradeRecord(2018, "CHN", "USA", 7, Decimal(1)),
-            TradeRecord(2017, "USA", "CHN", 7, Decimal(1)),
-        ]
-        registry = CountryRegistry.build(records, None)
-        with pytest.raises(ValueError):
-            assemble_money_matrix(records, registry)
+        rows = ["2018,CHN,USA,7,1", "2017,USA,CHN,7,2"]
+        for year, expected in ((2018, [(7, 1, 0, 1.0)]), (2017, [(7, 0, 1, 2.0)])):
+            money = read(rows, year)
+            assert money.year == year
+            assert flows(money) == expected
 
     def test_volume_conservation_exact(self):
         rows = [f"2018,C{i:02d},C{(i * 7 + 1) % 23:02d},{i % 10},{i}.0{i}" for i in range(1, 200)]
-        records = parse(rows)
-        registry = CountryRegistry.build(records, None)
-        aggregated = apply_aggregation(records, registry)
-        money = assemble_money_matrix(aggregated, registry)
-        index = registry.index_of
-        expected = [(r.sitc_digit, index(r.importer), index(r.exporter), r.value_usd) for r in aggregated]
-        # aggregation already summed duplicates exactly; assembly rounds each sum once
-        assert flows(money) == [(p, imp, exp, float(value)) for p, imp, exp, value in sorted(expected)]
-
-
-class TestRecordValidation:
-    def test_negative_value(self):
-        with pytest.raises(ValueError):
-            TradeRecord(2018, "CHN", "USA", 7, Decimal(-1))
-
-    def test_bad_product_index(self):
-        with pytest.raises(ValueError):
-            TradeRecord(2018, "CHN", "USA", 10, Decimal(1))
-
-    def test_empty_code(self):
-        with pytest.raises(ValueError):
-            TradeRecord(2018, "", "USA", 7, Decimal(1))
+        money = read(rows)
+        codes = money.registry.codes
+        exact = {}
+        for row in rows:
+            _, exporter, importer, sitc, value = row.split(",")
+            if exporter != importer:
+                key = (int(sitc), codes.index(importer), codes.index(exporter))
+                exact[key] = exact.get(key, Decimal(0)) + Decimal(value)
+        # every sum is exact in Decimal and rounded to float once
+        assert flows(money) == [(*key, float(value)) for key, value in sorted(exact.items())]
 
 
 class TestLoad:
@@ -253,9 +232,9 @@ class TestLoad:
 
 class TestMoneyMatrix:
     def test_to_dense_layout(self):
-        records = [TradeRecord(2018, "CHN", "USA", 7, Decimal(10))]
-        registry = CountryRegistry.build(records, None)
-        dense = assemble_money_matrix(records, registry).to_dense()
+        money = read(["2018,CHN,USA,7,10"])
+        registry = money.registry
+        dense = money.to_dense()
         # entry (p, importer, exporter)
         assert dense[7, registry.index_of("USA"), registry.index_of("CHN")] == 10.0
         assert dense.sum() == 10.0

@@ -1,25 +1,126 @@
-"""Property tests: the array-built operator and shares against dense oracles.
+"""Property tests: ingest against an exact oracle, and the array-built
+operator and shares against dense oracles.
 
-Random small tensors include dangling columns (a country that exports
-nothing of a product) and empty products. The production path builds S, v
-and the volume shares from the COO arrays; the oracles recompute them from
-the dense tensor with no shared code.
+Random small row sets mix bloc members, duplicate keys, rows of another
+year and ``flow=m`` mirror reports; the ingest oracle sums their Decimals
+per canonical key straight from the generated rows. Random small tensors
+include dangling columns (a country that exports nothing of a product) and
+empty products. The production path builds S, v and the volume shares from
+the COO arrays; the oracles recompute them from the dense tensor with no
+shared code.
 """
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wtnrank import build_google, perturb_money, volume_probabilities
+from wtnrank import build_google, perturb_money, read_money_matrix, volume_probabilities
+from wtnrank.ingest import COO_FIELDS
 from wtnrank.testkit import dense_google_from_money, densify
 
-from conftest import money_from_dense
+from conftest import flows, money_from_dense
 
 #: Same bound as test_testkit's check of build_google against this oracle.
 ORACLE_TOL = 1e-14
 
 PERSONALIZATIONS = ("uniform-by-product", "volume-by-country")
+
+YEAR = 2018
+HEADER = "year,exporter,importer,sitc,value_usd,flow"
+#: Candidate bloc members, and two countries that never join the bloc.
+MEMBERS = ("AUT", "BEL", "DEU", "FRA")
+OTHERS = ("CHN", "USA")
+
+
+@st.composite
+def trade_rows(draw):
+    """(rows, aggregation): row tuples in the ingest column order, and a bloc map.
+
+    The first row is an export of ``YEAR`` between two non-members, so at
+    least one flow survives; the rest may be of another year, mirror
+    reports, bloc self-flows or repeats of one key.
+    """
+    blocs = draw(st.lists(st.sampled_from(MEMBERS), unique=True))
+    aggregation = {member: "EUU" for member in blocs}
+    code = st.sampled_from(MEMBERS + OTHERS)
+    row = st.tuples(
+        st.sampled_from((YEAR, YEAR, YEAR, YEAR - 1)),
+        code,
+        code,
+        st.sampled_from(("0", "3", "7", "71234")),
+        st.one_of(st.decimals(0, 1, places=2), st.decimals(0, 10**6, places=2)),
+        st.sampled_from(("x", "export", "X", "m", "import")),
+    )
+    first = (YEAR, *draw(st.permutations(OTHERS)), "3", draw(st.decimals(1, 10**6, places=2)), "x")
+    return [first] + draw(st.lists(row, max_size=30)), aggregation
+
+
+def render(rows) -> str:
+    return "\n".join([HEADER] + [",".join(map(str, row)) for row in rows]) + "\n"
+
+
+def money_fields(money) -> tuple:
+    """Everything that identifies a tensor: registry codes, year and array bytes."""
+    arrays = (getattr(money, name) for name in COO_FIELDS)
+    return money.registry.codes, money.year, tuple((a.dtype.str, a.tobytes()) for a in arrays)
+
+
+def ingest_oracle(rows, aggregation):
+    """Codes and (product, importer, exporter, value) flows, summed exactly per canonical key."""
+    codes, sums = set(), {}
+    with localcontext() as ctx:
+        ctx.prec = 100
+        for year, exporter, importer, sitc, value, flow in rows:
+            if year != YEAR or flow.lower() not in ("x", "export"):
+                continue
+            exporter = aggregation.get(exporter, exporter)
+            importer = aggregation.get(importer, importer)
+            codes |= {exporter, importer}
+            if exporter != importer:
+                key = (int(sitc[0]), importer, exporter)
+                sums[key] = sums.get(key, Decimal(0)) + value
+    codes = sorted(codes)
+    entries = sorted(
+        (product, codes.index(importer), codes.index(exporter), float(total))
+        for (product, importer, exporter), total in sums.items()
+        if total != 0
+    )
+    return tuple(codes), entries
+
+
+@settings(max_examples=80)
+@given(generated=trade_rows(), data=st.data())
+def test_ingest_ignores_row_order(generated, data):
+    rows, aggregation = generated
+    shuffled = data.draw(st.permutations(rows))
+    expected = money_fields(read_money_matrix(render(rows), YEAR, aggregation))
+    assert money_fields(read_money_matrix(render(shuffled), YEAR, aggregation)) == expected
+
+
+@settings(max_examples=80)
+@given(generated=trade_rows(), data=st.data())
+def test_ingest_split_value_gives_same_tensor(generated, data):
+    rows, aggregation = generated
+    k = data.draw(st.integers(0, len(rows) - 1))
+    year, exporter, importer, sitc, value, flow = rows[k]
+    part = data.draw(st.decimals(min_value=0, max_value=value, places=3))
+    split = rows[:k] + [(year, exporter, importer, sitc, part, flow),
+                        (year, exporter, importer, sitc, value - part, flow)] + rows[k + 1:]
+    expected = money_fields(read_money_matrix(render(rows), YEAR, aggregation))
+    assert money_fields(read_money_matrix(render(split), YEAR, aggregation)) == expected
+
+
+@settings(max_examples=80)
+@given(generated=trade_rows())
+def test_ingest_matches_exact_oracle(generated):
+    rows, aggregation = generated
+    money = read_money_matrix(render(rows), YEAR, aggregation)
+    codes, entries = ingest_oracle(rows, aggregation)
+    assert money.registry.codes == codes
+    assert flows(money) == entries
 
 
 @st.composite
@@ -72,7 +173,7 @@ def assert_matches_oracles(money, dense, alpha):
     assert np.max(np.abs(p_hat_star.values - exports)) < ORACLE_TOL
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(dense=dense_tensors(), alpha=st.floats(0.05, 0.95))
 def test_array_operator_matches_dense_oracle(dense, alpha):
     money = money_from_dense(dense)
@@ -80,7 +181,7 @@ def test_array_operator_matches_dense_oracle(dense, alpha):
     assert_matches_oracles(money, dense, alpha)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data(), dense=dense_tensors())
 def test_perturbed_operator_matches_dense_oracle(data, dense):
     (product, delta, country, side), scale = data.draw(perturbations(dense))
