@@ -14,13 +14,12 @@ against the CSC arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from . import _kernels
 from ._text import fmt, write_lines
 from .errors import EmptyNetworkError
 from .ingest import CountryRegistry, MoneyMatrix
@@ -68,8 +67,7 @@ class StochasticMatrix:
 
     ``matrix`` stores the normalized trade links (dangling columns are empty);
     ``dangling`` marks columns with zero outflow, each standing for a uniform
-    1/N column. The ``kernel_*`` views are int64/float64 buffers handed to the
-    compiled apply kernel.
+    1/N column.
     """
 
     matrix: sparse.csc_matrix
@@ -77,10 +75,6 @@ class StochasticMatrix:
     space: NodeSpace
     registry: CountryRegistry
     direction: str
-    kernel_indptr: np.ndarray = field(init=False, repr=False)
-    kernel_indices: np.ndarray = field(init=False, repr=False)
-    kernel_data: np.ndarray = field(init=False, repr=False)
-    kernel_dangling_ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
@@ -88,10 +82,6 @@ class StochasticMatrix:
         n = self.space.size
         if self.matrix.shape != (n, n):
             raise ValueError(f"matrix shape {self.matrix.shape} does not match node space {n}")
-        self.kernel_indptr = np.ascontiguousarray(self.matrix.indptr, dtype=np.int64)
-        self.kernel_indices = np.ascontiguousarray(self.matrix.indices, dtype=np.int64)
-        self.kernel_data = np.ascontiguousarray(self.matrix.data, dtype=np.float64)
-        self.kernel_dangling_ids = np.flatnonzero(self.dangling).astype(np.int64)
 
     @property
     def size(self) -> int:
@@ -107,7 +97,7 @@ class StochasticMatrix:
         live = ~self.dangling
         if live.any() and np.max(np.abs(sums[live] - 1.0)) >= tol:
             raise ValueError("non-dangling column sums deviate from 1")
-        if self.matrix.nnz and self.kernel_data.min() < 0:
+        if self.matrix.nnz and self.matrix.data.min() < 0:
             raise ValueError("negative transition weight")
 
 
@@ -153,12 +143,15 @@ class GoogleMatrix:
     def registry(self) -> CountryRegistry:
         return self.S.registry
 
-    def apply(self, x: np.ndarray, backend: str | None = None) -> np.ndarray:
-        """Return G @ x; preserves the total mass of x up to rounding."""
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Return G @ x (links, uniform dangling columns, teleport); preserves the mass of x."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.size,):
             raise ValueError(f"vector length {x.shape} does not match N={self.size}")
-        return _kernels.apply_google(self.S, self.v.values, self.alpha, x, backend=backend)
+        out = self.alpha * (self.S.matrix @ x)
+        out += self.alpha * x[self.S.dangling].sum() / self.size
+        out += (1.0 - self.alpha) * x.sum() * self.v.values
+        return out
 
 
 def build_stochastic(money: MoneyMatrix, direction: str = "direct") -> StochasticMatrix:

@@ -6,8 +6,8 @@ year and ``flow=m`` mirror reports; the ingest oracle sums their Decimals
 per canonical key straight from the generated rows. Random small tensors
 include dangling columns (a country that exports nothing of a product) and
 empty products. The production path builds S, v and the volume shares from
-the COO arrays; the oracles recompute them from the dense tensor with no
-shared code.
+the COO arrays and applies G to random vectors; the oracles recompute them
+from the dense tensor with no shared code.
 """
 
 from decimal import Decimal, localcontext
@@ -162,11 +162,14 @@ def dense_volume_shares(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assert_matches_oracles(money, dense, alpha):
+    rng = np.random.default_rng(0)
     for direction in ("direct", "inverted"):
         for personalization in PERSONALIZATIONS:
             G = build_google(money, direction, alpha, personalization)
             oracle = dense_google_from_money(money_from_dense(dense), direction, alpha, personalization)
             assert np.max(np.abs(densify(G) - oracle)) < ORACLE_TOL
+            x = rng.random(G.size)
+            assert np.max(np.abs(G.apply(x) - oracle @ x)) < ORACLE_TOL
     p_hat, p_hat_star = volume_probabilities(money)
     imports, exports = dense_volume_shares(dense)
     assert np.max(np.abs(p_hat.values - imports)) < ORACLE_TOL
