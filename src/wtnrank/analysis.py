@@ -18,7 +18,7 @@ import numpy as np
 
 from ._text import fmt, write_lines
 from .errors import ConvergenceError
-from .gmatrix import build_google
+from .gmatrix import GoogleMatrix, build_google
 from .ingest import MoneyMatrix
 from .ranks import (
     DEFAULT_MAX_ITER,
@@ -138,10 +138,17 @@ def gma_country_probabilities(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     personalization: str = "uniform-by-product",
+    operators: tuple[GoogleMatrix, GoogleMatrix] | None = None,
 ) -> tuple[ProbabilityVector, ProbabilityVector, tuple[SolverReport, SolverReport]]:
-    """PageRank and CheiRank country probabilities for one money tensor."""
-    direct = build_google(money, "direct", alpha, personalization)
-    inverted = build_google(money, "inverted", alpha, personalization)
+    """PageRank and CheiRank country probabilities for one money tensor.
+
+    ``operators`` are the direct and inverted Google matrices of ``money``
+    with ``alpha`` and ``personalization``, when the caller has built them.
+    """
+    direct, inverted = operators or (
+        build_google(money, "direct", alpha, personalization),
+        build_google(money, "inverted", alpha, personalization),
+    )
     p_node, report_p = pagerank(direct, tol, max_iter)
     pstar_node, report_pstar = pagerank(inverted, tol, max_iter)
     for report in (report_p, report_pstar):

@@ -37,7 +37,13 @@ from .analysis import (
 )
 from ._text import write_json, write_lines
 from .errors import WtnError
-from .gmatrix import PERSONALIZATION_MODES, build_google, write_matrix_dump
+from .gmatrix import (
+    DIRECTIONS,
+    PERSONALIZATION_MODES,
+    GoogleMatrix,
+    build_google,
+    write_matrix_dump,
+)
 from .ingest import load_money_matrix, read_aggregation_file
 from .ranks import (
     DEFAULT_MAX_ITER,
@@ -167,10 +173,18 @@ def _load_money(config: RunConfig):
     return load_money_matrix(config.input, config.year, aggregation)
 
 
-def _country_vectors(config: RunConfig, money) -> tuple:
+def _operators(config: RunConfig, money) -> tuple[GoogleMatrix, GoogleMatrix]:
+    """The Google matrices of ``money``, one per entry of DIRECTIONS."""
+    return tuple(
+        build_google(money, direction, config.alpha, config.personalization)
+        for direction in DIRECTIONS
+    )
+
+
+def _country_vectors(config: RunConfig, money, operators=None) -> tuple:
     """PageRank, CheiRank, import and export country vectors, in that order."""
     p_c, pstar_c, _ = gma_country_probabilities(
-        money, config.alpha, config.tol, config.max_iter, config.personalization
+        money, config.alpha, config.tol, config.max_iter, config.personalization, operators
     )
     return (p_c, pstar_c, *iea_country_probabilities(money))
 
@@ -317,14 +331,16 @@ def cmd_sensitivity(config: RunConfig, money) -> list[Path]:
     return written
 
 
-def cmd_regomax(config: RunConfig, money) -> list[Path]:
-    """Reduced matrices and friends edge lists for a country subset."""
+def cmd_regomax(config: RunConfig, money, operators=None) -> list[Path]:
+    """Reduced matrices and friends edge lists for a country subset.
+
+    ``operators`` are those of :func:`_operators`, when already built.
+    """
     if not config.subset:
         raise ValueError("regomax needs --subset with at least one country code")
     year = money.year
     written = []
-    for direction in ("direct", "inverted"):
-        G = build_google(money, direction, config.alpha, config.personalization)
+    for direction, G in zip(DIRECTIONS, operators or _operators(config, money)):
         subset, labels = subset_from_countries(G, config.subset)
         reduced = reduced_google_matrix(G, subset)
         net = friends_network(reduced, config.k, config.friends_by)
@@ -340,8 +356,7 @@ def cmd_regomax(config: RunConfig, money) -> list[Path]:
 def cmd_dump(config: RunConfig, money) -> list[Path]:
     """Raw stochastic-matrix triplets plus sidecars, both directions."""
     written = []
-    for direction in ("direct", "inverted"):
-        G = build_google(money, direction, config.alpha, config.personalization)
+    for direction, G in zip(DIRECTIONS, _operators(config, money)):
         path, sidecar = write_matrix_dump(G, config.out / f"gmatrix_{direction}_{config.year}.csv")
         written += [path, sidecar]
     return written
@@ -360,9 +375,11 @@ def _pipeline_products(money) -> list[int]:
 def cmd_pipeline(config: RunConfig, money) -> list[Path]:
     """Everything for one year: ranks, balance, sensitivities, REGOMAX.
 
-    Ranks, balance and the default REGOMAX subset share one set of country vectors.
+    Ranks, balance and the default REGOMAX subset share one set of country
+    vectors, and the vectors and REGOMAX one pair of unperturbed operators.
     """
-    vectors = _country_vectors(config, money)
+    operators = _operators(config, money)
+    vectors = _country_vectors(config, money, operators)
     table = build_rank_table(*vectors)
     written = _write_rank(config, money.year, table)
     written += _write_balance(config, money.year, *vectors)
@@ -370,7 +387,7 @@ def cmd_pipeline(config: RunConfig, money) -> list[Path]:
     for product in products:
         written += cmd_sensitivity(replace(config, sens_product=product), money)
     subset = config.subset or tuple(table.top("K", min(PIPELINE_SUBSET_SIZE, len(table.codes) - 1)))
-    written += cmd_regomax(replace(config, subset=subset), money)
+    written += cmd_regomax(replace(config, subset=subset), money, operators)
     return written
 
 

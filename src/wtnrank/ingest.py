@@ -4,18 +4,23 @@ Reads delimited trade files (``year,exporter,importer,sitc,value_usd``)
 into the per-product money tensor in one pass over the rows: each row is
 checked, its country codes are mapped onto their bloc (e.g. the 27 EU
 members collapsed onto ``EUU``), self-flows are dropped and every other
-value is added to the sum of its (product, importer, exporter) key.
+value is added to the sum of its (product, importer, exporter) key. Each
+distinct year, flow, country and SITC cell is checked and mapped once.
 
-Monetary values are carried as :class:`decimal.Decimal` through parsing and
-that summation, so the sums are exact; after the pass each sum is rounded to
-float64 once, into the COO arrays of :class:`MoneyMatrix`. The country
-registry is the sorted set of canonical codes of every row of the year.
+Every value is read with ``float``, which rounds a decimal string
+correctly (Clinger, PLDI 1990), so a key with one row takes that float64.
+A key with two or more rows is summed exactly in :class:`decimal.Decimal`
+from the rows' text, and the sum is rounded to float64 once after the
+pass. Either way each flow is rounded once, into the COO arrays of
+:class:`MoneyMatrix`. The country registry is the sorted set of canonical
+codes of every row of the year.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from array import array
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation, localcontext
 from typing import IO, Iterable, Mapping
@@ -52,10 +57,21 @@ _IMPORT_FLOWS = {"m", "import"}
 #: MoneyMatrix array fields, in key order and then the value.
 COO_FIELDS = ("product", "importer", "exporter", "value")
 
-# Decimal precision for money accumulation. Trade values carry ~15
-# significant digits; 50 keeps every sum in this domain exact.
+# Decimal precision for summing the values of one key. A float's exact
+# decimal expansion, the form testkit.write_trade_file writes, carries up to
+# ~60 significant digits for values of 1e-3 to 1e9, so a sum with more than
+# 50 digits is rounded twice: to 50 digits here, then to float64.
 _MONEY_PRECISION = 50
 _ZERO = Decimal(0)
+_INF = float("inf")
+# The smallest decimal that float() rounds to inf: halfway between the
+# largest float64 and 2**1024.
+_FLOAT_OVERFLOW = Decimal(2**1024 - 2**970)
+# Bits of a provisional country id in a packed (product, importer, exporter)
+# int64 key, which allows 2**29 distinct codes; the product takes the bits
+# above both ids.
+_ID_BITS = 29
+_ID_MASK = (1 << _ID_BITS) - 1
 
 
 def sitc_to_product(code: str) -> int:
@@ -127,6 +143,8 @@ def _parse_value(raw: str, line: int) -> Decimal:
         raise ParseError(line, f"non-finite value {raw!r}")
     if value < 0:
         raise ParseError(line, f"negative value {raw!r}")
+    if value >= _FLOAT_OVERFLOW:
+        raise ParseError(line, f"value {raw!r} overflows float64")
     return value
 
 
@@ -245,14 +263,19 @@ def read_money_matrix(
     """Read a header-bearing delimited trade file into the money tensor of ``year``.
 
     One pass over the rows: each row of ``year`` is checked, its codes are
-    mapped onto their bloc, and its value is added exactly in Decimal to the
-    sum of its (product, importer, exporter) key, unless the flow is a
-    self-flow. The registry holds the sorted canonical codes of every row of
-    the year, self-flows included. Each sum is rounded to float once, so the
-    result does not depend on the row order, bit for bit.
+    mapped onto their bloc, and its value joins the sum of its (product,
+    importer, exporter) key, unless the flow is a self-flow. Each distinct
+    year, flow, country and SITC cell is checked and mapped once. Each value
+    is read with ``float``, which rounds correctly, and a key met once keeps
+    that float; a key met again is summed exactly in Decimal from its rows'
+    text, and the sum is rounded to float after the pass. Either way each
+    flow is rounded once, so the result does not depend on the row order,
+    bit for bit. The registry holds the sorted canonical codes of every row
+    of the year, self-flows included.
 
-    Raises ParseError (naming the line) for structural problems and
-    NoRecordsError when no row of ``year`` is left, or only self-flows.
+    Raises ParseError (naming the line) for structural problems, for a value
+    or a sum past the float64 range, and NoRecordsError when no row of
+    ``year`` is left, or only self-flows.
     """
     aggregation = dict(aggregation or {})
     reader = csv.reader(_as_text(source))
@@ -260,9 +283,15 @@ def read_money_matrix(
     width = len(header)
     i_year, i_exporter, i_importer, i_sitc, i_value = map(header.index, REQUIRED_COLUMNS)
     i_flow = header.index(FLOW_COLUMN) if FLOW_COLUMN in header else None
-    canonical = aggregation.get
-    codes: set[str] = set()
-    sums: dict[tuple[int, str, str], Decimal] = {}
+    # per distinct raw cell: year kept, flow kept, provisional country id, product bits
+    years: dict[str, bool] = {}
+    flows: dict[str, bool] = {}
+    countries: dict[str, int] = {}
+    products: dict[str, int] = {}
+    ids: dict[str, int] = {}   # canonical code -> provisional id, in order of first use
+    # key -> raw value of its only row so far, or the exact Decimal sum of its rows
+    sums: dict[int, str | Decimal] = {}
+    firsts = array("d")   # float of each key's first row, in the order of sums
     with localcontext() as ctx:
         ctx.prec = _MONEY_PRECISION
         for line, row in enumerate(reader, start=2):
@@ -270,47 +299,108 @@ def read_money_matrix(
                 continue
             if len(row) != width:
                 raise ParseError(line, f"expected {width} columns, found {len(row)}")
-            try:
-                row_year = int(row[i_year].strip())
-            except ValueError:
-                raise ParseError(line, f"non-numeric year {row[i_year]!r}") from None
-            if row_year != year:
+            cell = row[i_year]
+            kept = years.get(cell)
+            if kept is None:
+                kept = years[cell] = _year_kept(cell, year, line)
+            if not kept:
                 continue
             if i_flow is not None:
-                flow = row[i_flow].strip().lower()
-                if flow in _IMPORT_FLOWS:
+                cell = row[i_flow]
+                kept = flows.get(cell)
+                if kept is None:
+                    kept = flows[cell] = _flow_kept(cell, line)
+                if not kept:
                     continue  # mirror report of a flow already present export-side
-                if flow not in _EXPORT_FLOWS:
-                    raise ParseError(line, f"unknown flow direction {row[i_flow]!r}")
-            exporter = row[i_exporter].strip()
-            importer = row[i_importer].strip()
-            if not exporter or not importer:
-                raise ParseError(line, "empty country code")
+            cell = row[i_exporter]
+            exporter = countries.get(cell)
+            if exporter is None:
+                exporter = countries[cell] = _country_id(cell, line, aggregation, ids)
+            cell = row[i_importer]
+            importer = countries.get(cell)
+            if importer is None:
+                importer = countries[cell] = _country_id(cell, line, aggregation, ids)
+            cell = row[i_sitc]
+            product = products.get(cell)
+            if product is None:
+                product = products[cell] = _product_bits(cell, line)
+            value = row[i_value]
             try:
-                product = sitc_to_product(row[i_sitc].strip())
-            except ValueError as exc:
-                raise ParseError(line, str(exc)) from None
-            value = _parse_value(row[i_value], line)
-            exporter = canonical(exporter, exporter)
-            importer = canonical(importer, importer)
-            codes.add(exporter)
-            codes.add(importer)
+                number = float(value)
+                fast = 0.0 < number < _INF
+            except ValueError:
+                fast = False
+            if not fast:
+                # check it exactly; the Decimal's text also reads with float,
+                # which rejects some forms Decimal takes, such as "1__0"
+                value = str(_parse_value(value, line))
+                number = float(value)
             if exporter != importer:
-                key = (product, importer, exporter)
-                sums[key] = sums.get(key, _ZERO) + value
-    if not codes:
+                key = product | importer << _ID_BITS | exporter
+                total = sums.get(key)
+                if total is None:
+                    sums[key] = value
+                    firsts.append(number)
+                else:
+                    if type(total) is str:
+                        total = _ZERO + Decimal(total.strip())
+                    total += Decimal(value.strip())
+                    if total >= _FLOAT_OVERFLOW:
+                        flow = _flow_name(key, ids)
+                        raise ParseError(line, f"sum of flow {flow} overflows float64")
+                    sums[key] = total
+    if not ids:
         raise NoRecordsError(year)
-    ordered = tuple(sorted(codes))
+    ordered = tuple(sorted(ids))
     registry = CountryRegistry(codes=ordered, names=ordered, aggregation=aggregation)
     if not sums:
         raise NoRecordsError(year)
-    index, count = registry._index, len(sums)
-    product = np.fromiter((p for p, _, _ in sums), dtype=np.int64, count=count)
-    importer = np.fromiter((index[i] for _, i, _ in sums), dtype=np.int64, count=count)
-    exporter = np.fromiter((index[e] for _, _, e in sums), dtype=np.int64, count=count)
-    value = np.fromiter(map(float, sums.values()), dtype=np.float64, count=count)
-    del sums   # free the Decimals before the constructor's temporaries
+    keys = np.fromiter(sums, dtype=np.int64, count=len(sums))
+    value = np.frombuffer(firsts, dtype=np.float64)
+    for k, total in enumerate(sums.values()):
+        if type(total) is not str:
+            value[k] = float(total)
+    del sums   # free the raw values and Decimals before the constructor's temporaries
+    position = np.array([registry._index[code] for code in ids], dtype=np.int64)
+    product = keys >> 2 * _ID_BITS
+    importer = position[keys >> _ID_BITS & _ID_MASK]
+    exporter = position[keys & _ID_MASK]
     return MoneyMatrix(registry, year, product, importer, exporter, value)
+
+
+def _year_kept(cell: str, year: int, line: int) -> bool:
+    try:
+        return int(cell.strip()) == year
+    except ValueError:
+        raise ParseError(line, f"non-numeric year {cell!r}") from None
+
+
+def _flow_kept(cell: str, line: int) -> bool:
+    flow = cell.strip().lower()
+    if flow not in _EXPORT_FLOWS and flow not in _IMPORT_FLOWS:
+        raise ParseError(line, f"unknown flow direction {cell!r}")
+    return flow in _EXPORT_FLOWS
+
+
+def _country_id(cell: str, line: int, aggregation: Mapping[str, str], ids: dict[str, int]) -> int:
+    code = cell.strip()
+    if not code:
+        raise ParseError(line, "empty country code")
+    return ids.setdefault(aggregation.get(code, code), len(ids))
+
+
+def _product_bits(cell: str, line: int) -> int:
+    try:
+        return sitc_to_product(cell.strip()) << 2 * _ID_BITS
+    except ValueError as exc:
+        raise ParseError(line, str(exc)) from None
+
+
+def _flow_name(key: int, ids: dict[str, int]) -> str:
+    codes = list(ids)
+    product = key >> 2 * _ID_BITS
+    importer, exporter = codes[key >> _ID_BITS & _ID_MASK], codes[key & _ID_MASK]
+    return f"(product {product}, importer {importer}, exporter {exporter})"
 
 
 def read_aggregation_file(source: IO | Iterable[str] | bytes | str) -> dict[str, str]:

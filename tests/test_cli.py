@@ -184,6 +184,20 @@ class TestPipeline:
         # each source runs D_h (2 evaluations) plus D_h/2 and D_h/4 (4 more)
         assert calls == {"unperturbed": 1, "perturbed": 2 * 6}
 
+    def test_unperturbed_operators_built_once(self, trade_file, tmp_path, monkeypatch):
+        builds, build_google = [], cli.build_google
+
+        def counting(*args, **kwargs):
+            builds.append(args[1])
+            return build_google(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_google", counting)
+        monkeypatch.setattr(analysis, "build_google", counting)
+        assert run("pipeline", trade_file, tmp_path, "--sens-product", "0") == 0
+        # one direct and one inverted operator serve the country vectors and
+        # REGOMAX; the six perturbed GMA evaluations build two each
+        assert builds.count("direct") == builds.count("inverted") == 1 + 6
+
     def test_explicit_flags_override_defaults(self, trade_file, tmp_path):
         code = run(
             "pipeline", trade_file, tmp_path, "--sens-product", "0", "--subset", "C003,C004"

@@ -48,6 +48,43 @@ class TestParse:
         with pytest.raises(ParseError):
             read(["2018,CHN,USA,7,abc"])
 
+    def test_value_overflowing_float64_names_line(self):
+        with pytest.raises(ParseError, match="value '1e400' overflows float64") as err:
+            read(["2018,CHN,USA,7,10", "2018,CHN,USA,7,1e400"])
+        assert err.value.line == 3
+
+    def test_sum_overflowing_float64_names_flow(self):
+        rows = ["2018,CHN,USA,7,1e308", "2018,USA,CHN,7,1e308", "2018,CHN,USA,7,1e308"]
+        flow = r"\(product 7, importer USA, exporter CHN\)"
+        with pytest.raises(ParseError, match=f"sum of flow {flow} overflows float64") as err:
+            read(rows)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ("-1e-400", "negative value"),
+            ("nan", "non-finite value"),
+            ("inf", "non-finite value"),
+            ("sNaN", "non-finite value"),
+        ],
+    )
+    def test_rejected_value_names_line(self, raw, message):
+        with pytest.raises(ParseError, match=f"{message} '{raw}'") as err:
+            read(["2018,CHN,USA,7,10", f"2018,USA,CHN,7,{raw}"])
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("raw", ["1e-400", "-0", "0.00"])
+    def test_value_reading_as_zero_is_dropped(self, raw):
+        money = read([f"2018,CHN,USA,7,{raw}", "2018,CHN,USA,3,1", f"2018,CHN,USA,3,{raw}"])
+        assert money.registry.codes == ("CHN", "USA")
+        assert flows(money) == [(3, 1, 0, 1.0)]
+
+    # "1__0" is a form Decimal accepts and float rejects
+    @pytest.mark.parametrize("raw,value", [("1_000", 1000.0), (" +2.5E3 ", 2500.0), ("1__0", 10.0)])
+    def test_value_text_forms(self, raw, value):
+        assert flows(read([f"2018,CHN,USA,7,{raw}"])) == [(7, 1, 0, value)]
+
     def test_wrong_column_count(self):
         with pytest.raises(ParseError) as err:
             read(["2018,CHN,USA,7"])
@@ -174,6 +211,12 @@ class TestAssemble:
         money = read(["2018,CHN,USA,7,0.1", "2018,CHN,USA,7,0.2"])
         assert money.value.tolist() == [0.3]
         assert 0.1 + 0.2 != 0.3  # summing the floats would give 0.30000000000000004
+
+    @pytest.mark.parametrize("first,second", [("0.1", "0.02"), ("0.02", "0.1")])
+    def test_first_row_of_a_repeated_key_is_summed_exactly(self, first, second):
+        money = read([f"2018,CHN,USA,7,{first}", f"2018,CHN,USA,7,{second}"])
+        # starting the sum from the float of either row would give 0.12000000000000001
+        assert money.value.tolist() == [0.12]
 
     def test_unmentioned_slice_is_zero(self):
         money = read(["2018,CHN,USA,7,10"])

@@ -35,13 +35,27 @@ MEMBERS = ("AUT", "BEL", "DEU", "FRA")
 OTHERS = ("CHN", "USA")
 
 
+#: Value cells in the text forms trade files use: 2-place decimals, the exact
+#: expansion of a float (as testkit.write_trade_file writes it), exponent
+#: notation, each possibly with a leading "+" or surrounding spaces.
+value_texts = st.tuples(
+    st.one_of(
+        st.decimals(0, 1, places=2).map(str),
+        st.decimals(0, 10**6, places=2).map(str),
+        st.floats(1e-3, 1e9).map(lambda x: str(Decimal(x))),
+        st.builds("{}{}{}".format, st.integers(0, 10**6), st.sampled_from("eE"), st.integers(-8, 8)),
+    ),
+    st.sampled_from(("{}", "+{}", " {} ", " +{}")),
+).map(lambda pair: pair[1].format(pair[0]))
+
+
 @st.composite
 def trade_rows(draw):
     """(rows, aggregation): row tuples in the ingest column order, and a bloc map.
 
     The first row is an export of ``YEAR`` between two non-members, so at
     least one flow survives; the rest may be of another year, mirror
-    reports, bloc self-flows or repeats of one key.
+    reports, bloc self-flows or repeats of one key. Values are cell texts.
     """
     blocs = draw(st.lists(st.sampled_from(MEMBERS), unique=True))
     aggregation = {member: "EUU" for member in blocs}
@@ -51,10 +65,10 @@ def trade_rows(draw):
         code,
         code,
         st.sampled_from(("0", "3", "7", "71234")),
-        st.one_of(st.decimals(0, 1, places=2), st.decimals(0, 10**6, places=2)),
+        value_texts,
         st.sampled_from(("x", "export", "X", "m", "import")),
     )
-    first = (YEAR, *draw(st.permutations(OTHERS)), "3", draw(st.decimals(1, 10**6, places=2)), "x")
+    first = (YEAR, *draw(st.permutations(OTHERS)), "3", str(draw(st.decimals(1, 10**6, places=2))), "x")
     return [first] + draw(st.lists(row, max_size=30)), aggregation
 
 
@@ -81,7 +95,7 @@ def ingest_oracle(rows, aggregation):
             codes |= {exporter, importer}
             if exporter != importer:
                 key = (int(sitc[0]), importer, exporter)
-                sums[key] = sums.get(key, Decimal(0)) + value
+                sums[key] = sums.get(key, Decimal(0)) + Decimal(value)
     codes = sorted(codes)
     entries = sorted(
         (product, codes.index(importer), codes.index(exporter), float(total))
@@ -106,9 +120,13 @@ def test_ingest_split_value_gives_same_tensor(generated, data):
     rows, aggregation = generated
     k = data.draw(st.integers(0, len(rows) - 1))
     year, exporter, importer, sitc, value, flow = rows[k]
+    value = Decimal(value)
     part = data.draw(st.decimals(min_value=0, max_value=value, places=3))
-    split = rows[:k] + [(year, exporter, importer, sitc, part, flow),
-                        (year, exporter, importer, sitc, value - part, flow)] + rows[k + 1:]
+    with localcontext() as ctx:
+        ctx.prec = 100
+        rest = value - part
+    split = rows[:k] + [(year, exporter, importer, sitc, str(part), flow),
+                        (year, exporter, importer, sitc, str(rest), flow)] + rows[k + 1:]
     expected = money_fields(read_money_matrix(render(rows), YEAR, aggregation))
     assert money_fields(read_money_matrix(render(split), YEAR, aggregation)) == expected
 
