@@ -292,6 +292,10 @@ def cmd_sensitivity(config: RunConfig, money) -> list[Path]:
     """dB/ddelta per country for both sources, plus the run manifest."""
     if config.sens_product is None:
         raise ValueError("sensitivity needs --sens-product")
+    volumes = money.product_volumes()
+    # an index out of range is left to perturb_money, which names it as such
+    if 0 <= config.sens_product < len(volumes) and volumes[config.sens_product] == 0.0:
+        raise ValueError(f"product {config.sens_product} has no trade volume in {money.year}")
     target = f"s{config.sens_product}"
     if config.sens_country is not None:
         target = f"{config.sens_country}_{target}"

@@ -8,8 +8,9 @@ personalization vector and the dangling-node repair. The damped operator
     G = alpha * S' + (1 - alpha) * v 1^T
 
 is never densified; consumers go through :meth:`GoogleMatrix.apply`, which
-evaluates the three terms (sparse links, uniform dangling columns, teleport)
-against the CSC arrays.
+evaluates the three terms (sparse links, uniform dangling columns, teleport).
+The links of S are three numpy arrays in column order: column j holds rows
+``row[indptr[j]:indptr[j + 1]]`` (ascending) with weights ``value[...]``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from ._text import fmt, write_lines
 from .errors import EmptyNetworkError
@@ -65,12 +65,15 @@ class NodeSpace:
 class StochasticMatrix:
     """Column-stochastic link matrix S with the dangling columns kept implicit.
 
-    ``matrix`` stores the normalized trade links (dangling columns are empty);
-    ``dangling`` marks columns with zero outflow, each standing for a uniform
-    1/N column.
+    The normalized trade links are held in column order: ``indptr`` (N + 1
+    offsets), and per entry its ``row`` and ``value``; column j's entries
+    are ``indptr[j]:indptr[j + 1]``, rows ascending. Dangling columns are
+    empty; ``dangling`` marks them, each standing for a uniform 1/N column.
     """
 
-    matrix: sparse.csc_matrix
+    indptr: np.ndarray
+    row: np.ndarray
+    value: np.ndarray
     dangling: np.ndarray
     space: NodeSpace
     registry: CountryRegistry
@@ -80,15 +83,15 @@ class StochasticMatrix:
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
         n = self.space.size
-        if self.matrix.shape != (n, n):
-            raise ValueError(f"matrix shape {self.matrix.shape} does not match node space {n}")
+        if self.indptr.shape != (n + 1,) or not self.row.shape == self.value.shape == (self.indptr[-1],):
+            raise ValueError(f"link arrays do not describe {n} columns")
 
     @property
     def size(self) -> int:
         return self.space.size
 
     def column_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=0)).ravel()
+        return _column_sums(self.indptr, self.value)
 
     def validate(self, tol: float = COLUMN_SUM_TOL) -> None:
         sums = self.column_sums()
@@ -97,7 +100,7 @@ class StochasticMatrix:
         live = ~self.dangling
         if live.any() and np.max(np.abs(sums[live] - 1.0)) >= tol:
             raise ValueError("non-dangling column sums deviate from 1")
-        if self.matrix.nnz and self.matrix.data.min() < 0:
+        if np.any(self.value < 0):
             raise ValueError("negative transition weight")
 
 
@@ -148,7 +151,9 @@ class GoogleMatrix:
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.size,):
             raise ValueError(f"vector length {x.shape} does not match N={self.size}")
-        out = self.alpha * (self.S.matrix @ x)
+        # entries are in column order, so each row adds its terms in the order of a CSC matvec
+        weights = self.S.value * np.repeat(x, np.diff(self.S.indptr))
+        out = self.alpha * np.bincount(self.S.row, weights=weights, minlength=self.size)
         out += self.alpha * x[self.S.dangling].sum() / self.size
         out += (1.0 - self.alpha) * x.sum() * self.v.values
         return out
@@ -166,15 +171,28 @@ def build_stochastic(money: MoneyMatrix, direction: str = "direct") -> Stochasti
     if not money.value.size:
         raise EmptyNetworkError("money matrix has no flows; no network to build")
     space = NodeSpace(money.n_countries, money.n_products)
-    rows, cols = (money.importer, money.exporter) if direction == "direct" else (money.exporter, money.importer)
     base = money.product * money.n_countries
-    matrix = sparse.csc_matrix((money.value, (base + rows, base + cols)), shape=(space.size, space.size))
-    sums = np.asarray(matrix.sum(axis=0)).ravel()
+    importer, exporter = base + money.importer, base + money.exporter
+    # money is sorted by (product, importer, exporter), so the inverted
+    # direction is in column order already; the direct one is sorted once
+    if direction == "direct":
+        order = np.argsort(exporter, kind="stable")
+        row, col, value = importer[order], exporter[order], money.value[order]
+    else:
+        row, col, value = exporter, importer, money.value
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=space.size))])
+    sums = _column_sums(indptr, value)
     dangling = sums == 0.0
-    scale = np.where(dangling, 1.0, sums)
-    counts = np.diff(matrix.indptr)
-    matrix.data = matrix.data / np.repeat(scale, counts)
-    return StochasticMatrix(matrix, dangling, space, money.registry, direction)
+    value = value / np.repeat(np.where(dangling, 1.0, sums), np.diff(indptr))
+    return StochasticMatrix(indptr, row, value, dangling, space, money.registry, direction)
+
+
+def _column_sums(indptr: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Per-column sums, added in entry order (empty columns sum to 0)."""
+    sums = np.zeros(len(indptr) - 1)
+    live = np.diff(indptr) > 0
+    sums[live] = np.add.reduceat(value, indptr[:-1][live])
+    return sums
 
 
 def build_personalization(money: MoneyMatrix, mode: str = "uniform-by-product") -> PersonalizationVector:
@@ -235,11 +253,12 @@ def write_matrix_dump(G: GoogleMatrix, path, sidecar=None) -> tuple[Path, Path]:
     path = Path(path)
     if sidecar is None:
         sidecar = path.with_suffix(".meta")
-    coo = G.S.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
+    S = G.S
+    col = np.repeat(np.arange(S.size), np.diff(S.indptr))
+    order = np.lexsort((col, S.row))
     lines = ["row,col,value"]
     for i in order:
-        lines.append(f"{coo.row[i]},{coo.col[i]},{fmt(coo.data[i])}")
+        lines.append(f"{S.row[i]},{col[i]},{fmt(S.value[i])}")
     write_lines(path, lines)
     meta = [
         f"alpha={fmt(G.alpha)}",

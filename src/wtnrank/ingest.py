@@ -32,20 +32,6 @@ from .errors import NoRecordsError, ParseError, UnknownCountryError
 #: Number of one-digit SITC Rev. 1 sections; fixed by the classification.
 N_PRODUCTS = 10
 
-#: SITC Rev. 1 one-digit section labels, indexed by product 0-9.
-PRODUCT_LABELS = (
-    "Food and live animals",
-    "Beverages and tobacco",
-    "Crude materials, inedible, except fuels",
-    "Mineral fuels, lubricants and related materials",
-    "Animal and vegetable oils and fats",
-    "Chemicals and related products",
-    "Basic manufactures",
-    "Machinery and transport equipment",
-    "Miscellaneous manufactured articles",
-    "Goods not classified elsewhere",
-)
-
 REQUIRED_COLUMNS = ("year", "exporter", "importer", "sitc", "value_usd")
 
 #: Optional extra column: rows flagged as import-side mirror reports are

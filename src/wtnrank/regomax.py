@@ -103,9 +103,23 @@ class FriendsNetwork:
     mode: str
 
 
+def _dense_links(G: GoogleMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """S[rows, cols] as a dense array, scattered from the column arrays of S."""
+    S = G.S
+    row_at = np.full(S.size, -1)
+    row_at[rows] = np.arange(len(rows))
+    col_at = np.full(S.size, -1)
+    col_at[cols] = np.arange(len(cols))
+    i, j = row_at[S.row], np.repeat(col_at, np.diff(S.indptr))
+    keep = (i >= 0) & (j >= 0)
+    links = np.zeros((len(rows), len(cols)))
+    links[i[keep], j[keep]] = S.value[keep]
+    return links
+
+
 def _dense_block(G: GoogleMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Densify G[rows, cols]: sparse links + dangling repair + teleport."""
-    S = G.S.matrix[rows][:, cols].toarray()
+    """Densify G[rows, cols]: the links of S + dangling repair + teleport."""
+    S = _dense_links(G, rows, cols)
     dangling_cols = G.S.dangling[cols]
     if dangling_cols.any():
         S[:, dangling_cols] = 1.0 / G.size
@@ -135,7 +149,7 @@ def reduced_google_matrix(G: GoogleMatrix, subset: NodeSubset) -> ReducedGoogleM
     bounds = np.searchsorted(s_ids, G.space.n_countries * np.arange(G.space.n_products + 1))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         block = s_ids[lo:hi]
-        A = np.eye(hi - lo) - alpha * G.S.matrix[block][:, block].toarray()
+        A = np.eye(hi - lo) - alpha * _dense_links(G, block, block)
         Z[lo:hi] = np.linalg.solve(A, Z[lo:hi])
     # (A - U V^T)^{-1} B = A^{-1} B + A^{-1} U C^{-1} V^T A^{-1} B with C = I - V^T A^{-1} U.
     # A itself is never singular (alpha S_ss has column sums <= alpha < 1), so a

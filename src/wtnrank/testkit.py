@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ._text import write_lines
-from .gmatrix import GoogleMatrix
+from .gmatrix import GoogleMatrix, StochasticMatrix
 from .ingest import COO_FIELDS, CountryRegistry, MoneyMatrix
 from .regomax import NodeSubset
 
@@ -104,10 +104,17 @@ def dense_google_from_money(
     return alpha * S + (1.0 - alpha) * np.outer(v, np.ones(n))
 
 
+def dense_links(S: StochasticMatrix) -> np.ndarray:
+    """The stored links of S as a dense (N, N) array; dangling columns stay zero."""
+    dense = np.zeros((S.size, S.size))
+    dense[S.row, np.repeat(np.arange(S.size), np.diff(S.indptr))] = S.value
+    return dense
+
+
 def densify(G: GoogleMatrix) -> np.ndarray:
     """Explicit dense matrix of a GoogleMatrix (dangling columns written out)."""
     n = G.size
-    S = G.S.matrix.toarray()
+    S = dense_links(G.S)
     S[:, G.S.dangling] = 1.0 / n
     return G.alpha * S + (1.0 - G.alpha) * np.outer(G.v.values, np.ones(n))
 
@@ -121,7 +128,7 @@ def dense_pagerank_oracle(G: GoogleMatrix) -> np.ndarray:
     n = G.size
     if n > _DENSE_PAGERANK_CAP:
         raise ValueError(f"dense oracle capped at N={_DENSE_PAGERANK_CAP}")
-    S = G.S.matrix.toarray()
+    S = dense_links(G.S)
     S[:, G.S.dangling] = 1.0 / n
     P = np.linalg.solve(np.eye(n) - G.alpha * S, (1.0 - G.alpha) * G.v.values)
     return P / P.sum()

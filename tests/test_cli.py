@@ -1,10 +1,15 @@
 """End-to-end command-line runs against a synthetic trade file."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wtnrank
 from wtnrank import analysis, cli
 from wtnrank.ranks import RANK_TABLE_HEADER
 from wtnrank.testkit import SyntheticSpec, synthetic_money, write_trade_file
@@ -208,6 +213,26 @@ class TestPipeline:
         assert gr[0].startswith("C003_0,") and gr[0].endswith(f",C004_{N_SITC - 1}")
 
 
+class TestImports:
+    def test_pipeline_runs_without_scipy(self, trade_file, tmp_path):
+        # a None entry in sys.modules makes any import of scipy fail
+        script = f"""
+import sys
+sys.modules["scipy"] = None
+from wtnrank import cli
+argv = ["pipeline", "--input", {str(trade_file)!r}, "--year", "{YEAR}", "--out", {str(tmp_path)!r}]
+assert cli.main(argv) == 0
+loaded = [name for name, module in sys.modules.items() if name.startswith("scipy") and module is not None]
+assert not loaded, loaded
+"""
+        src = str(Path(wtnrank.__file__).parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / f"rank_table_{YEAR}.csv").exists()
+
+
 class TestResolution:
     def test_data_dir_env_fallback(self, trade_file, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -265,6 +290,16 @@ class TestFailureModes:
             assert run("rank", trade_file, out, "--tol", tol) == 1
             assert "tol must be positive and finite" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_sensitivity_on_product_without_volume(self, trade_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("sensitivity", trade_file, out, "--sens-product", "9") == 1
+        err = capsys.readouterr().err
+        assert "product 9" in err and str(YEAR) in err
+        assert not any(out.iterdir())
+        assert run("sensitivity", trade_file, out, "--sens-product", "12") == 1
+        assert "out of range" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_failed_pipeline_leaves_no_artifacts(self, trade_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from wtnrank import (
     MoneyMatrix,
@@ -18,6 +17,7 @@ from wtnrank import (
 from wtnrank.errors import EmptyNetworkError
 from wtnrank.testkit import (
     SyntheticSpec,
+    dense_links,
     densify,
     synthetic_money,
     synthetic_registry,
@@ -31,7 +31,9 @@ def uniform_google(n_countries=3, n_products=2, alpha=0.5):
     space = NodeSpace(n_countries, n_products)
     n = space.size
     S = StochasticMatrix(
-        sparse.csc_matrix((n, n)),
+        np.zeros(n + 1, dtype=np.int64),
+        np.zeros(0, dtype=np.int64),
+        np.zeros(0),
         np.ones(n, dtype=bool),
         space,
         synthetic_registry(n_countries),
@@ -46,7 +48,7 @@ class TestBuildStochastic:
         dense = np.zeros((1, 2, 2))
         dense[0, 1, 0] = 7.0  # AAA exports 7 to BBB
         S = build_stochastic(money_from_dense(dense), "direct")
-        assert S.matrix[1, 0] == 1.0
+        assert dense_links(S)[1, 0] == 1.0
         assert S.column_sums()[0] == 1.0
         assert not S.dangling[0] and S.dangling[1]
 
@@ -54,7 +56,7 @@ class TestBuildStochastic:
         dense = np.zeros((1, 2, 2))
         dense[0, 1, 0] = 7.0
         S = build_stochastic(money_from_dense(dense), "inverted")
-        assert S.matrix[0, 1] == 1.0
+        assert dense_links(S)[0, 1] == 1.0
         assert S.dangling[0] and not S.dangling[1]
 
     def test_proportional_normalization(self):
@@ -62,8 +64,9 @@ class TestBuildStochastic:
         dense[0, 1, 0] = 3.0
         dense[0, 2, 0] = 1.0
         S = build_stochastic(money_from_dense(dense), "direct")
-        assert S.matrix[1, 0] == 0.75
-        assert S.matrix[2, 0] == 0.25
+        links = dense_links(S)
+        assert links[1, 0] == 0.75
+        assert links[2, 0] == 0.25
 
     def test_all_zero_money(self):
         registry = synthetic_registry(2)
@@ -73,7 +76,7 @@ class TestBuildStochastic:
     def test_block_diagonal_over_products(self, small_money):
         S = build_stochastic(small_money, "direct")
         nc = small_money.n_countries
-        dense = S.matrix.toarray()
+        dense = dense_links(S)
         for p_row in range(small_money.n_products):
             for p_col in range(small_money.n_products):
                 if p_row == p_col:
@@ -84,7 +87,8 @@ class TestBuildStochastic:
     def test_direction_duality(self, small_money):
         inverted = build_stochastic(small_money, "inverted")
         direct_of_transposed = build_stochastic(small_money.transposed(), "direct")
-        assert (inverted.matrix != direct_of_transposed.matrix).nnz == 0
+        for name in ("indptr", "row", "value"):
+            assert np.array_equal(getattr(inverted, name), getattr(direct_of_transposed, name))
         assert np.array_equal(inverted.dangling, direct_of_transposed.dangling)
 
     def test_validate_passes_on_fixtures(self):
@@ -103,8 +107,12 @@ class TestBuildStochastic:
         ids=["negative-weight", "dangling-with-entry", "column-sum"],
     )
     def test_validate_rejections(self, column0, column1, dangling, message):
-        matrix = sparse.csc_matrix(np.column_stack([column0, column1]))
-        S = StochasticMatrix(matrix, np.array(dangling), NodeSpace(2, 1), synthetic_registry(2), "direct")
+        columns = np.array([column0, column1])
+        col, row = np.nonzero(columns)
+        indptr = np.array([0, *np.cumsum(np.count_nonzero(columns, axis=1))])
+        S = StochasticMatrix(
+            indptr, row, columns[col, row], np.array(dangling), NodeSpace(2, 1), synthetic_registry(2), "direct"
+        )
         with pytest.raises(ValueError, match=message):
             S.validate()
 

@@ -7,17 +7,29 @@ per canonical key straight from the generated rows. Random small tensors
 include dangling columns (a country that exports nothing of a product) and
 empty products. The production path builds S, v and the volume shares from
 the COO arrays and applies G to random vectors; the oracles recompute them
-from the dense tensor with no shared code.
+from the dense tensor with no shared code. A matrix dump, parsed back,
+rebuilds the same operator.
 """
 
+import tempfile
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wtnrank import build_google, perturb_money, read_money_matrix, volume_probabilities
+from wtnrank import (
+    PersonalizationVector,
+    StochasticMatrix,
+    build_google,
+    make_google,
+    perturb_money,
+    read_money_matrix,
+    volume_probabilities,
+    write_matrix_dump,
+)
 from wtnrank.ingest import COO_FIELDS
 from wtnrank.testkit import dense_google_from_money, densify
 
@@ -210,3 +222,37 @@ def test_perturbed_operator_matches_dense_oracle(data, dense):
     expected = dense * scale
     assert np.array_equal(perturbed.to_dense(), expected)
     assert_matches_oracles(perturbed, expected, 0.5)
+
+
+def read_dump(path: Path, sidecar: Path, n: int) -> tuple:
+    """indptr, row, value, dangling, v and alpha parsed back from a matrix dump."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "row,col,value"
+    triplets = [line.split(",") for line in lines[1:]]
+    row = np.array([int(r) for r, _, _ in triplets], dtype=np.int64)
+    col = np.array([int(c) for _, c, _ in triplets], dtype=np.int64)
+    value = np.array([float(x) for _, _, x in triplets])
+    order = np.lexsort((row, col))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))])
+    meta = dict(line.split("=", 1) for line in sidecar.read_text().splitlines())
+    dangling = np.zeros(n, dtype=bool)
+    dangling[[int(i) for i in meta["dangling"].split(",") if i]] = True
+    v = np.array([float(x) for x in meta["v"].split(",")])
+    return indptr, row[order], value[order], dangling, v, float(meta["alpha"])
+
+
+@settings(max_examples=40)
+@given(dense=dense_tensors(), alpha=st.floats(0.05, 0.95), direction=st.sampled_from(("direct", "inverted")))
+def test_dump_rebuilds_the_operator(dense, alpha, direction):
+    G = build_google(money_from_dense(dense), direction, alpha)
+    with tempfile.TemporaryDirectory() as tmp:
+        indptr, row, value, dangling, v, dumped_alpha = read_dump(
+            *write_matrix_dump(G, Path(tmp) / "gm.csv"), G.size
+        )
+    for name, array in (("indptr", indptr), ("row", row), ("value", value), ("dangling", dangling)):
+        assert np.array_equal(getattr(G.S, name), array), name
+    assert np.array_equal(G.v.values, v) and dumped_alpha == G.alpha
+    S = StochasticMatrix(indptr, row, value, dangling, G.space, G.registry, direction)
+    rebuilt = make_google(S, PersonalizationVector(v, G.v.mode), dumped_alpha)
+    x = np.random.default_rng(0).random(G.size)
+    assert rebuilt.apply(x).tobytes() == G.apply(x).tobytes()

@@ -71,6 +71,13 @@ class TestReduction:
             GR = reduced_google_matrix(G, subset)
             assert np.max(np.abs(GR.matrix - dense_regomax_oracle(G, subset))) < 1e-10
 
+    def test_subset_covering_a_whole_product_block(self):
+        # product 0 leaves no complement nodes, so its block of (1 - G_ss) is empty
+        for direction in ("direct", "inverted"):
+            G, subset = reduced_fixture(seed=5, kept=6, direction=direction)
+            GR = reduced_google_matrix(G, subset)
+            assert np.max(np.abs(GR.matrix - dense_regomax_oracle(G, subset))) < 1e-10
+
     def test_inverted_direction_matches_oracle(self):
         G, subset = reduced_fixture(seed=3, direction="inverted")
         GR = reduced_google_matrix(G, subset)
