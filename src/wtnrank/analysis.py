@@ -2,23 +2,42 @@
 
 The balance of a country is B_c = (P*_c - P_c)/(P*_c + P_c), computed either
 from PageRank/CheiRank (source "gma") or from import/export volume shares
-(source "iea"). Sensitivities dB_c/d(delta) scale one product slice of the
-money tensor by (1 + delta) - globally or for a single exporting country -
-and differentiate the rebuilt pipeline by central finite differences. Every
-perturbed evaluation reconstructs the stochastic matrix *and* the
-personalization vector, since the perturbation shifts the product weights.
+(source "iea"). A perturbation scales one product slice of the money tensor
+by (1 + delta), globally or only one country's export or import flows of
+it, and dB_c/d(delta) is the central difference of B at a step h.
+
+Most targets need no rebuilt pipeline per step. With a = V_hit / V the
+share of the total volume that the perturbation scales, both country
+vectors of the source move along
+
+    P(delta) = (P0 + delta a Q) / (1 + delta a)
+
+- IEA source, any target: Q and Q* are the import and export shares of the
+  scaled flows.
+- GMA source, global target: column normalisation cancels the scale, so
+  S~ (dangling repair included) does not move; only the teleport vector
+  does, v(delta) = (v0 + delta a u_s) / (1 + delta a), where u_s is block s
+  of v0 rescaled to sum 1 (under either personalization mode). PageRank is
+  linear in v, so Q is the PageRank of the unperturbed S~ with teleport
+  u_s, and Q* the CheiRank: one extra solve per direction for all steps.
+
+A country target of the GMA source also moves S~ (its flows are a row of
+one of the two directions), so each of its evaluations perturbs the tensor
+and rebuilds S, v and both ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from ._text import fmt, write_lines
 from .errors import ConvergenceError
-from .gmatrix import GoogleMatrix, build_google
+from .gmatrix import DIRECTIONS, GoogleMatrix, PersonalizationVector, build_google, make_google
 from .ingest import MoneyMatrix
 from .ranks import (
     DEFAULT_MAX_ITER,
@@ -36,6 +55,9 @@ SOURCES = ("gma", "iea")
 PERTURB_SIDES = ("export", "import")
 
 DEFAULT_STEP = 0.01
+
+#: dB_c/d(delta) at a step h, with the reports of the solves it rests on.
+Difference = Callable[[float], tuple[np.ndarray, tuple[SolverReport, ...]]]
 
 
 @dataclass(frozen=True)
@@ -80,7 +102,13 @@ class SensitivityConfig:
 
 @dataclass(frozen=True)
 class SensitivityVector:
-    """dB_c/d(delta) per country plus the solver reports of the perturbed runs."""
+    """dB_c/d(delta) per country plus the reports of the solves behind it.
+
+    ``reports`` hold the two teleport solves (direct, inverted) of a global
+    GMA target, or the four solves of a GMA country target (direct and
+    inverted at +h, then at -h). The IEA source, and a perturbation that
+    scales no flow, solve nothing.
+    """
 
     codes: tuple[str, ...]
     values: np.ndarray
@@ -121,6 +149,12 @@ def perturb_money(
         raise ValueError(f"delta must be finite, got {delta}")
     if 1.0 + delta <= 0.0:
         raise ValueError(f"1 + delta must stay positive, got delta={delta}")
+    hit = _scaled_flows(money, product, country, side)
+    return replace(money, value=np.where(hit, money.value * (1.0 + delta), money.value))
+
+
+def _scaled_flows(money: MoneyMatrix, product: int, country: str | None, side: str) -> np.ndarray:
+    """Mask of the entries a perturbation of ``product`` scales: all, or one country's."""
     if not 0 <= product < money.n_products:
         raise ValueError(f"product index {product} out of range")
     if side not in PERTURB_SIDES:
@@ -129,7 +163,17 @@ def perturb_money(
     if country is not None:
         flows = money.exporter if side == "export" else money.importer
         hit &= flows == money.registry.index_of(country)
-    return replace(money, value=np.where(hit, money.value * (1.0 + delta), money.value))
+    return hit
+
+
+def _converged_pagerank(G: GoogleMatrix, tol: float, max_iter: int) -> tuple[ProbabilityVector, SolverReport]:
+    P, report = pagerank(G, tol, max_iter)
+    if not report.converged:
+        raise ConvergenceError(
+            f"rank run stopped at {report.iterations} iterations, residual {report.residual:.3e}",
+            report,
+        )
+    return P, report
 
 
 def gma_country_probabilities(
@@ -149,14 +193,8 @@ def gma_country_probabilities(
         build_google(money, "direct", alpha, personalization),
         build_google(money, "inverted", alpha, personalization),
     )
-    p_node, report_p = pagerank(direct, tol, max_iter)
-    pstar_node, report_pstar = pagerank(inverted, tol, max_iter)
-    for report in (report_p, report_pstar):
-        if not report.converged:
-            raise ConvergenceError(
-                f"rank run stopped at {report.iterations} iterations, residual {report.residual:.3e}",
-                report,
-            )
+    p_node, report_p = _converged_pagerank(direct, tol, max_iter)
+    pstar_node, report_pstar = _converged_pagerank(inverted, tol, max_iter)
     return aggregate_country(p_node), aggregate_country(pstar_node), (report_p, report_pstar)
 
 
@@ -164,16 +202,6 @@ def iea_country_probabilities(money: MoneyMatrix) -> tuple[ProbabilityVector, Pr
     """Import/export volume country probabilities for one money tensor."""
     p_hat, p_hat_star = volume_probabilities(money)
     return aggregate_country(p_hat), aggregate_country(p_hat_star)
-
-
-def _balance_for(money: MoneyMatrix, config: SensitivityConfig) -> tuple[BalanceVector, tuple[SolverReport, ...]]:
-    if config.source == "gma":
-        p_c, pstar_c, reports = gma_country_probabilities(
-            money, config.alpha, config.tol, config.max_iter, config.personalization
-        )
-        return trade_balance(p_c, pstar_c, "gma"), reports
-    p_c, pstar_c = iea_country_probabilities(money)
-    return trade_balance(p_c, pstar_c, "iea"), ()
 
 
 def gma_balance(money: MoneyMatrix, **kwargs) -> BalanceVector:
@@ -186,42 +214,121 @@ def iea_balance(money: MoneyMatrix) -> BalanceVector:
     return trade_balance(p_c, pstar_c, "iea")
 
 
-def _central_difference(money: MoneyMatrix, config: SensitivityConfig, h: float):
-    up, up_reports = _balance_for(
-        perturb_money(money, config.product, +h, config.country, config.side), config
-    )
-    down, down_reports = _balance_for(
-        perturb_money(money, config.product, -h, config.country, config.side), config
-    )
-    return (up.values - down.values) / (2.0 * h), up_reports + down_reports
+def balance_response(
+    money: MoneyMatrix,
+    config: SensitivityConfig,
+    operators: tuple[GoogleMatrix, GoogleMatrix] | None = None,
+    base: tuple[ProbabilityVector, ProbabilityVector] | None = None,
+) -> Difference:
+    """The central difference of ``config``'s target, as a function of the step h.
+
+    What does not depend on h is done here, once: the mask of the scaled
+    flows and, for a linear response (see the module docstring), the
+    unperturbed country vectors and their responses Q, Q*. Each call then
+    costs arithmetic only, except for a GMA country target: each of its
+    calls perturbs the tensor, rebuilds S and v and re-ranks at +h and -h.
+    A perturbation that scales no flow gives exact zeros and solves nothing.
+
+    ``operators`` are the direct and inverted Google matrices of ``money``
+    with ``config``'s alpha and personalization, and ``base`` the unperturbed
+    country vectors (P, P*) of ``config``'s source, when the caller has them.
+    """
+    hit = _scaled_flows(money, config.product, config.country, config.side)
+    if not hit.any():
+        return lambda h: (np.zeros(money.n_countries), ())
+    if config.source == "gma" and config.country is not None:
+        return partial(_rebuilt_difference, money, config)
+    scaled = money.value[hit]
+    weight = scaled.sum() / money.value.sum()
+    if config.source == "gma":
+        base, response, reports = _teleport_response(money, config, operators, base)
+    else:
+        base = base or iea_country_probabilities(money)
+        response = [
+            np.bincount(flows[hit], weights=scaled / scaled.sum(), minlength=money.n_countries)
+            for flows in (money.importer, money.exporter)
+        ]
+        reports = ()
+
+    def balance(delta: float) -> np.ndarray:
+        p, pstar = (
+            replace(P, values=(P.values + delta * weight * Q) / (1.0 + delta * weight))
+            for P, Q in zip(base, response)
+        )
+        return trade_balance(p, pstar, config.source).values
+
+    return lambda h: ((balance(h) - balance(-h)) / (2.0 * h), reports)
 
 
-def balance_sensitivity(money: MoneyMatrix, config: SensitivityConfig) -> SensitivityVector:
+def _teleport_response(money: MoneyMatrix, config: SensitivityConfig, operators, base):
+    """(P0, P0*), the country-level (Q, Q*) of teleport u_s, and the reports of the Q solves."""
+    operators = operators or tuple(
+        build_google(money, direction, config.alpha, config.personalization) for direction in DIRECTIONS
+    )
+    if base is None:
+        *base, _ = gma_country_probabilities(
+            money, config.alpha, config.tol, config.max_iter, config.personalization, operators
+        )
+    block = slice(config.product * money.n_countries, (config.product + 1) * money.n_countries)
+    response, reports = [], []
+    for G in operators:
+        u = np.zeros(G.size)
+        u[block] = G.v.values[block] / G.v.values[block].sum()
+        Q, report = _converged_pagerank(
+            make_google(G.S, PersonalizationVector(u, G.v.mode), G.alpha), config.tol, config.max_iter
+        )
+        response.append(aggregate_country(Q).values)
+        reports.append(report)
+    return base, response, tuple(reports)
+
+
+def _rebuilt_difference(money: MoneyMatrix, config: SensitivityConfig, h: float):
+    """GMA central difference by perturbing, rebuilding and re-ranking at +h and -h."""
+    balances, reports = [], ()
+    for delta in (h, -h):
+        perturbed = perturb_money(money, config.product, delta, config.country, config.side)
+        p_c, pstar_c, pair = gma_country_probabilities(
+            perturbed, config.alpha, config.tol, config.max_iter, config.personalization
+        )
+        balances.append(trade_balance(p_c, pstar_c, "gma").values)
+        reports += pair
+    return (balances[0] - balances[1]) / (2.0 * h), reports
+
+
+def balance_sensitivity(
+    money: MoneyMatrix, config: SensitivityConfig, response: Difference | None = None
+) -> SensitivityVector:
     """Central-difference dB_c/d(delta) at the configured step.
 
-    Each of the two perturbed evaluations runs the full pipeline: perturb,
-    rebuild S and the personalization vector, re-rank, aggregate, balance
-    (GMA source) or perturb and recompute volume shares (IEA source).
+    ``response`` is :func:`balance_response` of ``money`` and ``config``,
+    when the caller has built it; otherwise it is built here.
     """
-    values, reports = _central_difference(money, config, config.step)
+    values, reports = (response or balance_response(money, config))(config.step)
     codes = tuple(money.registry.codes)
-    return SensitivityVector(codes, values, config, tuple(reports))
+    return SensitivityVector(codes, values, config, reports)
 
 
-def sensitivity_richardson(money: MoneyMatrix, config: SensitivityConfig, d_h: np.ndarray | None = None) -> dict:
+def sensitivity_richardson(
+    money: MoneyMatrix,
+    config: SensitivityConfig,
+    d_h: np.ndarray | None = None,
+    response: Difference | None = None,
+) -> dict:
     """Estimates at h, h/2 and h/4 plus the convergence ratio per country.
 
     For a second-order-accurate central difference the ratio
     (D_h - D_{h/2}) / (D_{h/2} - D_{h/4}) tends to 4; values inside [3, 5]
     confirm the step sits in the asymptotic range. ``d_h`` takes the values
-    :func:`balance_sensitivity` already returned for ``config``, which saves
-    its two perturbed evaluations; without it D_h is computed here.
+    :func:`balance_sensitivity` already returned for ``config``, and
+    ``response`` the :func:`balance_response` it used; without them both
+    are computed here.
     """
+    difference = response or balance_response(money, config)
     h = config.step
     if d_h is None:
-        d_h, _ = _central_difference(money, config, h)
-    d_h2, _ = _central_difference(money, config, h / 2.0)
-    d_h4, _ = _central_difference(money, config, h / 4.0)
+        d_h, _ = difference(h)
+    d_h2, _ = difference(h / 2.0)
+    d_h4, _ = difference(h / 4.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = (d_h - d_h2) / (d_h2 - d_h4)
     return {"h": h, "d_h": d_h, "d_h2": d_h2, "d_h4": d_h4, "ratio": ratio}

@@ -26,10 +26,12 @@ import numpy as np
 from .analysis import (
     DEFAULT_STEP,
     PERTURB_SIDES,
+    SOURCES,
     SensitivityConfig,
+    balance_response,
+    balance_sensitivity,
     gma_country_probabilities,
     iea_country_probabilities,
-    balance_sensitivity,
     sensitivity_richardson,
     trade_balance,
     write_balance,
@@ -278,9 +280,9 @@ def _write_balance(config: RunConfig, year: int, p_c, pstar_c, phat_c, phatstar_
     return [write_balance(config.out / f"balance_{year}.csv", gma, iea)]
 
 
-def _richardson_summary(money, sensitivity) -> dict:
+def _richardson_summary(money, sensitivity, response) -> dict:
     """Convergence diagnostic: ratio of successive halved-step differences."""
-    result = sensitivity_richardson(money, sensitivity.config, sensitivity.values)
+    result = sensitivity_richardson(money, sensitivity.config, sensitivity.values, response)
     spread = np.abs(result["d_h2"] - result["d_h4"])
     mask = spread > 1e-12
     checked = int(mask.sum())
@@ -288,12 +290,16 @@ def _richardson_summary(money, sensitivity) -> dict:
     return {"h": result["h"], "checked": checked, "median_ratio": median}
 
 
-def cmd_sensitivity(config: RunConfig, money) -> list[Path]:
-    """dB/ddelta per country for both sources, plus the run manifest."""
+def cmd_sensitivity(config: RunConfig, money, operators=None, vectors=None) -> list[Path]:
+    """dB/ddelta per country for both sources, plus the run manifest.
+
+    ``operators`` and ``vectors`` are those of :func:`_operators` and
+    :func:`_country_vectors`, when already built.
+    """
     if config.sens_product is None:
         raise ValueError("sensitivity needs --sens-product")
     volumes = money.product_volumes()
-    # an index out of range is left to perturb_money, which names it as such
+    # an index out of range is left to balance_response, which names it as such
     if 0 <= config.sens_product < len(volumes) and volumes[config.sens_product] == 0.0:
         raise ValueError(f"product {config.sens_product} has no trade volume in {money.year}")
     target = f"s{config.sens_product}"
@@ -311,7 +317,8 @@ def cmd_sensitivity(config: RunConfig, money) -> list[Path]:
         "year": year,
         "sources": {},
     }
-    for source in ("gma", "iea"):
+    bases = (vectors[:2], vectors[2:]) if vectors else (None, None)
+    for source, base in zip(SOURCES, bases):
         sens_config = SensitivityConfig(
             product=config.sens_product,
             country=config.sens_country,
@@ -323,13 +330,14 @@ def cmd_sensitivity(config: RunConfig, money) -> list[Path]:
             max_iter=config.max_iter,
             personalization=config.personalization,
         )
-        result = balance_sensitivity(money, sens_config)
+        response = balance_response(money, sens_config, operators, base)
+        result = balance_sensitivity(money, sens_config, response)
         written.append(
             write_sensitivity(config.out / f"sensitivity_{source}_{target}_{year}.csv", result)
         )
         manifest["sources"][source] = {
             "reports": [report.as_dict() for report in result.reports],
-            "richardson": _richardson_summary(money, result),
+            "richardson": _richardson_summary(money, result, response),
         }
     written.append(write_json(config.out / f"sensitivity_{target}_{year}.json", manifest))
     return written
@@ -379,8 +387,9 @@ def _pipeline_products(money) -> list[int]:
 def cmd_pipeline(config: RunConfig, money) -> list[Path]:
     """Everything for one year: ranks, balance, sensitivities, REGOMAX.
 
-    Ranks, balance and the default REGOMAX subset share one set of country
-    vectors, and the vectors and REGOMAX one pair of unperturbed operators.
+    Ranks, balance, the sensitivities and the default REGOMAX subset share
+    one set of country vectors, and the vectors, the sensitivities and
+    REGOMAX one pair of unperturbed operators.
     """
     operators = _operators(config, money)
     vectors = _country_vectors(config, money, operators)
@@ -389,7 +398,7 @@ def cmd_pipeline(config: RunConfig, money) -> list[Path]:
     written += _write_balance(config, money.year, *vectors)
     products = _pipeline_products(money) if config.sens_product is None else [config.sens_product]
     for product in products:
-        written += cmd_sensitivity(replace(config, sens_product=product), money)
+        written += cmd_sensitivity(replace(config, sens_product=product), money, operators, vectors)
     subset = config.subset or tuple(table.top("K", min(PIPELINE_SUBSET_SIZE, len(table.codes) - 1)))
     written += cmd_regomax(replace(config, subset=subset), money, operators)
     return written

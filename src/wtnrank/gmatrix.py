@@ -174,9 +174,10 @@ def build_stochastic(money: MoneyMatrix, direction: str = "direct") -> Stochasti
     base = money.product * money.n_countries
     importer, exporter = base + money.importer, base + money.exporter
     # money is sorted by (product, importer, exporter), so the inverted
-    # direction is in column order already; the direct one is sorted once
+    # direction is in column order already; the direct one is sorted once,
+    # by a key unique per entry, so any sort gives rows ascending per column
     if direction == "direct":
-        order = np.argsort(exporter, kind="stable")
+        order = np.argsort(exporter * space.size + importer)
         row, col, value = importer[order], exporter[order], money.value[order]
     else:
         row, col, value = exporter, importer, money.value

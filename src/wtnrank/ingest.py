@@ -139,6 +139,8 @@ def _read_header(reader) -> list[str]:
         header = next(reader)
     except StopIteration:
         raise ParseError(1, "empty file, header expected") from None
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, str(exc)) from None
     header = [h.strip().lower() for h in header]
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
@@ -259,9 +261,10 @@ def read_money_matrix(
     bit for bit. The registry holds the sorted canonical codes of every row
     of the year, self-flows included.
 
-    Raises ParseError (naming the line) for structural problems, for a value
-    or a sum past the float64 range, and NoRecordsError when no row of
-    ``year`` is left, or only self-flows.
+    Raises ParseError (naming the line) for structural problems, such as a
+    row the csv module cannot split, for a value or a sum past the float64
+    range, and NoRecordsError when no row of ``year`` is left, or only
+    self-flows.
     """
     aggregation = dict(aggregation or {})
     reader = csv.reader(_as_text(source))
@@ -278,63 +281,67 @@ def read_money_matrix(
     # key -> raw value of its only row so far, or the exact Decimal sum of its rows
     sums: dict[int, str | Decimal] = {}
     firsts = array("d")   # float of each key's first row, in the order of sums
-    with localcontext() as ctx:
-        ctx.prec = _MONEY_PRECISION
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise ParseError(line, f"expected {width} columns, found {len(row)}")
-            cell = row[i_year]
-            kept = years.get(cell)
-            if kept is None:
-                kept = years[cell] = _year_kept(cell, year, line)
-            if not kept:
-                continue
-            if i_flow is not None:
-                cell = row[i_flow]
-                kept = flows.get(cell)
+    # csv raises csv.Error for a row it cannot split (such as an over-long field)
+    try:
+        with localcontext() as ctx:
+            ctx.prec = _MONEY_PRECISION
+            for line, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise ParseError(line, f"expected {width} columns, found {len(row)}")
+                cell = row[i_year]
+                kept = years.get(cell)
                 if kept is None:
-                    kept = flows[cell] = _flow_kept(cell, line)
+                    kept = years[cell] = _year_kept(cell, year, line)
                 if not kept:
-                    continue  # mirror report of a flow already present export-side
-            cell = row[i_exporter]
-            exporter = countries.get(cell)
-            if exporter is None:
-                exporter = countries[cell] = _country_id(cell, line, aggregation, ids)
-            cell = row[i_importer]
-            importer = countries.get(cell)
-            if importer is None:
-                importer = countries[cell] = _country_id(cell, line, aggregation, ids)
-            cell = row[i_sitc]
-            product = products.get(cell)
-            if product is None:
-                product = products[cell] = _product_bits(cell, line)
-            value = row[i_value]
-            try:
-                number = float(value)
-                fast = 0.0 < number < _INF
-            except ValueError:
-                fast = False
-            if not fast:
-                # check it exactly; the Decimal's text also reads with float,
-                # which rejects some forms Decimal takes, such as "1__0"
-                value = str(_parse_value(value, line))
-                number = float(value)
-            if exporter != importer:
-                key = product | importer << _ID_BITS | exporter
-                total = sums.get(key)
-                if total is None:
-                    sums[key] = value
-                    firsts.append(number)
-                else:
-                    if type(total) is str:
-                        total = _ZERO + Decimal(total.strip())
-                    total += Decimal(value.strip())
-                    if total >= _FLOAT_OVERFLOW:
-                        flow = _flow_name(key, ids)
-                        raise ParseError(line, f"sum of flow {flow} overflows float64")
-                    sums[key] = total
+                    continue
+                if i_flow is not None:
+                    cell = row[i_flow]
+                    kept = flows.get(cell)
+                    if kept is None:
+                        kept = flows[cell] = _flow_kept(cell, line)
+                    if not kept:
+                        continue  # mirror report of a flow already present export-side
+                cell = row[i_exporter]
+                exporter = countries.get(cell)
+                if exporter is None:
+                    exporter = countries[cell] = _country_id(cell, line, aggregation, ids)
+                cell = row[i_importer]
+                importer = countries.get(cell)
+                if importer is None:
+                    importer = countries[cell] = _country_id(cell, line, aggregation, ids)
+                cell = row[i_sitc]
+                product = products.get(cell)
+                if product is None:
+                    product = products[cell] = _product_bits(cell, line)
+                value = row[i_value]
+                try:
+                    number = float(value)
+                    fast = 0.0 < number < _INF
+                except ValueError:
+                    fast = False
+                if not fast:
+                    # check it exactly; the Decimal's text also reads with float,
+                    # which rejects some forms Decimal takes, such as "1__0"
+                    value = str(_parse_value(value, line))
+                    number = float(value)
+                if exporter != importer:
+                    key = product | importer << _ID_BITS | exporter
+                    total = sums.get(key)
+                    if total is None:
+                        sums[key] = value
+                        firsts.append(number)
+                    else:
+                        if type(total) is str:
+                            total = _ZERO + Decimal(total.strip())
+                        total += Decimal(value.strip())
+                        if total >= _FLOAT_OVERFLOW:
+                            flow = _flow_name(key, ids)
+                            raise ParseError(line, f"sum of flow {flow} overflows float64")
+                        sums[key] = total
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, str(exc)) from None
     if not ids:
         raise NoRecordsError(year)
     ordered = tuple(sorted(ids))
@@ -392,24 +399,27 @@ def _flow_name(key: int, ids: dict[str, int]) -> str:
 def read_aggregation_file(source: IO | Iterable[str] | bytes | str) -> dict[str, str]:
     """Read a ``member_code,bloc_code`` file (header line required)."""
     reader = csv.reader(_as_text(source))
-    try:
-        header = [h.strip().lower() for h in next(reader)]
-    except StopIteration:
-        raise ParseError(1, "empty aggregation file") from None
-    if header != ["member_code", "bloc_code"]:
-        raise ParseError(1, "aggregation header must be 'member_code,bloc_code'")
     mapping: dict[str, str] = {}
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(line, f"expected 2 columns, found {len(row)}")
-        member, bloc = row[0].strip(), row[1].strip()
-        if not member or not bloc:
-            raise ParseError(line, "empty code in aggregation pair")
-        if member in mapping and mapping[member] != bloc:
-            raise ParseError(line, f"member {member} mapped to two blocs")
-        mapping[member] = bloc
+    try:
+        try:
+            header = [h.strip().lower() for h in next(reader)]
+        except StopIteration:
+            raise ParseError(1, "empty aggregation file") from None
+        if header != ["member_code", "bloc_code"]:
+            raise ParseError(1, "aggregation header must be 'member_code,bloc_code'")
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ParseError(line, f"expected 2 columns, found {len(row)}")
+            member, bloc = row[0].strip(), row[1].strip()
+            if not member or not bloc:
+                raise ParseError(line, "empty code in aggregation pair")
+            if member in mapping and mapping[member] != bloc:
+                raise ParseError(line, f"member {member} mapped to two blocs")
+            mapping[member] = bloc
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, str(exc)) from None
     return mapping
 
 

@@ -15,6 +15,7 @@ from wtnrank import (
     sensitivity_richardson,
     trade_balance,
 )
+from wtnrank import analysis
 from wtnrank.analysis import write_balance, write_sensitivity
 from wtnrank.errors import ConvergenceError
 from wtnrank.testkit import SyntheticSpec, synthetic_money, synthetic_registry
@@ -166,9 +167,28 @@ class TestSensitivity:
             assert np.array_equal(given[key], computed[key], equal_nan=True)
 
     def test_reports_attached_for_gma(self, small_money):
+        # a global target solves once per direction, with the slice's teleport block
         sens = balance_sensitivity(small_money, SensitivityConfig(product=0))
-        assert len(sens.reports) == 4  # direct+inverted for +h and -h
+        assert len(sens.reports) == 2
         assert all(r.converged for r in sens.reports)
+        # a country target re-ranks the rebuilt tensor: direct+inverted for +h and -h;
+        # entries are sorted by product, so the first is an export of product 0
+        code = small_money.registry.codes[small_money.exporter[0]]
+        sens = balance_sensitivity(small_money, SensitivityConfig(product=0, country=code))
+        assert len(sens.reports) == 4
+        assert all(r.converged for r in sens.reports)
+
+    @pytest.mark.parametrize("product, country", [(1, None), (0, "C002")])
+    def test_target_without_flows_solves_nothing(self, monkeypatch, product, country):
+        dense = np.zeros((2, 3, 3))
+        dense[0, 1, 0] = 10.0   # product 1 has no volume, C002 exports none of product 0
+        dense[0, 0, 1] = 4.0
+        money = money_from_dense(dense)
+        monkeypatch.setattr(analysis, "pagerank", None)   # a solve would raise
+        for source in ("gma", "iea"):
+            config = SensitivityConfig(product=product, country=country, source=source)
+            sens = balance_sensitivity(money, config)
+            assert np.array_equal(sens.values, np.zeros(3)) and sens.reports == ()
 
     def test_iea_has_no_solver_reports(self, small_money):
         sens = balance_sensitivity(small_money, SensitivityConfig(product=0, source="iea"))

@@ -172,7 +172,7 @@ class TestPipeline:
             assert path.read_bytes() == (whole / path.name).read_bytes(), path.name
 
     def test_counts_unperturbed_and_perturbed_evaluations(self, trade_file, tmp_path, monkeypatch):
-        calls = {"unperturbed": 0, "perturbed": 0}
+        calls = {"unperturbed": 0, "perturbed": 0, "solves": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -184,10 +184,12 @@ class TestPipeline:
             cli, "gma_country_probabilities", counting("unperturbed", cli.gma_country_probabilities)
         )
         monkeypatch.setattr(analysis, "perturb_money", counting("perturbed", analysis.perturb_money))
+        monkeypatch.setattr(analysis, "pagerank", counting("solves", analysis.pagerank))
         assert run("pipeline", trade_file, tmp_path, "--sens-product", "0") == 0
-        # ranks, balance and the REGOMAX subset share one unperturbed solve;
-        # each source runs D_h (2 evaluations) plus D_h/2 and D_h/4 (4 more)
-        assert calls == {"unperturbed": 1, "perturbed": 2 * 6}
+        # ranks, balance, REGOMAX and the sensitivities share one unperturbed
+        # solve per direction; the global target adds one teleport solve per
+        # direction and perturbs nothing
+        assert calls == {"unperturbed": 1, "perturbed": 0, "solves": 2 + 2}
 
     def test_unperturbed_operators_built_once(self, trade_file, tmp_path, monkeypatch):
         builds, build_google = [], cli.build_google
@@ -199,9 +201,9 @@ class TestPipeline:
         monkeypatch.setattr(cli, "build_google", counting)
         monkeypatch.setattr(analysis, "build_google", counting)
         assert run("pipeline", trade_file, tmp_path, "--sens-product", "0") == 0
-        # one direct and one inverted operator serve the country vectors and
-        # REGOMAX; the six perturbed GMA evaluations build two each
-        assert builds.count("direct") == builds.count("inverted") == 1 + 6
+        # one direct and one inverted operator serve the country vectors, the
+        # sensitivities and REGOMAX
+        assert builds.count("direct") == builds.count("inverted") == 1
 
     def test_explicit_flags_override_defaults(self, trade_file, tmp_path):
         code = run(
@@ -297,8 +299,23 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert "product 9" in err and str(YEAR) in err
         assert not any(out.iterdir())
-        assert run("sensitivity", trade_file, out, "--sens-product", "12") == 1
-        assert "out of range" in capsys.readouterr().err
+        for product in ("12", "-1"):
+            assert run("sensitivity", trade_file, out, "--sens-product", product) == 1
+            assert "out of range" in capsys.readouterr().err
+            assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("overlong", ["trade", "aggregation"])
+    def test_overlong_field_is_a_parse_error(self, trade_file, tmp_path, capsys, overlong):
+        # a field past the csv module's 131,072-character limit
+        field = "9" * 200_000
+        blocs = tmp_path / "blocs.csv"
+        blocs.write_text(f"member_code,bloc_code\n{'C000' if overlong == 'trade' else field},CX\n")
+        if overlong == "trade":
+            trade_file = tmp_path / "trade.csv"
+            trade_file.write_text(f"year,exporter,importer,sitc,value_usd\n{YEAR},C000,C001,3,{field}\n")
+        out = tmp_path / "out"
+        assert run("rank", trade_file, out, "--aggregate", str(blocs)) == 1
+        assert "wtnrank: error: line 2:" in capsys.readouterr().err
         assert not any(out.iterdir())
 
     def test_failed_pipeline_leaves_no_artifacts(self, trade_file, tmp_path, capsys):

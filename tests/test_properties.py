@@ -8,7 +8,8 @@ include dangling columns (a country that exports nothing of a product) and
 empty products. The production path builds S, v and the volume shares from
 the COO arrays and applies G to random vectors; the oracles recompute them
 from the dense tensor with no shared code. A matrix dump, parsed back,
-rebuilds the same operator.
+rebuilds the same operator. The closed-form balance differences match
+differences of the perturbed, rebuilt tensor's dense oracles.
 """
 
 import tempfile
@@ -22,11 +23,15 @@ from hypothesis.extra.numpy import arrays
 
 from wtnrank import (
     PersonalizationVector,
+    SensitivityConfig,
     StochasticMatrix,
+    aggregate_country,
+    balance_response,
     build_google,
     make_google,
     perturb_money,
     read_money_matrix,
+    trade_balance,
     volume_probabilities,
     write_matrix_dump,
 )
@@ -37,6 +42,11 @@ from conftest import flows, money_from_dense
 
 #: Same bound as test_testkit's check of build_google against this oracle.
 ORACLE_TOL = 1e-14
+
+#: A rank solve's 1e-12 tolerance divided by the central difference's 2h, with margin.
+GLOBAL_DIFFERENCE_TOL = 1e-9
+#: The IEA differences are arithmetic on volume shares: rounding only.
+IEA_DIFFERENCE_TOL = 1e-12
 
 PERSONALIZATIONS = ("uniform-by-product", "volume-by-country")
 
@@ -256,3 +266,67 @@ def test_dump_rebuilds_the_operator(dense, alpha, direction):
     rebuilt = make_google(S, PersonalizationVector(v, G.v.mode), dumped_alpha)
     x = np.random.default_rng(0).random(G.size)
     assert rebuilt.apply(x).tobytes() == G.apply(x).tobytes()
+
+
+def trading(dense: np.ndarray) -> np.ndarray:
+    """Countries with at least one flow.
+
+    A country that trades nothing has an IEA balance of 0/0. Under
+    volume-by-country it gets no teleport mass either, so its exact GMA
+    probabilities can be 0 too, and the power iteration's are then what is
+    left of the uniform start vector: neither balance has a derivative.
+    """
+    return dense.sum(axis=(0, 1)) + dense.sum(axis=(0, 2)) > 0
+
+
+def oracle_balance(money, source: str, personalization: str) -> np.ndarray:
+    """B per country from the dense tensor: a dense solve of each Google matrix, or volume shares."""
+    dense = money.to_dense()
+    if source == "gma":
+        nodes = []
+        for direction in ("direct", "inverted"):
+            G = dense_google_from_money(money, direction, 0.5, personalization)
+            # the stationary vector, with the sum-to-1 condition added to every row
+            nodes.append(np.linalg.solve(np.eye(len(G)) - G + 1.0, np.ones(len(G))))
+    else:
+        nodes = dense_volume_shares(dense)
+    P, Pstar = (x.reshape(dense.shape[0], -1).sum(axis=0) for x in nodes)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (Pstar - P) / (Pstar + P)
+
+
+@settings(max_examples=40)
+@given(
+    dense=dense_tensors(),
+    data=st.data(),
+    source=st.sampled_from(("gma", "iea")),
+    personalization=st.sampled_from(PERSONALIZATIONS),
+)
+def test_global_difference_matches_rebuilt_oracle(dense, data, source, personalization):
+    money = money_from_dense(dense)
+    product = data.draw(st.integers(0, dense.shape[0] - 1))
+    config = SensitivityConfig(product=product, source=source, personalization=personalization)
+    difference = balance_response(money, config)
+    for h in (config.step, config.step / 2, config.step / 4):
+        values, _ = difference(h)
+        up, down = (oracle_balance(perturb_money(money, product, d), source, personalization) for d in (h, -h))
+        error = np.abs(values - (up - down) / (2.0 * h))[trading(dense)]
+        assert np.max(error, initial=0.0) <= GLOBAL_DIFFERENCE_TOL, (h, error)
+
+
+@settings(max_examples=60)
+@given(data=st.data(), dense=dense_tensors(), side=st.sampled_from(("export", "import")))
+def test_iea_country_difference_matches_perturbed_shares(data, dense, side):
+    product = data.draw(st.integers(0, dense.shape[0] - 1))
+    country = f"C{data.draw(st.integers(0, dense.shape[1] - 1)):03d}"
+    money = money_from_dense(dense)
+    config = SensitivityConfig(product=product, country=country, source="iea", side=side)
+    values, reports = balance_response(money, config)(config.step)
+    balances = []
+    for delta in (config.step, -config.step):
+        perturbed = perturb_money(money, product, delta, config.country, side)
+        P, Pstar = (aggregate_country(x) for x in volume_probabilities(perturbed))
+        balances.append(trade_balance(P, Pstar, "iea").values)
+    error = np.abs(values - (balances[0] - balances[1]) / (2.0 * config.step))[trading(dense)]
+    assert np.max(error, initial=0.0) <= IEA_DIFFERENCE_TOL
+    assert reports == ()
