@@ -24,14 +24,18 @@ vectors of the source move along
 A country target of the GMA source also moves S~ (its flows are a row of
 one of the two directions), so each of its evaluations perturbs the tensor
 and rebuilds S, v and both ranks.
+
+Either way each target gives the country vectors at one delta, and one
+central difference turns them into dB_c/d(delta).
+:func:`balance_sensitivity` evaluates it at h and
+:func:`sensitivity_richardson` at h, h/2 and h/4, sharing the work that
+does not depend on the step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -55,9 +59,6 @@ SOURCES = ("gma", "iea")
 PERTURB_SIDES = ("export", "import")
 
 DEFAULT_STEP = 0.01
-
-#: dB_c/d(delta) at a step h, with the reports of the solves it rests on.
-Difference = Callable[[float], tuple[np.ndarray, tuple[SolverReport, ...]]]
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,6 @@ class SensitivityVector:
 
     codes: tuple[str, ...]
     values: np.ndarray
-    config: SensitivityConfig
     reports: tuple[SolverReport, ...] = field(default=())
 
 
@@ -214,50 +214,56 @@ def iea_balance(money: MoneyMatrix) -> BalanceVector:
     return trade_balance(p_c, pstar_c, "iea")
 
 
-def balance_response(
-    money: MoneyMatrix,
-    config: SensitivityConfig,
-    operators: tuple[GoogleMatrix, GoogleMatrix] | None = None,
-    base: tuple[ProbabilityVector, ProbabilityVector] | None = None,
-) -> Difference:
-    """The central difference of ``config``'s target, as a function of the step h.
+def _differences(money: MoneyMatrix, config: SensitivityConfig, steps, operators=None, base=None) -> list:
+    """Central differences of ``config``'s target at each of ``steps``.
 
-    What does not depend on h is done here, once: the mask of the scaled
-    flows and, for a linear response (see the module docstring), the
-    unperturbed country vectors and their responses Q, Q*. Each call then
-    costs arithmetic only, except for a GMA country target: each of its
-    calls perturbs the tensor, rebuilds S and v and re-ranks at +h and -h.
-    A perturbation that scales no flow gives exact zeros and solves nothing.
-
-    ``operators`` are the direct and inverted Google matrices of ``money``
-    with ``config``'s alpha and personalization, and ``base`` the unperturbed
-    country vectors (P, P*) of ``config``'s source, when the caller has them.
+    Each entry is dB_c/d(delta) at one step h and the reports of the solves
+    it rests on. What does not depend on h is done once: the mask of the
+    scaled flows and, for a linear response (see the module docstring), the
+    unperturbed country vectors and their responses Q, Q*, whose solves
+    every entry reports. A GMA country target instead perturbs the tensor,
+    rebuilds S and v and re-ranks at +h and -h for each entry. A
+    perturbation that scales no flow gives exact zeros and solves nothing.
     """
     hit = _scaled_flows(money, config.product, config.country, config.side)
     if not hit.any():
-        return lambda h: (np.zeros(money.n_countries), ())
+        return [(np.zeros(money.n_countries), ()) for _ in steps]
+    once = ()   # the reports of the solves made for all steps
     if config.source == "gma" and config.country is not None:
-        return partial(_rebuilt_difference, money, config)
-    scaled = money.value[hit]
-    weight = scaled.sum() / money.value.sum()
-    if config.source == "gma":
-        base, response, reports = _teleport_response(money, config, operators, base)
+
+        def vectors(delta: float):
+            perturbed = perturb_money(money, config.product, delta, config.country, config.side)
+            return gma_country_probabilities(
+                perturbed, config.alpha, config.tol, config.max_iter, config.personalization
+            )
     else:
-        base = base or iea_country_probabilities(money)
-        response = [
-            np.bincount(flows[hit], weights=scaled / scaled.sum(), minlength=money.n_countries)
-            for flows in (money.importer, money.exporter)
-        ]
-        reports = ()
+        scaled = money.value[hit]
+        weight = scaled.sum() / money.value.sum()
+        if config.source == "gma":
+            base, response, once = _teleport_response(money, config, operators, base)
+        else:
+            base = base or iea_country_probabilities(money)
+            response = [
+                np.bincount(flows[hit], weights=scaled / scaled.sum(), minlength=money.n_countries)
+                for flows in (money.importer, money.exporter)
+            ]
 
-    def balance(delta: float) -> np.ndarray:
-        p, pstar = (
-            replace(P, values=(P.values + delta * weight * Q) / (1.0 + delta * weight))
-            for P, Q in zip(base, response)
-        )
-        return trade_balance(p, pstar, config.source).values
+        def vectors(delta: float):
+            p, pstar = (
+                replace(P, values=(P.values + delta * weight * Q) / (1.0 + delta * weight))
+                for P, Q in zip(base, response)
+            )
+            return p, pstar, ()
 
-    return lambda h: ((balance(h) - balance(-h)) / (2.0 * h), reports)
+    def balance(delta: float):
+        p, pstar, reports = vectors(delta)
+        return trade_balance(p, pstar, config.source).values, reports
+
+    differences = []
+    for h in steps:
+        (up, up_reports), (down, down_reports) = balance(h), balance(-h)
+        differences.append(((up - down) / (2.0 * h), once + up_reports + down_reports))
+    return differences
 
 
 def _teleport_response(money: MoneyMatrix, config: SensitivityConfig, operators, base):
@@ -282,56 +288,35 @@ def _teleport_response(money: MoneyMatrix, config: SensitivityConfig, operators,
     return base, response, tuple(reports)
 
 
-def _rebuilt_difference(money: MoneyMatrix, config: SensitivityConfig, h: float):
-    """GMA central difference by perturbing, rebuilding and re-ranking at +h and -h."""
-    balances, reports = [], ()
-    for delta in (h, -h):
-        perturbed = perturb_money(money, config.product, delta, config.country, config.side)
-        p_c, pstar_c, pair = gma_country_probabilities(
-            perturbed, config.alpha, config.tol, config.max_iter, config.personalization
-        )
-        balances.append(trade_balance(p_c, pstar_c, "gma").values)
-        reports += pair
-    return (balances[0] - balances[1]) / (2.0 * h), reports
-
-
-def balance_sensitivity(
-    money: MoneyMatrix, config: SensitivityConfig, response: Difference | None = None
-) -> SensitivityVector:
-    """Central-difference dB_c/d(delta) at the configured step.
-
-    ``response`` is :func:`balance_response` of ``money`` and ``config``,
-    when the caller has built it; otherwise it is built here.
-    """
-    values, reports = (response or balance_response(money, config))(config.step)
-    codes = tuple(money.registry.codes)
-    return SensitivityVector(codes, values, config, reports)
+def balance_sensitivity(money: MoneyMatrix, config: SensitivityConfig) -> SensitivityVector:
+    """Central-difference dB_c/d(delta) at the configured step."""
+    [(values, reports)] = _differences(money, config, (config.step,))
+    return SensitivityVector(tuple(money.registry.codes), values, reports)
 
 
 def sensitivity_richardson(
     money: MoneyMatrix,
     config: SensitivityConfig,
-    d_h: np.ndarray | None = None,
-    response: Difference | None = None,
+    operators: tuple[GoogleMatrix, GoogleMatrix] | None = None,
+    base: tuple[ProbabilityVector, ProbabilityVector] | None = None,
 ) -> dict:
     """Estimates at h, h/2 and h/4 plus the convergence ratio per country.
 
     For a second-order-accurate central difference the ratio
     (D_h - D_{h/2}) / (D_{h/2} - D_{h/4}) tends to 4; values inside [3, 5]
-    confirm the step sits in the asymptotic range. ``d_h`` takes the values
-    :func:`balance_sensitivity` already returned for ``config``, and
-    ``response`` the :func:`balance_response` it used; without them both
-    are computed here.
+    confirm the step sits in the asymptotic range. ``d_h`` and ``reports``
+    are what :func:`balance_sensitivity` returns for ``config``.
+
+    ``operators`` are the direct and inverted Google matrices of ``money``
+    with ``config``'s alpha and personalization, and ``base`` the unperturbed
+    country vectors (P, P*) of ``config``'s source, when the caller has them.
     """
-    difference = response or balance_response(money, config)
     h = config.step
-    if d_h is None:
-        d_h, _ = difference(h)
-    d_h2, _ = difference(h / 2.0)
-    d_h4, _ = difference(h / 4.0)
+    steps = (h, h / 2.0, h / 4.0)
+    (d_h, reports), (d_h2, _), (d_h4, _) = _differences(money, config, steps, operators, base)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = (d_h - d_h2) / (d_h2 - d_h4)
-    return {"h": h, "d_h": d_h, "d_h2": d_h2, "d_h4": d_h4, "ratio": ratio}
+    return {"h": h, "d_h": d_h, "d_h2": d_h2, "d_h4": d_h4, "ratio": ratio, "reports": reports}
 
 
 def write_balance(path, gma: BalanceVector, iea: BalanceVector) -> Path:

@@ -28,8 +28,7 @@ from .analysis import (
     PERTURB_SIDES,
     SOURCES,
     SensitivityConfig,
-    balance_response,
-    balance_sensitivity,
+    SensitivityVector,
     gma_country_probabilities,
     iea_country_probabilities,
     sensitivity_richardson,
@@ -280,9 +279,8 @@ def _write_balance(config: RunConfig, year: int, p_c, pstar_c, phat_c, phatstar_
     return [write_balance(config.out / f"balance_{year}.csv", gma, iea)]
 
 
-def _richardson_summary(money, sensitivity, response) -> dict:
+def _richardson_summary(result: dict) -> dict:
     """Convergence diagnostic: ratio of successive halved-step differences."""
-    result = sensitivity_richardson(money, sensitivity.config, sensitivity.values, response)
     spread = np.abs(result["d_h2"] - result["d_h4"])
     mask = spread > 1e-12
     checked = int(mask.sum())
@@ -299,7 +297,7 @@ def cmd_sensitivity(config: RunConfig, money, operators=None, vectors=None) -> l
     if config.sens_product is None:
         raise ValueError("sensitivity needs --sens-product")
     volumes = money.product_volumes()
-    # an index out of range is left to balance_response, which names it as such
+    # an index out of range is left to sensitivity_richardson, which names it as such
     if 0 <= config.sens_product < len(volumes) and volumes[config.sens_product] == 0.0:
         raise ValueError(f"product {config.sens_product} has no trade volume in {money.year}")
     target = f"s{config.sens_product}"
@@ -330,14 +328,14 @@ def cmd_sensitivity(config: RunConfig, money, operators=None, vectors=None) -> l
             max_iter=config.max_iter,
             personalization=config.personalization,
         )
-        response = balance_response(money, sens_config, operators, base)
-        result = balance_sensitivity(money, sens_config, response)
+        result = sensitivity_richardson(money, sens_config, operators, base)
+        sensitivity = SensitivityVector(tuple(money.registry.codes), result["d_h"], result["reports"])
         written.append(
-            write_sensitivity(config.out / f"sensitivity_{source}_{target}_{year}.csv", result)
+            write_sensitivity(config.out / f"sensitivity_{source}_{target}_{year}.csv", sensitivity)
         )
         manifest["sources"][source] = {
-            "reports": [report.as_dict() for report in result.reports],
-            "richardson": _richardson_summary(money, result, response),
+            "reports": [report.as_dict() for report in result["reports"]],
+            "richardson": _richardson_summary(result),
         }
     written.append(write_json(config.out / f"sensitivity_{target}_{year}.json", manifest))
     return written

@@ -58,6 +58,8 @@ _FLOAT_OVERFLOW = Decimal(2**1024 - 2**970)
 # above both ids.
 _ID_BITS = 29
 _ID_MASK = (1 << _ID_BITS) - 1
+# Characters a canonical country code may not hold, besides non-printable ones.
+_UNWRITABLE = ',"<&'
 
 
 def sitc_to_product(code: str) -> int:
@@ -110,14 +112,8 @@ class CountryRegistry:
         return code in self._index
 
 
-def _as_text(source: IO | Iterable[str]) -> Iterable[str]:
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        return io.TextIOWrapper(source, encoding="utf-8")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, str):
-        return io.StringIO(source)
-    return source
+def _as_text(source: IO[str] | Iterable[str] | str) -> Iterable[str]:
+    return io.StringIO(source) if isinstance(source, str) else source
 
 
 def _parse_value(raw: str, line: int) -> Decimal:
@@ -244,11 +240,15 @@ class MoneyMatrix:
 
 
 def read_money_matrix(
-    source: IO | Iterable[str] | bytes | str,
+    source: IO[str] | Iterable[str] | str,
     year: int,
     aggregation: Mapping[str, str] | None = None,
 ) -> MoneyMatrix:
     """Read a header-bearing delimited trade file into the money tensor of ``year``.
+
+    ``source`` is the file's text: a string, or a text stream or another
+    iterable of lines (a file opened with ``newline=""``, so that a quoted
+    cell may hold a line break).
 
     One pass over the rows: each row of ``year`` is checked, its codes are
     mapped onto their bloc, and its value joins the sum of its (product,
@@ -261,10 +261,11 @@ def read_money_matrix(
     bit for bit. The registry holds the sorted canonical codes of every row
     of the year, self-flows included.
 
-    Raises ParseError (naming the line) for structural problems, such as a
-    row the csv module cannot split, for a value or a sum past the float64
-    range, and NoRecordsError when no row of ``year`` is left, or only
-    self-flows.
+    Raises ParseError (naming the file line that ends the row) for
+    structural problems, such as a row the csv module cannot split, for a
+    value or a sum past the float64 range, for a canonical country code the
+    output files cannot hold, and NoRecordsError when no row of ``year`` is
+    left, or only self-flows.
     """
     aggregation = dict(aggregation or {})
     reader = csv.reader(_as_text(source))
@@ -285,36 +286,36 @@ def read_money_matrix(
     try:
         with localcontext() as ctx:
             ctx.prec = _MONEY_PRECISION
-            for line, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 if len(row) != width:
-                    raise ParseError(line, f"expected {width} columns, found {len(row)}")
+                    raise ParseError(reader.line_num, f"expected {width} columns, found {len(row)}")
                 cell = row[i_year]
                 kept = years.get(cell)
                 if kept is None:
-                    kept = years[cell] = _year_kept(cell, year, line)
+                    kept = years[cell] = _year_kept(cell, year, reader.line_num)
                 if not kept:
                     continue
                 if i_flow is not None:
                     cell = row[i_flow]
                     kept = flows.get(cell)
                     if kept is None:
-                        kept = flows[cell] = _flow_kept(cell, line)
+                        kept = flows[cell] = _flow_kept(cell, reader.line_num)
                     if not kept:
                         continue  # mirror report of a flow already present export-side
                 cell = row[i_exporter]
                 exporter = countries.get(cell)
                 if exporter is None:
-                    exporter = countries[cell] = _country_id(cell, line, aggregation, ids)
+                    exporter = countries[cell] = _country_id(cell, reader.line_num, aggregation, ids)
                 cell = row[i_importer]
                 importer = countries.get(cell)
                 if importer is None:
-                    importer = countries[cell] = _country_id(cell, line, aggregation, ids)
+                    importer = countries[cell] = _country_id(cell, reader.line_num, aggregation, ids)
                 cell = row[i_sitc]
                 product = products.get(cell)
                 if product is None:
-                    product = products[cell] = _product_bits(cell, line)
+                    product = products[cell] = _product_bits(cell, reader.line_num)
                 value = row[i_value]
                 try:
                     number = float(value)
@@ -324,7 +325,7 @@ def read_money_matrix(
                 if not fast:
                     # check it exactly; the Decimal's text also reads with float,
                     # which rejects some forms Decimal takes, such as "1__0"
-                    value = str(_parse_value(value, line))
+                    value = str(_parse_value(value, reader.line_num))
                     number = float(value)
                 if exporter != importer:
                     key = product | importer << _ID_BITS | exporter
@@ -338,7 +339,7 @@ def read_money_matrix(
                         total += Decimal(value.strip())
                         if total >= _FLOAT_OVERFLOW:
                             flow = _flow_name(key, ids)
-                            raise ParseError(line, f"sum of flow {flow} overflows float64")
+                            raise ParseError(reader.line_num, f"sum of flow {flow} overflows float64")
                         sums[key] = total
     except csv.Error as exc:
         raise ParseError(reader.line_num, str(exc)) from None
@@ -379,7 +380,13 @@ def _country_id(cell: str, line: int, aggregation: Mapping[str, str], ids: dict[
     code = cell.strip()
     if not code:
         raise ParseError(line, "empty country code")
-    return ids.setdefault(aggregation.get(code, code), len(ids))
+    canonical = aggregation.get(code, code)
+    # the CSV writers emit codes unquoted and the SVG writer inside XML text
+    if not canonical.isprintable() or any(c in canonical for c in _UNWRITABLE):
+        raise ParseError(
+            line, f"country code {canonical!r} holds a non-printable character, ',', '\"', '<' or '&'"
+        )
+    return ids.setdefault(canonical, len(ids))
 
 
 def _product_bits(cell: str, line: int) -> int:
@@ -396,8 +403,12 @@ def _flow_name(key: int, ids: dict[str, int]) -> str:
     return f"(product {product}, importer {importer}, exporter {exporter})"
 
 
-def read_aggregation_file(source: IO | Iterable[str] | bytes | str) -> dict[str, str]:
-    """Read a ``member_code,bloc_code`` file (header line required)."""
+def read_aggregation_file(source: IO[str] | Iterable[str] | str) -> dict[str, str]:
+    """Read a ``member_code,bloc_code`` file (header line required).
+
+    ``source`` is the file's text, in the forms :func:`read_money_matrix`
+    takes. A ParseError names the file line that ends the offending row.
+    """
     reader = csv.reader(_as_text(source))
     mapping: dict[str, str] = {}
     try:
@@ -407,16 +418,16 @@ def read_aggregation_file(source: IO | Iterable[str] | bytes | str) -> dict[str,
             raise ParseError(1, "empty aggregation file") from None
         if header != ["member_code", "bloc_code"]:
             raise ParseError(1, "aggregation header must be 'member_code,bloc_code'")
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != 2:
-                raise ParseError(line, f"expected 2 columns, found {len(row)}")
+                raise ParseError(reader.line_num, f"expected 2 columns, found {len(row)}")
             member, bloc = row[0].strip(), row[1].strip()
             if not member or not bloc:
-                raise ParseError(line, "empty code in aggregation pair")
+                raise ParseError(reader.line_num, "empty code in aggregation pair")
             if member in mapping and mapping[member] != bloc:
-                raise ParseError(line, f"member {member} mapped to two blocs")
+                raise ParseError(reader.line_num, f"member {member} mapped to two blocs")
             mapping[member] = bloc
     except csv.Error as exc:
         raise ParseError(reader.line_num, str(exc)) from None

@@ -158,13 +158,17 @@ class TestSensitivity:
         assert np.all((result["ratio"][mask] >= 3.0) & (result["ratio"][mask] <= 5.0))
 
     @pytest.mark.parametrize("source", ["gma", "iea"])
-    def test_richardson_reuses_given_d_h(self, small_money, source):
-        config = SensitivityConfig(product=0, source=source)
+    @pytest.mark.parametrize("side", ["export", "import"])
+    @pytest.mark.parametrize("global_target", [True, False])
+    def test_richardson_d_h_is_balance_sensitivity(self, small_money, source, side, global_target):
+        # entries are sorted by product, so the first entry trades product 0 both ways
+        flows = small_money.exporter if side == "export" else small_money.importer
+        country = None if global_target else small_money.registry.codes[flows[0]]
+        config = SensitivityConfig(product=0, country=country, source=source, side=side)
+        result = sensitivity_richardson(small_money, config)
         sens = balance_sensitivity(small_money, config)
-        given = sensitivity_richardson(small_money, config, sens.values)
-        computed = sensitivity_richardson(small_money, config)
-        for key in ("d_h", "d_h2", "d_h4", "ratio"):
-            assert np.array_equal(given[key], computed[key], equal_nan=True)
+        assert np.array_equal(result["d_h"], sens.values, equal_nan=True)
+        assert result["reports"] == sens.reports
 
     def test_reports_attached_for_gma(self, small_money):
         # a global target solves once per direction, with the slice's teleport block

@@ -105,7 +105,12 @@ class TestSensitivity:
         assert code == 0
         assert (tmp_path / f"sensitivity_gma_C002_s1_{YEAR}.csv").exists()
         assert (tmp_path / f"sensitivity_iea_C002_s1_{YEAR}.csv").exists()
-        assert (tmp_path / f"sensitivity_C002_s1_{YEAR}.json").exists()
+        manifest = json.loads((tmp_path / f"sensitivity_C002_s1_{YEAR}.json").read_text())
+        # the country target re-ranks the rebuilt tensor in both directions at +h and -h
+        gma, iea = manifest["sources"]["gma"], manifest["sources"]["iea"]
+        assert len(gma["reports"]) == 4 and all(r["converged"] for r in gma["reports"])
+        assert iea["reports"] == []
+        assert 3.0 <= gma["richardson"]["median_ratio"] <= 5.0
 
     def test_missing_product_flag_fails(self, trade_file, tmp_path, capsys):
         assert run("sensitivity", trade_file, tmp_path) == 1
@@ -172,7 +177,7 @@ class TestPipeline:
             assert path.read_bytes() == (whole / path.name).read_bytes(), path.name
 
     def test_counts_unperturbed_and_perturbed_evaluations(self, trade_file, tmp_path, monkeypatch):
-        calls = {"unperturbed": 0, "perturbed": 0, "solves": 0}
+        calls = {"unperturbed": 0, "perturbed": 0, "solves": 0, "richardson": 0, "sensitivity": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -185,11 +190,18 @@ class TestPipeline:
         )
         monkeypatch.setattr(analysis, "perturb_money", counting("perturbed", analysis.perturb_money))
         monkeypatch.setattr(analysis, "pagerank", counting("solves", analysis.pagerank))
+        monkeypatch.setattr(cli, "sensitivity_richardson", counting("richardson", cli.sensitivity_richardson))
+        sensitivity = counting("sensitivity", analysis.balance_sensitivity)
+        for module in (analysis, cli):
+            monkeypatch.setattr(module, "balance_sensitivity", sensitivity, raising=False)
         assert run("pipeline", trade_file, tmp_path, "--sens-product", "0") == 0
         # ranks, balance, REGOMAX and the sensitivities share one unperturbed
         # solve per direction; the global target adds one teleport solve per
-        # direction and perturbs nothing
-        assert calls == {"unperturbed": 1, "perturbed": 0, "solves": 2 + 2}
+        # direction and perturbs nothing; one analysis call per source gives
+        # both the CSV and the manifest entry
+        assert calls == {
+            "unperturbed": 1, "perturbed": 0, "solves": 2 + 2, "richardson": 2, "sensitivity": 0
+        }
 
     def test_unperturbed_operators_built_once(self, trade_file, tmp_path, monkeypatch):
         builds, build_google = [], cli.build_google
@@ -316,6 +328,26 @@ class TestFailureModes:
         out = tmp_path / "out"
         assert run("rank", trade_file, out, "--aggregate", str(blocs)) == 1
         assert "wtnrank: error: line 2:" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "rows, bloc, line",
+        [
+            (['2018,"FR\nA",USA,3,5', '2018,USA,"FR\nA",3,4', '2018,"DE,U",USA,7,2'], "CX", 3),
+            (['2018,"DE,U",USA,7,2'], "CX", 2),
+            (["2018,USA,CAN,7,2", "2018,C000,USA,7,2"], "E&U", 3),
+        ],
+        ids=["line-break", "comma", "bloc"],
+    )
+    def test_unwritable_country_code_fails(self, tmp_path, capsys, rows, bloc, line):
+        # the CSV writers emit codes unquoted, the SVG writer inside XML text
+        trade_file = tmp_path / "trade.csv"
+        trade_file.write_text("\n".join(["year,exporter,importer,sitc,value_usd", *rows]) + "\n")
+        blocs = tmp_path / "blocs.csv"
+        blocs.write_text(f"member_code,bloc_code\nC000,{bloc}\n")
+        out = tmp_path / "out"
+        assert run("rank", trade_file, out, "--svg", "--aggregate", str(blocs)) == 1
+        assert f"wtnrank: error: line {line}:" in capsys.readouterr().err
         assert not any(out.iterdir())
 
     def test_failed_pipeline_leaves_no_artifacts(self, trade_file, tmp_path, capsys):

@@ -21,6 +21,8 @@ from conftest import flows
 
 HEADER = "year,exporter,importer,sitc,value_usd"
 EU = {"DEU": "EUU", "FRA": "EUU"}
+# Rows with quoted cells, one holding a line break: the third row is on line 6.
+MULTILINE_ROWS = ['2018,"FR\nA",USA,3,5', '2018,USA,"FR\nA",3,4', '2018,"DE,U",USA,7,-2']
 
 
 def read(rows, year=2018, aggregation=None, header=HEADER):
@@ -114,6 +116,23 @@ class TestParse:
             read(["2018,CHN,USA,7,10", row])
         assert err.value.line == 3
 
+    def test_line_after_multiline_cell(self):
+        with pytest.raises(ParseError, match="negative value") as err:
+            read(MULTILINE_ROWS, aggregation={"FR\nA": "FRA", "DE,U": "DEU"})
+        assert err.value.line == 6
+
+    @pytest.mark.parametrize("code", ["FR\nA", "DE,U", 'D"E', "A<B", "A&B", "A\tB"])
+    def test_unwritable_country_code_names_line(self, code):
+        quoted = '"' + code.replace('"', '""') + '"'
+        with pytest.raises(ParseError, match="country code") as err:
+            read(["2018,CHN,USA,7,10", f"2018,CHN,{quoted},7,1"])
+        assert err.value.line == 3 + code.count("\n")
+
+    def test_unwritable_bloc_code(self):
+        with pytest.raises(ParseError, match="'E<U'") as err:
+            read(["2018,CHN,USA,7,10", "2018,DEU,USA,7,1"], aggregation={"DEU": "E<U"})
+        assert err.value.line == 3
+
     def test_no_records_for_year(self):
         with pytest.raises(NoRecordsError):
             read(["2016,CHN,USA,7,1"])
@@ -184,6 +203,12 @@ class TestAggregation:
         text = "member_code,bloc_code\nDEU,EUU\nDEU,XXX\n"
         with pytest.raises(ParseError):
             read_aggregation_file(io.StringIO(text))
+
+    def test_aggregation_file_line_after_multiline_cell(self):
+        text = 'member_code,bloc_code\n"FR\nA",EUU\n"DE,U",EUU\n"DE,U",XXX\n'
+        with pytest.raises(ParseError, match="two blocs") as err:
+            read_aggregation_file(io.StringIO(text))
+        assert err.value.line == 5
 
     def test_chained_aggregation_rejected(self):
         with pytest.raises(ValueError, match="aggregation chains"):

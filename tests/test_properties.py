@@ -26,11 +26,12 @@ from wtnrank import (
     SensitivityConfig,
     StochasticMatrix,
     aggregate_country,
-    balance_response,
+    balance_sensitivity,
     build_google,
     make_google,
     perturb_money,
     read_money_matrix,
+    sensitivity_richardson,
     trade_balance,
     volume_probabilities,
     write_matrix_dump,
@@ -306,9 +307,9 @@ def test_global_difference_matches_rebuilt_oracle(dense, data, source, personali
     money = money_from_dense(dense)
     product = data.draw(st.integers(0, dense.shape[0] - 1))
     config = SensitivityConfig(product=product, source=source, personalization=personalization)
-    difference = balance_response(money, config)
-    for h in (config.step, config.step / 2, config.step / 4):
-        values, _ = difference(h)
+    result = sensitivity_richardson(money, config)
+    for key, h in (("d_h", config.step), ("d_h2", config.step / 2), ("d_h4", config.step / 4)):
+        values = result[key]
         up, down = (oracle_balance(perturb_money(money, product, d), source, personalization) for d in (h, -h))
         error = np.abs(values - (up - down) / (2.0 * h))[trading(dense)]
         assert np.max(error, initial=0.0) <= GLOBAL_DIFFERENCE_TOL, (h, error)
@@ -321,7 +322,8 @@ def test_iea_country_difference_matches_perturbed_shares(data, dense, side):
     country = f"C{data.draw(st.integers(0, dense.shape[1] - 1)):03d}"
     money = money_from_dense(dense)
     config = SensitivityConfig(product=product, country=country, source="iea", side=side)
-    values, reports = balance_response(money, config)(config.step)
+    sens = balance_sensitivity(money, config)
+    values, reports = sens.values, sens.reports
     balances = []
     for delta in (config.step, -config.step):
         perturbed = perturb_money(money, product, delta, config.country, side)
