@@ -284,7 +284,9 @@ def _richardson_summary(result: dict) -> dict:
     spread = np.abs(result["d_h2"] - result["d_h4"])
     mask = spread > 1e-12
     checked = int(mask.sum())
-    median = float(np.median(result["ratio"][mask])) if checked else None
+    ratios = np.sort(result["ratio"][mask])
+    # the mean of the middle one or two, as np.median takes it; np.median would import numpy.ma
+    median = float(np.mean(ratios[(checked - 1) // 2 : checked // 2 + 1])) if checked else None
     return {"h": result["h"], "checked": checked, "median_ratio": median}
 
 

@@ -1,19 +1,28 @@
 """Trade-record ingestion.
 
 Reads delimited trade files (``year,exporter,importer,sitc,value_usd``)
-into the per-product money tensor in one pass over the rows: each row is
-checked, its country codes are mapped onto their bloc (e.g. the 27 EU
-members collapsed onto ``EUU``), self-flows are dropped and every other
-value is added to the sum of its (product, importer, exporter) key. Each
-distinct year, flow, country and SITC cell is checked and mapped once.
+into the per-product money tensor in one pass: each row is checked, its
+country codes are mapped onto their bloc (e.g. the 27 EU members collapsed
+onto ``EUU``), self-flows are dropped and every other row's key, value and
+line are kept for summing after the pass.
+
+The text is read in blocks of about 64K characters of whole lines. A block
+with no quote, NUL or lone carriage return, whose every line has the
+header's width, is split into columns at once with ``str.split``. Each
+column's distinct year, flow, country and SITC cells are checked and mapped
+once, the flow, country and SITC cells only in rows of the year that are
+not mirror reports. Any other block, or one with a cell that a check
+rejects or a value that is not finite and positive, goes through the
+per-row loop, which csv splits and which raises every ParseError with its
+line; after a quote, csv reads the rest of the stream.
 
 Every value is read with ``float``, which rounds a decimal string
 correctly (Clinger, PLDI 1990), so a key with one row takes that float64.
-A key with two or more rows is summed exactly in :class:`decimal.Decimal`
-from the rows' text, and the sum is rounded to float64 once after the
-pass. Either way each flow is rounded once, into the COO arrays of
-:class:`MoneyMatrix`. The country registry is the sorted set of canonical
-codes of every row of the year.
+After the pass, one stable argsort finds the keys with two or more rows;
+each is summed exactly in :class:`decimal.Decimal` from its rows' text, in
+file order, and the sum is rounded to float64 once. Either way each flow is
+rounded once, into the COO arrays of :class:`MoneyMatrix`. The country
+registry is the sorted set of canonical codes of every row of the year.
 """
 
 from __future__ import annotations
@@ -21,8 +30,10 @@ from __future__ import annotations
 import csv
 import io
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation, localcontext
+from itertools import accumulate, chain, compress
 from typing import IO, Iterable, Mapping
 
 import numpy as np
@@ -60,6 +71,11 @@ _ID_BITS = 29
 _ID_MASK = (1 << _ID_BITS) - 1
 # Characters a canonical country code may not hold, besides non-printable ones.
 _UNWRITABLE = ',"<&'
+# Characters of text a trade file is read in at a time, up to the end of the line.
+_BLOCK_CHARS = 1 << 16
+# Field that closes each line of a block split at once; a block holding it goes to the row loop.
+_MARK = "\x01"
+_NEWLINE = ord("\n")
 
 
 def sitc_to_product(code: str) -> int:
@@ -112,8 +128,8 @@ class CountryRegistry:
         return code in self._index
 
 
-def _as_text(source: IO[str] | Iterable[str] | str) -> Iterable[str]:
-    return io.StringIO(source) if isinstance(source, str) else source
+def _as_text(source: IO[str] | Iterable[str] | str) -> IO[str] | Iterable[str]:
+    return io.StringIO(source, newline="") if isinstance(source, str) else source
 
 
 def _parse_value(raw: str, line: int) -> Decimal:
@@ -246,76 +262,205 @@ def read_money_matrix(
 ) -> MoneyMatrix:
     """Read a header-bearing delimited trade file into the money tensor of ``year``.
 
-    ``source`` is the file's text: a string, or a text stream or another
-    iterable of lines (a file opened with ``newline=""``, so that a quoted
-    cell may hold a line break).
+    ``source`` is the file's text: a string, a text stream (a file opened
+    with ``newline=""``, so that a quoted cell may hold a line break), or
+    another iterable of lines, one line per item as :func:`csv.reader`
+    takes them, which only the per-row loop reads. The module docstring
+    describes the blocks, the checks and the sums. The result does not
+    depend on the row order, bit for bit. The registry holds the sorted
+    canonical codes of every row of the year, self-flows included.
 
-    One pass over the rows: each row of ``year`` is checked, its codes are
-    mapped onto their bloc, and its value joins the sum of its (product,
-    importer, exporter) key, unless the flow is a self-flow. Each distinct
-    year, flow, country and SITC cell is checked and mapped once. Each value
-    is read with ``float``, which rounds correctly, and a key met once keeps
-    that float; a key met again is summed exactly in Decimal from its rows'
-    text, and the sum is rounded to float after the pass. Either way each
-    flow is rounded once, so the result does not depend on the row order,
-    bit for bit. The registry holds the sorted canonical codes of every row
-    of the year, self-flows included.
-
-    Raises ParseError (naming the file line that ends the row) for
-    structural problems, such as a row the csv module cannot split, for a
-    value or a sum past the float64 range, for a canonical country code the
-    output files cannot hold, and NoRecordsError when no row of ``year`` is
-    left, or only self-flows.
+    Raises ParseError (naming the file line that ends the row, the first
+    such line in the file) for structural problems, such as a row the csv
+    module cannot split, for a value or a sum past the float64 range, for a
+    canonical country code the output files cannot hold, and NoRecordsError
+    when no row of ``year`` is left, or only self-flows.
     """
     aggregation = dict(aggregation or {})
-    reader = csv.reader(_as_text(source))
-    header = _read_header(reader)
-    width = len(header)
-    i_year, i_exporter, i_importer, i_sitc, i_value = map(header.index, REQUIRED_COLUMNS)
-    i_flow = header.index(FLOW_COLUMN) if FLOW_COLUMN in header else None
-    # per distinct raw cell: year kept, flow kept, provisional country id, product bits
-    years: dict[str, bool] = {}
-    flows: dict[str, bool] = {}
-    countries: dict[str, int] = {}
-    products: dict[str, int] = {}
-    ids: dict[str, int] = {}   # canonical code -> provisional id, in order of first use
-    # key -> raw value of its only row so far, or the exact Decimal sum of its rows
-    sums: dict[int, str | Decimal] = {}
-    firsts = array("d")   # float of each key's first row, in the order of sums
-    # csv raises csv.Error for a row it cannot split (such as an over-long field)
+    stream = _as_text(source)
+    reader = csv.reader(iter(stream))
+    rows = _Rows(_read_header(reader), year, aggregation)
     try:
-        with localcontext() as ctx:
-            ctx.prec = _MONEY_PRECISION
+        if not hasattr(stream, "read"):
+            rows.read(reader, 0)
+        else:
+            line = reader.line_num   # lines consumed so far
+            while block := stream.read(_BLOCK_CHARS):
+                block += stream.readline()   # so the block ends where a line does
+                count = rows.block(block, line)
+                if count:
+                    line += count
+                    continue
+                quoted = '"' in block   # a quoted cell may hold a line break past the block
+                lines = io.StringIO(block, newline="")
+                reader = csv.reader(chain(lines, stream) if quoted else lines)
+                rows.read(reader, line)
+                if quoted:
+                    break
+                line += reader.line_num
+    except ParseError as exc:
+        # a sum that overflowed on an earlier line was the first error in the file
+        overflow = rows.totals()[2]
+        if overflow is not None and overflow.line < exc.line:
+            raise overflow from None
+        raise
+    keys, value, overflow = rows.totals()
+    if overflow is not None:
+        raise overflow
+    ids = rows.ids
+    del rows   # free the row buffers before the constructor's temporaries
+    if not ids:
+        raise NoRecordsError(year)
+    ordered = tuple(sorted(ids))
+    registry = CountryRegistry(codes=ordered, names=ordered, aggregation=aggregation)
+    if not len(keys):
+        raise NoRecordsError(year)
+    position = np.array([registry._index[code] for code in ids], dtype=np.int64)
+    product = keys >> 2 * _ID_BITS
+    importer = position[keys >> _ID_BITS & _ID_MASK]
+    exporter = position[keys & _ID_MASK]
+    return MoneyMatrix(registry, year, product, importer, exporter, value)
+
+
+class _Rows:
+    """The flows of one read, row by row in file order, and the cells checked so far.
+
+    Each row of the year that is not a mirror report or a self-flow appends
+    its packed (product, importer, exporter) key, its float value, its line
+    and its value text to growing buffers, which :meth:`totals` sums.
+    """
+
+    def __init__(self, header: list[str], year: int, aggregation: Mapping[str, str]):
+        self.width = len(header)
+        self.columns = tuple(map(header.index, REQUIRED_COLUMNS))
+        self.i_flow = header.index(FLOW_COLUMN) if FLOW_COLUMN in header else None
+        self.year = year
+        self.aggregation = aggregation
+        # per distinct raw cell: year kept, flow kept, provisional country id, product bits
+        self.years: dict[str, bool] = {}
+        self.flows: dict[str, bool] = {}
+        self.countries: dict[str, int] = {}
+        self.products: dict[str, int] = {}
+        self.ids: dict[str, int] = {}   # canonical code -> provisional id, in order of first use
+        self.keys = array("q")
+        self.values = array("d")
+        self.lines = array("q")
+        # UTF-8 value texts, each followed by a "\n" that no text holds; text k
+        # runs from ends[k] + 1 to ends[k + 1]
+        self.texts = bytearray()
+        self.ends = array("q", [-1])
+
+    def block(self, text: str, line: int) -> int:
+        """Take a block of whole lines after ``line`` at once; returns its line count.
+
+        Returns 0, having appended nothing, when the block needs the row
+        loop: csv would read it differently, a row has the wrong width, a
+        check rejects a cell, or a value is not finite and positive.
+        """
+        if '"' in text or "\0" in text or _MARK in text or len(text) > csv.field_size_limit():
+            return 0
+        if "\r" in text:
+            text = text.replace("\r\n", "\n")
+            if "\r" in text:
+                return 0
+        if not text.endswith("\n"):
+            text += "\n"
+        n = text.count("\n")
+        width, stride = self.width, self.width + 1
+        # a marker field closes each line, so rows of the right width put every marker at a stride
+        fields = text.replace("\n", f",{_MARK},").split(",")
+        if len(fields) != n * stride + 1 or fields[width::stride].count(_MARK) != n:
+            return 0
+        del fields[-1]
+        selectors = []   # kept rows of the year, then export rows of those
+
+        def column(i):
+            cells = fields[i::stride]
+            for selector in selectors:
+                cells = list(compress(cells, selector))
+            return cells
+
+        year, aggregation, ids = self.year, self.aggregation, self.ids
+        i_year, i_exporter, i_importer, i_sitc, i_value = self.columns
+        try:
+            for i, cache, check in (
+                (i_year, self.years, lambda cell: _year_kept(cell, year, 0)),
+                (self.i_flow, self.flows, lambda cell: _flow_kept(cell, 0)),
+            ):
+                if i is not None:
+                    cells = column(i)
+                    if not all(map(cache.__getitem__, _check(cache, cells, check))):
+                        selectors.append(list(map(cache.__getitem__, cells)))
+            exporter, importer = np.split(
+                _mapped(
+                    self.countries,
+                    column(i_exporter) + column(i_importer),
+                    lambda cell: _country_id(cell, 0, aggregation, ids),
+                ),
+                2,
+            )
+            product = _mapped(self.products, column(i_sitc), lambda cell: _product_bits(cell, 0))
+            texts = column(i_value)
+            values = np.fromiter(map(float, texts), np.float64, len(texts))
+        except (ParseError, ValueError):
+            return 0
+        if not ((0.0 < values) & (values < _INF)).all():
+            return 0
+        keys = product | importer << _ID_BITS | exporter
+        lines = np.arange(line + 1, line + 1 + n)
+        for selector in selectors:
+            lines = lines[np.array(selector)]
+        flow = exporter != importer
+        if not flow.all():
+            keys, values, lines = keys[flow], values[flow], lines[flow]
+            texts = list(compress(texts, flow.tolist()))
+        texts.append("")   # so that each text is followed by a "\n"
+        encoded = "\n".join(texts).encode()
+        ends = np.flatnonzero(np.frombuffer(encoded, np.uint8) == _NEWLINE) + len(self.texts)
+        self.texts += encoded
+        for buffer, new in ((self.ends, ends), (self.keys, keys), (self.values, values), (self.lines, lines)):
+            buffer.frombytes(new.tobytes())
+        return n
+
+    def read(self, reader, line: int) -> None:
+        """Take the rows csv splits, one at a time; ``line`` is the line before the reader's first."""
+        width, year, aggregation, ids = self.width, self.year, self.aggregation, self.ids
+        i_year, i_exporter, i_importer, i_sitc, i_value = self.columns
+        i_flow = self.i_flow
+        years, flows, countries, products = self.years, self.flows, self.countries, self.products
+        keys, values, lines, texts, ends = self.keys, self.values, self.lines, self.texts, self.ends
+        # csv raises csv.Error for a row it cannot split (such as an over-long field)
+        try:
             for row in reader:
                 if not row:
                     continue
                 if len(row) != width:
-                    raise ParseError(reader.line_num, f"expected {width} columns, found {len(row)}")
+                    raise ParseError(line + reader.line_num, f"expected {width} columns, found {len(row)}")
                 cell = row[i_year]
                 kept = years.get(cell)
                 if kept is None:
-                    kept = years[cell] = _year_kept(cell, year, reader.line_num)
+                    kept = years[cell] = _year_kept(cell, year, line + reader.line_num)
                 if not kept:
                     continue
                 if i_flow is not None:
                     cell = row[i_flow]
                     kept = flows.get(cell)
                     if kept is None:
-                        kept = flows[cell] = _flow_kept(cell, reader.line_num)
+                        kept = flows[cell] = _flow_kept(cell, line + reader.line_num)
                     if not kept:
                         continue  # mirror report of a flow already present export-side
                 cell = row[i_exporter]
                 exporter = countries.get(cell)
                 if exporter is None:
-                    exporter = countries[cell] = _country_id(cell, reader.line_num, aggregation, ids)
+                    exporter = countries[cell] = _country_id(cell, line + reader.line_num, aggregation, ids)
                 cell = row[i_importer]
                 importer = countries.get(cell)
                 if importer is None:
-                    importer = countries[cell] = _country_id(cell, reader.line_num, aggregation, ids)
+                    importer = countries[cell] = _country_id(cell, line + reader.line_num, aggregation, ids)
                 cell = row[i_sitc]
                 product = products.get(cell)
                 if product is None:
-                    product = products[cell] = _product_bits(cell, reader.line_num)
+                    product = products[cell] = _product_bits(cell, line + reader.line_num)
                 value = row[i_value]
                 try:
                     number = float(value)
@@ -325,41 +470,75 @@ def read_money_matrix(
                 if not fast:
                     # check it exactly; the Decimal's text also reads with float,
                     # which rejects some forms Decimal takes, such as "1__0"
-                    value = str(_parse_value(value, reader.line_num))
+                    value = str(_parse_value(value, line + reader.line_num))
                     number = float(value)
                 if exporter != importer:
-                    key = product | importer << _ID_BITS | exporter
-                    total = sums.get(key)
-                    if total is None:
-                        sums[key] = value
-                        firsts.append(number)
-                    else:
-                        if type(total) is str:
-                            total = _ZERO + Decimal(total.strip())
-                        total += Decimal(value.strip())
-                        if total >= _FLOAT_OVERFLOW:
-                            flow = _flow_name(key, ids)
-                            raise ParseError(reader.line_num, f"sum of flow {flow} overflows float64")
-                        sums[key] = total
-    except csv.Error as exc:
-        raise ParseError(reader.line_num, str(exc)) from None
-    if not ids:
-        raise NoRecordsError(year)
-    ordered = tuple(sorted(ids))
-    registry = CountryRegistry(codes=ordered, names=ordered, aggregation=aggregation)
-    if not sums:
-        raise NoRecordsError(year)
-    keys = np.fromiter(sums, dtype=np.int64, count=len(sums))
-    value = np.frombuffer(firsts, dtype=np.float64)
-    for k, total in enumerate(sums.values()):
-        if type(total) is not str:
-            value[k] = float(total)
-    del sums   # free the raw values and Decimals before the constructor's temporaries
-    position = np.array([registry._index[code] for code in ids], dtype=np.int64)
-    product = keys >> 2 * _ID_BITS
-    importer = position[keys >> _ID_BITS & _ID_MASK]
-    exporter = position[keys & _ID_MASK]
-    return MoneyMatrix(registry, year, product, importer, exporter, value)
+                    keys.append(product | importer << _ID_BITS | exporter)
+                    values.append(number)
+                    lines.append(line + reader.line_num)
+                    # a value that reads holds no "\n" but at its ends
+                    texts += value.strip().encode()
+                    ends.append(len(texts))
+                    texts.append(_NEWLINE)
+        except csv.Error as exc:
+            raise ParseError(line + reader.line_num, str(exc)) from None
+
+    def totals(self) -> tuple[np.ndarray, np.ndarray, ParseError | None]:
+        """The distinct keys in ascending order, the float of each one's flow, and any sum overflow.
+
+        A key met once keeps its row's float. The rows of a key met more
+        than once are summed exactly in Decimal from their text, in file
+        order, and the sum is rounded to float once. The overflow is the
+        ParseError of the first line at which a sum passes the float64
+        range, or None.
+        """
+        keys = np.frombuffer(self.keys, dtype=np.int64)
+        order = np.argsort(keys, kind="stable")   # each key's rows stay in file order
+        keys = keys[order]
+        new = np.ones(len(keys), dtype=bool)
+        new[1:] = keys[1:] != keys[:-1]
+        first = np.flatnonzero(new)
+        size = np.diff(first, append=len(keys))
+        value = np.frombuffer(self.values, dtype=np.float64)[order[first]]
+        rows = order[np.repeat(size > 1, size)]   # the rows of repeated keys, key by key
+        ends = np.frombuffer(self.ends, dtype=np.int64)
+        starts, stops = ends[rows] + 1, ends[rows + 1]
+        texts = self.texts
+        overflow = None
+        with localcontext() as ctx:
+            ctx.prec = _MONEY_PRECISION
+            at = 0
+            for k in np.flatnonzero(size > 1).tolist():
+                end = at + size[k]
+                parts = [
+                    Decimal(texts[a:b].decode().strip())
+                    for a, b in zip(starts[at:end].tolist(), stops[at:end].tolist())
+                ]
+                total = sum(parts, _ZERO)
+                value[k] = float(total)
+                if total >= _FLOAT_OVERFLOW:
+                    # the running sum only grows; it is checked from the key's second row on
+                    n = max(2, bisect_left(list(accumulate(parts, initial=_ZERO)), _FLOAT_OVERFLOW))
+                    line = self.lines[rows[at + n - 1]]
+                    if overflow is None or line < overflow.line:
+                        flow = _flow_name(int(keys[first[k]]), self.ids)
+                        overflow = ParseError(line, f"sum of flow {flow} overflows float64")
+                at = end
+        return keys[first], value, overflow
+
+
+def _check(cache: dict, cells: list[str], check) -> set[str]:
+    """Add each distinct cell that ``cache`` lacks, with its ``check``; returns the distinct cells."""
+    distinct = set(cells)
+    for cell in distinct.difference(cache):
+        cache[cell] = check(cell)
+    return distinct
+
+
+def _mapped(cache: dict[str, int], cells: list[str], check) -> np.ndarray:
+    """The cells' integers in ``cache``, adding each distinct new cell's ``check`` first."""
+    _check(cache, cells, check)
+    return np.fromiter(map(cache.__getitem__, cells), np.int64, len(cells))
 
 
 def _year_kept(cell: str, year: int, line: int) -> bool:

@@ -238,6 +238,8 @@ argv = ["pipeline", "--input", {str(trade_file)!r}, "--year", "{YEAR}", "--out",
 assert cli.main(argv) == 0
 loaded = [name for name, module in sys.modules.items() if name.startswith("scipy") and module is not None]
 assert not loaded, loaded
+# np.median would import numpy.ma, which costs 20-35 ms of every run
+assert "numpy.ma" not in sys.modules
 """
         src = str(Path(wtnrank.__file__).parents[1])
         result = subprocess.run(
@@ -245,6 +247,19 @@ assert not loaded, loaded
         )
         assert result.returncode == 0, result.stderr
         assert (tmp_path / f"rank_table_{YEAR}.csv").exists()
+
+
+    def test_richardson_median_matches_numpy(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 60):
+            ratio = rng.normal(4.0, 1.0, n)
+            spread = np.where(rng.random(n) < 0.8, 1.0, 0.0)
+            result = {"h": 0.01, "ratio": ratio, "d_h2": spread, "d_h4": np.zeros(n)}
+            summary = cli._richardson_summary(result)
+            checked = spread > 1e-12
+            expected = float(np.median(ratio[checked])) if checked.any() else None
+            assert summary["median_ratio"] == expected
+            assert summary["checked"] == int(checked.sum())
 
 
 class TestResolution:

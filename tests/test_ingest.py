@@ -1,5 +1,6 @@
 """Reading trade rows into the money tensor: checks, aggregation and summation."""
 
+import csv
 import io
 from decimal import Decimal
 
@@ -14,6 +15,7 @@ from wtnrank import (
     read_money_matrix,
     sitc_to_product,
 )
+from wtnrank import ingest
 from wtnrank.errors import NoRecordsError, ParseError, UnknownCountryError
 from wtnrank.testkit import synthetic_registry
 
@@ -153,6 +155,88 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             read(["2018,CHN,USA,7,10,sideways"], header=HEADER + ",flow")
         assert err.value.line == 2
+
+
+class TestBlocks:
+    """Blocks split at once against the per-row loop, at the edges of blocks and of lines."""
+
+    ROWS = [f"2018,C{i % 7},C{(i * 3 + 1) % 5},{i % 10},{i}.{i:03d}" for i in range(1, 40)]
+
+    def fields(self, money):
+        return money.registry.codes, flows(money)
+
+    def test_crlf_file(self, monkeypatch, tmp_path):
+        expected = self.fields(read(self.ROWS))
+        text = "\r\n".join([HEADER] + self.ROWS) + "\r\n"
+        path = tmp_path / "trade.csv"
+        path.write_bytes(text.encode())
+        # every size up to two lines puts a block edge between some "\r" and its "\n"
+        for size in range(1, 2 * len(self.ROWS[0]) + 4):
+            monkeypatch.setattr(ingest, "_BLOCK_CHARS", size)
+            assert self.fields(read_money_matrix(text, 2018)) == expected
+            assert self.fields(load_money_matrix(path, 2018)) == expected
+            with pytest.raises(ParseError, match="negative value") as err:
+                read_money_matrix(text + "2018,CHN,USA,7,-1\r\n", 2018)
+            assert err.value.line == len(self.ROWS) + 2
+
+    @pytest.mark.parametrize("size", [1, 64, 1 << 16])
+    def test_blank_lines_and_no_trailing_newline(self, monkeypatch, size):
+        monkeypatch.setattr(ingest, "_BLOCK_CHARS", size)
+        expected = self.fields(read(self.ROWS))
+        rows = self.ROWS[:10] + ["", ""] + self.ROWS[10:] + [""]
+        assert self.fields(read(rows)) == expected
+        assert self.fields(read(self.ROWS[:-1] + [self.ROWS[-1] + "\n"])) == expected
+        with pytest.raises(ParseError, match="expected 5 columns, found 2") as err:
+            read(rows + ["2018,CHN"])   # no trailing newline
+        assert err.value.line == len(rows) + 2
+
+    @pytest.mark.parametrize("size", [1, 64, 1 << 16])
+    def test_quote_in_a_later_block(self, monkeypatch, size):
+        monkeypatch.setattr(ingest, "_BLOCK_CHARS", size)
+        rows = self.ROWS[:25] + ['2018,"C\n1",C2,3,7'] + self.ROWS[25:]
+        expected = self.fields(read(self.ROWS[:25] + ["2018,C1,C2,3,7"] + self.ROWS[25:]))
+        assert self.fields(read(rows, aggregation={"C\n1": "C1"})) == expected
+        with pytest.raises(ParseError, match="negative value") as err:
+            read(rows + ["2018,CHN,USA,7,-1"], aggregation={"C\n1": "C1"})
+        assert err.value.line == len(rows) + 3   # the quoted cell holds one line break
+
+    def test_list_of_lines_without_terminators(self):
+        assert self.fields(read_money_matrix([HEADER] + self.ROWS, 2018)) == self.fields(read(self.ROWS))
+        with pytest.raises(ParseError, match="negative value") as err:
+            read_money_matrix([HEADER] + self.ROWS + ["2018,CHN,USA,7,-1"], 2018)
+        assert err.value.line == len(self.ROWS) + 2
+
+    def test_over_long_field(self):
+        # a cell that every check after csv would take
+        code = "C" * (csv.field_size_limit() + 1)
+        with pytest.raises(ParseError, match=r"field larger than field limit") as err:
+            read(self.ROWS + [f"2018,{code},USA,7,5"] + self.ROWS)
+        assert err.value.line == len(self.ROWS) + 2
+
+    def test_sum_overflow_before_a_later_parse_error(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_CHARS", 64)
+        rows = ["2018,CHN,USA,7,1e308", "2018,CHN,USA,7,1e308"] + self.ROWS + ["2018,CHN,USA,7,-1"]
+        with pytest.raises(ParseError, match="sum of flow .* overflows float64") as err:
+            read(rows)
+        assert err.value.line == 3
+        # the parse error wins when it comes first
+        with pytest.raises(ParseError, match="negative value") as err:
+            read(["2018,CHN,USA,7,-1"] + rows)
+        assert err.value.line == 2
+
+    def test_plain_file_is_split_without_the_row_loop(self, monkeypatch, tmp_path):
+        rows = [f"2018,C{i % 97:02d},C{i % 89:02d},{i % 10},{i}.25" for i in range(12_000)]
+        # a quoted cell hands the whole file to the row loop
+        expected = self.fields(read(['"2018"' + rows[0][4:]] + rows[1:], aggregation={"C00": "C01"}))
+
+        def row_loop(*args):
+            raise AssertionError("a plain file reached the row loop")
+
+        monkeypatch.setattr(ingest._Rows, "read", row_loop)
+        path = tmp_path / "trade.csv"
+        path.write_text("\n".join([HEADER] + rows) + "\n")
+        assert path.stat().st_size > 4 * ingest._BLOCK_CHARS
+        assert self.fields(load_money_matrix(path, 2018, {"C00": "C01"})) == expected
 
 
 class TestSitc:

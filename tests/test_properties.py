@@ -3,7 +3,9 @@ operator and shares against dense oracles.
 
 Random small row sets mix bloc members, duplicate keys, rows of another
 year and ``flow=m`` mirror reports; the ingest oracle sums their Decimals
-per canonical key straight from the generated rows. Random small tensors
+per canonical key straight from the generated rows. Each file is read at
+several block sizes and on the per-row path, which must agree bit for bit
+and raise the same error at the same line. Random small tensors
 include dangling columns (a country that exports nothing of a product) and
 empty products. The production path builds S, v and the volume shares from
 the COO arrays and applies G to random vectors; the oracles recompute them
@@ -15,6 +17,7 @@ differences of the perturbed, rebuilt tensor's dense oracles.
 import tempfile
 from decimal import Decimal, localcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -36,6 +39,8 @@ from wtnrank import (
     volume_probabilities,
     write_matrix_dump,
 )
+from wtnrank import ingest
+from wtnrank.errors import ParseError
 from wtnrank.ingest import COO_FIELDS
 from wtnrank.testkit import dense_google_from_money, densify
 
@@ -105,6 +110,33 @@ def money_fields(money) -> tuple:
     return money.registry.codes, money.year, tuple((a.dtype.str, a.tobytes()) for a in arrays)
 
 
+def read_every_way(text: str, aggregation) -> list:
+    """Read ``text`` at the default block size, at 1 and 64 characters, and on the row path.
+
+    Returns each read's tensor, or its ParseError as (message, line).
+    """
+    header, first, rest = text.split("\n", 2)
+    cell, tail = first.split(",", 1)
+    # a quoted cell in the first block hands the whole file to the row loop
+    quoted = f'{header}\n"{cell}",{tail}\n{rest}'
+    results = []
+    for size, source in ((ingest._BLOCK_CHARS, text), (1, text), (64, text), (ingest._BLOCK_CHARS, quoted)):
+        with mock.patch.object(ingest, "_BLOCK_CHARS", size):
+            try:
+                results.append(read_money_matrix(source, YEAR, aggregation))
+            except ParseError as exc:
+                results.append((str(exc), exc.line))
+    return results
+
+
+def read_rows(rows, aggregation):
+    """The tensor of ``rows``, checked to be the same however the file is read."""
+    money, *others = read_every_way(render(rows), aggregation)
+    for other in others:
+        assert money_fields(other) == money_fields(money)
+    return money
+
+
 def ingest_oracle(rows, aggregation):
     """Codes and (product, importer, exporter, value) flows, summed exactly per canonical key."""
     codes, sums = set(), {}
@@ -133,8 +165,8 @@ def ingest_oracle(rows, aggregation):
 def test_ingest_ignores_row_order(generated, data):
     rows, aggregation = generated
     shuffled = data.draw(st.permutations(rows))
-    expected = money_fields(read_money_matrix(render(rows), YEAR, aggregation))
-    assert money_fields(read_money_matrix(render(shuffled), YEAR, aggregation)) == expected
+    expected = money_fields(read_rows(rows, aggregation))
+    assert money_fields(read_rows(shuffled, aggregation)) == expected
 
 
 @settings(max_examples=80)
@@ -150,18 +182,49 @@ def test_ingest_split_value_gives_same_tensor(generated, data):
         rest = value - part
     split = rows[:k] + [(year, exporter, importer, sitc, str(part), flow),
                         (year, exporter, importer, sitc, str(rest), flow)] + rows[k + 1:]
-    expected = money_fields(read_money_matrix(render(rows), YEAR, aggregation))
-    assert money_fields(read_money_matrix(render(split), YEAR, aggregation)) == expected
+    expected = money_fields(read_rows(rows, aggregation))
+    assert money_fields(read_rows(split, aggregation)) == expected
 
 
 @settings(max_examples=80)
 @given(generated=trade_rows())
 def test_ingest_matches_exact_oracle(generated):
     rows, aggregation = generated
-    money = read_money_matrix(render(rows), YEAR, aggregation)
+    money = read_rows(rows, aggregation)
     codes, entries = ingest_oracle(rows, aggregation)
     assert money.registry.codes == codes
     assert flows(money) == entries
+
+
+#: (column, text) that the row loop rejects in a kept row; None drops the column.
+CORRUPTIONS = (
+    (0, "20x8"),
+    (1, ""),
+    (2, "A<B"),
+    (3, "X1"),
+    (4, "-5"),
+    (4, "abc"),
+    (4, "inf"),
+    (5, "sideways"),
+    (5, None),
+)
+
+
+@settings(max_examples=60)
+@given(generated=trade_rows(), data=st.data())
+def test_ingest_error_is_the_same_however_the_file_is_read(generated, data):
+    rows, aggregation = generated
+    k = data.draw(st.integers(0, len(rows) - 1))
+    column, text = data.draw(st.sampled_from(CORRUPTIONS))
+    row = [YEAR, *rows[k][1:5], "x"]
+    if text is None:
+        del row[column]
+    else:
+        row[column] = text
+    results = read_every_way(render(rows[:k] + [tuple(row)] + rows[k + 1:]), aggregation)
+    assert all(type(result) is tuple for result in results)
+    assert len(set(results)) == 1
+    assert results[0][1] == k + 2
 
 
 @st.composite
