@@ -19,7 +19,7 @@ vectors of the source move along
   does, v(delta) = (v0 + delta a u_s) / (1 + delta a), where u_s is block s
   of v0 rescaled to sum 1 (under either personalization mode). PageRank is
   linear in v, so Q is the PageRank of the unperturbed S~ with teleport
-  u_s, and Q* the CheiRank: one extra solve per direction for all steps.
+  u_s, and Q* the CheiRank, both from the block solves behind P0 and P0*.
 
 A country target of the GMA source also moves S~ (its flows are a row of
 one of the two directions), so each of its evaluations perturbs the tensor
@@ -41,13 +41,13 @@ import numpy as np
 
 from ._text import fmt, write_lines
 from .errors import ConvergenceError
-from .gmatrix import DIRECTIONS, GoogleMatrix, PersonalizationVector, build_google, make_google
+from .gmatrix import DIRECTIONS, GoogleMatrix, build_google
 from .ingest import MoneyMatrix
 from .ranks import (
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     ProbabilityVector,
     SolverReport,
+    _stationary,
     aggregate_country,
     pagerank,
     volume_probabilities,
@@ -89,7 +89,6 @@ class SensitivityConfig:
     side: str = "export"
     alpha: float = 0.5
     tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
     personalization: str = "uniform-by-product"
 
     def __post_init__(self):
@@ -105,10 +104,10 @@ class SensitivityConfig:
 class SensitivityVector:
     """dB_c/d(delta) per country plus the reports of the solves behind it.
 
-    ``reports`` hold the two teleport solves (direct, inverted) of a global
-    GMA target, or the four solves of a GMA country target (direct and
-    inverted at +h, then at -h). The IEA source, and a perturbation that
-    scales no flow, solve nothing.
+    ``reports`` hold the two teleport responses (direct, inverted) of a
+    global GMA target, or the four solves of a GMA country target (direct
+    and inverted at +h, then at -h). The IEA source, and a perturbation
+    that scales no flow, solve nothing.
     """
 
     codes: tuple[str, ...]
@@ -166,21 +165,17 @@ def _scaled_flows(money: MoneyMatrix, product: int, country: str | None, side: s
     return hit
 
 
-def _converged_pagerank(G: GoogleMatrix, tol: float, max_iter: int) -> tuple[ProbabilityVector, SolverReport]:
-    P, report = pagerank(G, tol, max_iter)
-    if not report.converged:
-        raise ConvergenceError(
-            f"rank run stopped at {report.iterations} iterations, residual {report.residual:.3e}",
-            report,
-        )
-    return P, report
+def _converged(solved: tuple) -> tuple:
+    """A rank solve's (vector, report), or ConvergenceError when its residual is not below tol."""
+    if not solved[1].converged:
+        raise ConvergenceError(f"rank solve residual {solved[1].residual:.3e} is not below tol", solved[1])
+    return solved
 
 
 def gma_country_probabilities(
     money: MoneyMatrix,
     alpha: float = 0.5,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     personalization: str = "uniform-by-product",
     operators: tuple[GoogleMatrix, GoogleMatrix] | None = None,
 ) -> tuple[ProbabilityVector, ProbabilityVector, tuple[SolverReport, SolverReport]]:
@@ -193,8 +188,8 @@ def gma_country_probabilities(
         build_google(money, "direct", alpha, personalization),
         build_google(money, "inverted", alpha, personalization),
     )
-    p_node, report_p = _converged_pagerank(direct, tol, max_iter)
-    pstar_node, report_pstar = _converged_pagerank(inverted, tol, max_iter)
+    p_node, report_p = _converged(pagerank(direct, tol))
+    pstar_node, report_pstar = _converged(pagerank(inverted, tol))
     return aggregate_country(p_node), aggregate_country(pstar_node), (report_p, report_pstar)
 
 
@@ -233,9 +228,7 @@ def _differences(money: MoneyMatrix, config: SensitivityConfig, steps, operators
 
         def vectors(delta: float):
             perturbed = perturb_money(money, config.product, delta, config.country, config.side)
-            return gma_country_probabilities(
-                perturbed, config.alpha, config.tol, config.max_iter, config.personalization
-            )
+            return gma_country_probabilities(perturbed, config.alpha, config.tol, config.personalization)
     else:
         scaled = money.value[hit]
         weight = scaled.sum() / money.value.sum()
@@ -267,25 +260,16 @@ def _differences(money: MoneyMatrix, config: SensitivityConfig, steps, operators
 
 
 def _teleport_response(money: MoneyMatrix, config: SensitivityConfig, operators, base):
-    """(P0, P0*), the country-level (Q, Q*) of teleport u_s, and the reports of the Q solves."""
+    """(P0, P0*), the country-level (Q, Q*) of teleport u_s, and the reports of Q and Q*."""
     operators = operators or tuple(
         build_google(money, direction, config.alpha, config.personalization) for direction in DIRECTIONS
     )
     if base is None:
         *base, _ = gma_country_probabilities(
-            money, config.alpha, config.tol, config.max_iter, config.personalization, operators
+            money, config.alpha, config.tol, config.personalization, operators
         )
-    block = slice(config.product * money.n_countries, (config.product + 1) * money.n_countries)
-    response, reports = [], []
-    for G in operators:
-        u = np.zeros(G.size)
-        u[block] = G.v.values[block] / G.v.values[block].sum()
-        Q, report = _converged_pagerank(
-            make_google(G.S, PersonalizationVector(u, G.v.mode), G.alpha), config.tol, config.max_iter
-        )
-        response.append(aggregate_country(Q).values)
-        reports.append(report)
-    return base, response, tuple(reports)
+    solved = [_converged(_stationary(G, config.tol, config.product)) for G in operators]
+    return base, [aggregate_country(Q).values for Q, _ in solved], tuple(report for _, report in solved)
 
 
 def balance_sensitivity(money: MoneyMatrix, config: SensitivityConfig) -> SensitivityVector:

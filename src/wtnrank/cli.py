@@ -47,7 +47,6 @@ from .gmatrix import (
 )
 from .ingest import load_money_matrix, read_aggregation_file
 from .ranks import (
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     build_rank_table,
     rank_plane_points,
@@ -91,7 +90,6 @@ class RunConfig:
     aggregate: Path | None = None
     alpha: float = 0.5
     tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
     personalization: str = "uniform-by-product"
     top: int = 20
     index_cutoff: int = 61
@@ -151,7 +149,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         aggregate=_resolve_aggregate(args.aggregate),
         alpha=args.alpha,
         tol=args.tol,
-        max_iter=args.max_iter,
         personalization=args.personalization,
         top=args.top,
         index_cutoff=args.index_cutoff,
@@ -185,7 +182,7 @@ def _operators(config: RunConfig, money) -> tuple[GoogleMatrix, GoogleMatrix]:
 def _country_vectors(config: RunConfig, money, operators=None) -> tuple:
     """PageRank, CheiRank, import and export country vectors, in that order."""
     p_c, pstar_c, _ = gma_country_probabilities(
-        money, config.alpha, config.tol, config.max_iter, config.personalization, operators
+        money, config.alpha, config.tol, config.personalization, operators
     )
     return (p_c, pstar_c, *iea_country_probabilities(money))
 
@@ -327,7 +324,6 @@ def cmd_sensitivity(config: RunConfig, money, operators=None, vectors=None) -> l
             side=config.sens_side,
             alpha=config.alpha,
             tol=config.tol,
-            max_iter=config.max_iter,
             personalization=config.personalization,
         )
         result = sensitivity_richardson(money, sens_config, operators, base)
@@ -428,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"member_code,bloc_code file, or '{EU27_ALIAS}' for the packaged EU list",
     )
     common.add_argument("--alpha", type=float, default=0.5, help="damping factor (default 0.5)")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="L1 convergence tolerance")
-    common.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="iteration cap")
+    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="bound on each solve's L1 residual")
     common.add_argument(
         "--personalization",
         choices=PERSONALIZATION_MODES,

@@ -37,9 +37,9 @@ class EmptyNetworkError(WtnError):
 
 
 class ConvergenceError(WtnError):
-    """A rank solver stopped at max_iter without reaching tolerance.
+    """A rank solve's measured residual |G P - P|_1 is not below the tolerance.
 
-    ``report`` holds the SolverReport of the failed run.
+    ``report`` holds the SolverReport of that solve.
     """
 
     def __init__(self, message: str, report=None):

@@ -16,6 +16,7 @@ The links of S are three numpy arrays in column order: column j holds rows
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,45 @@ class GoogleMatrix:
         out += self.alpha * x[self.S.dangling].sum() / self.size
         out += (1.0 - self.alpha) * x.sum() * self.v.values
         return out
+
+    @cached_property
+    def _link_solves(self) -> np.ndarray:
+        """(I - alpha S)^{-1} [(1 - alpha) v, (alpha / N) 1], solved on first use; see ``ranks.pagerank``."""
+        teleport, dangling = (1.0 - self.alpha) * self.v.values, np.full(self.size, self.alpha / self.size)
+        return _solve_links(self.S, self.alpha, np.column_stack([teleport, dangling]), np.arange(self.size))
+
+
+def _dense_links(S: StochasticMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """S[rows, cols] as a dense array, scattered from the entries of the columns cols span."""
+    lo, hi = cols.min(), cols.max() + 1
+    first, last = S.indptr[lo], S.indptr[hi]
+    row_at = np.full(S.size, -1)
+    row_at[rows] = np.arange(len(rows))
+    col_at = np.full(S.size, -1)
+    col_at[cols] = np.arange(len(cols))
+    i, j = row_at[S.row[first:last]], np.repeat(col_at[lo:hi], np.diff(S.indptr[lo : hi + 1]))
+    keep = (i >= 0) & (j >= 0)
+    links = np.zeros((len(rows), len(cols)))
+    links[i[keep], j[keep]] = S.value[first:last][keep]
+    return links
+
+
+def _solve_links(S: StochasticMatrix, alpha: float, rhs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Solve (I - alpha S[nodes, nodes]) Z = rhs, one dense product block at a time.
+
+    S links nodes of one product only, and a product's columns are one
+    ``indptr`` range, so each block is densified from its own entries. Row i
+    of ``rhs`` and of Z belongs to ``nodes[i]``; nodes ascend. alpha S has
+    column sums at most alpha < 1, so no block is singular.
+    """
+    Z = np.array(rhs, dtype=np.float64)
+    # node = p * n_countries + c, so each product is one run of the ascending nodes
+    bounds = np.searchsorted(nodes, S.space.n_countries * np.arange(S.space.n_products + 1))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo < hi:
+            block = nodes[lo:hi]
+            Z[lo:hi] = np.linalg.solve(np.eye(hi - lo) - alpha * _dense_links(S, block, block), Z[lo:hi])
+    return Z
 
 
 def build_stochastic(money: MoneyMatrix, direction: str = "direct") -> StochasticMatrix:

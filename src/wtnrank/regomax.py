@@ -11,8 +11,8 @@ of the full PageRank, which the test suite uses as the exactness oracle.
 
 (1 - G_ss) is solved exactly, one way at every size: its link part
 I - alpha S_ss is block diagonal over products and is solved block by
-block, and the dangling and teleport terms are a rank-2 update applied
-with the Woodbury identity.
+block as PageRank's is (``gmatrix._solve_links``), and the dangling and
+teleport terms are a rank-2 update applied with the Woodbury identity.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ._text import fmt, write_lines
-from .gmatrix import GoogleMatrix
+from .gmatrix import GoogleMatrix, _dense_links, _solve_links
 
 #: Column-sum tolerance of the reduced matrix.
 REDUCED_SUM_TOL = 1e-10
@@ -103,26 +103,10 @@ class FriendsNetwork:
     mode: str
 
 
-def _dense_links(G: GoogleMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """S[rows, cols] as a dense array, scattered from the column arrays of S."""
-    S = G.S
-    row_at = np.full(S.size, -1)
-    row_at[rows] = np.arange(len(rows))
-    col_at = np.full(S.size, -1)
-    col_at[cols] = np.arange(len(cols))
-    i, j = row_at[S.row], np.repeat(col_at, np.diff(S.indptr))
-    keep = (i >= 0) & (j >= 0)
-    links = np.zeros((len(rows), len(cols)))
-    links[i[keep], j[keep]] = S.value[keep]
-    return links
-
-
 def _dense_block(G: GoogleMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Densify G[rows, cols]: the links of S + dangling repair + teleport."""
-    S = _dense_links(G, rows, cols)
-    dangling_cols = G.S.dangling[cols]
-    if dangling_cols.any():
-        S[:, dangling_cols] = 1.0 / G.size
+    S = _dense_links(G.S, rows, cols)
+    S[:, G.S.dangling[cols]] = 1.0 / G.size
     return G.alpha * S + (1.0 - G.alpha) * np.outer(G.v.values[rows], np.ones(len(cols)))
 
 
@@ -144,13 +128,7 @@ def reduced_google_matrix(G: GoogleMatrix, subset: NodeSubset) -> ReducedGoogleM
     s_ids = subset.complement()
     alpha = G.alpha
     U = np.column_stack([np.full(len(s_ids), alpha / G.size), (1.0 - alpha) * G.v.values[s_ids]])
-    Z = np.hstack([_dense_block(G, s_ids, r_ids), U])
-    # node = p * n_countries + c and s_ids ascend, so each product is one run of rows
-    bounds = np.searchsorted(s_ids, G.space.n_countries * np.arange(G.space.n_products + 1))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        block = s_ids[lo:hi]
-        A = np.eye(hi - lo) - alpha * _dense_links(G, block, block)
-        Z[lo:hi] = np.linalg.solve(A, Z[lo:hi])
+    Z = _solve_links(G.S, alpha, np.hstack([_dense_block(G, s_ids, r_ids), U]), s_ids)
     # (A - U V^T)^{-1} B = A^{-1} B + A^{-1} U C^{-1} V^T A^{-1} B with C = I - V^T A^{-1} U.
     # A itself is never singular (alpha S_ss has column sums <= alpha < 1), so a
     # singular (1 - G_ss) shows in C; past this condition number the rounding

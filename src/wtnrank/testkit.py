@@ -122,7 +122,7 @@ def densify(G: GoogleMatrix) -> np.ndarray:
 def dense_pagerank_oracle(G: GoogleMatrix) -> np.ndarray:
     """Stationary vector by dense linear solve (I - alpha*S')P = (1-alpha)v.
 
-    Independent of power iteration; valid for any alpha in (0, 1) because
+    One N x N solve, independent of the block solves; valid for any alpha in (0, 1) because
     the system matrix is strictly diagonally dominant in the column sense.
     """
     n = G.size

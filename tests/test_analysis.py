@@ -52,6 +52,17 @@ class TestTradeBalance:
         assert np.isnan(B.values[0]) and B.values[1] == 0.0
         assert B.undefined() == ("C000",)
 
+    def test_zero_trade_country_is_undefined_in_both_sources(self):
+        # C0->C1, C1->C2, C2->C0, C1->C0; C3 trades nothing, so under
+        # volume-by-country it gets no teleport mass and no dangling mass reaches it
+        dense = np.zeros((1, 4, 4))
+        dense[0, 1, 0], dense[0, 2, 1], dense[0, 0, 2], dense[0, 0, 1] = 3.0, 2.0, 5.0, 4.0
+        money = money_from_dense(dense)
+        P, Pstar, _ = gma_country_probabilities(money, personalization="volume-by-country")
+        assert P.values[3] == 0.0 and Pstar.values[3] == 0.0
+        gma = gma_balance(money, personalization="volume-by-country")
+        assert gma.undefined() == iea_balance(money).undefined() == ("C003",)
+
     def test_extreme_value_only_at_zero_side(self):
         B = trade_balance(country_vec([0.0, 0.5]), country_vec([0.5, 0.5]), "gma")
         assert B.values[0] == 1.0
@@ -189,6 +200,7 @@ class TestSensitivity:
         dense[0, 0, 1] = 4.0
         money = money_from_dense(dense)
         monkeypatch.setattr(analysis, "pagerank", None)   # a solve would raise
+        monkeypatch.setattr(analysis, "_stationary", None)
         for source in ("gma", "iea"):
             config = SensitivityConfig(product=product, country=country, source=source)
             sens = balance_sensitivity(money, config)
@@ -199,11 +211,16 @@ class TestSensitivity:
         assert sens.reports == ()
 
     def test_non_convergence_escalates(self, small_money):
-        config = SensitivityConfig(product=0, tol=1e-15, max_iter=2)
+        # both solves of this fixture leave a rounding residual; a tol at the smaller is not met
+        _, _, reports = gma_country_probabilities(small_money)
+        residual = min(report.residual for report in reports)
+        assert residual > 0.0
+        config = SensitivityConfig(product=0, tol=residual)
         with pytest.raises(ConvergenceError) as err:
             balance_sensitivity(small_money, config)
         assert err.value.report is not None
         assert not err.value.report.converged
+        assert err.value.report.residual >= residual
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """End-to-end command-line runs against a synthetic trade file."""
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import wtnrank
-from wtnrank import analysis, cli
+from wtnrank import analysis, cli, gmatrix
 from wtnrank.ranks import RANK_TABLE_HEADER
 from wtnrank.testkit import SyntheticSpec, synthetic_money, write_trade_file
 
@@ -177,7 +179,7 @@ class TestPipeline:
             assert path.read_bytes() == (whole / path.name).read_bytes(), path.name
 
     def test_counts_unperturbed_and_perturbed_evaluations(self, trade_file, tmp_path, monkeypatch):
-        calls = {"unperturbed": 0, "perturbed": 0, "solves": 0, "richardson": 0, "sensitivity": 0}
+        calls = {"unperturbed": 0, "perturbed": 0, "solves": 0, "passes": 0, "richardson": 0, "sensitivity": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -190,17 +192,19 @@ class TestPipeline:
         )
         monkeypatch.setattr(analysis, "perturb_money", counting("perturbed", analysis.perturb_money))
         monkeypatch.setattr(analysis, "pagerank", counting("solves", analysis.pagerank))
+        # the operators' block passes; REGOMAX holds its own reference to the helper
+        monkeypatch.setattr(gmatrix, "_solve_links", counting("passes", gmatrix._solve_links))
         monkeypatch.setattr(cli, "sensitivity_richardson", counting("richardson", cli.sensitivity_richardson))
         sensitivity = counting("sensitivity", analysis.balance_sensitivity)
         for module in (analysis, cli):
             monkeypatch.setattr(module, "balance_sensitivity", sensitivity, raising=False)
         assert run("pipeline", trade_file, tmp_path, "--sens-product", "0") == 0
         # ranks, balance, REGOMAX and the sensitivities share one unperturbed
-        # solve per direction; the global target adds one teleport solve per
-        # direction and perturbs nothing; one analysis call per source gives
-        # both the CSV and the manifest entry
+        # solve per direction; the global target's teleport responses come
+        # from the same block pass and it perturbs nothing; one analysis call
+        # per source gives both the CSV and the manifest entry
         assert calls == {
-            "unperturbed": 1, "perturbed": 0, "solves": 2 + 2, "richardson": 2, "sensitivity": 0
+            "unperturbed": 1, "perturbed": 0, "solves": 2, "passes": 2, "richardson": 2, "sensitivity": 0
         }
 
     def test_unperturbed_operators_built_once(self, trade_file, tmp_path, monkeypatch):
@@ -216,6 +220,40 @@ class TestPipeline:
         # one direct and one inverted operator serve the country vectors, the
         # sensitivities and REGOMAX
         assert builds.count("direct") == builds.count("inverted") == 1
+
+    def test_blas_thread_count_moves_only_rounding(self, tmp_path):
+        # PageRank, its responses and REGOMAX rest on dense block solves, and
+        # OpenBLAS factorizes a matrix of 100 or more rows in another order on
+        # several threads than on one, so at 110 countries the last bits of the
+        # solved values can differ between thread counts. Every label, rank
+        # index and edge must agree, and every number to rounding; the
+        # manifest's Richardson ratio divides differences of rounding noise.
+        money = synthetic_money(SyntheticSpec(seed=5, n_countries=110, n_products=4, density=0.3))
+        trade = write_trade_file(money, tmp_path / "trade.csv")
+        src = str(Path(wtnrank.__file__).parents[1])
+        outputs = []
+        for threads in ("1", None):
+            env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = src
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"threads-{threads}"
+            argv = ["pipeline", "--input", str(trade), "--year", str(YEAR), "--out", str(out)]
+            result = subprocess.run(
+                [sys.executable, "-m", "wtnrank.cli", *argv], env=env, capture_output=True, text=True
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append({path.name: path.read_text() for path in out.iterdir()})
+        one, default = outputs
+        assert sorted(one) == sorted(default)
+        number = re.compile(r"(-?\d+(?:\.\d+)?(?:e[-+]?\d+)?|nan)")
+        for name, text in one.items():
+            rel_tol = 1e-6 if name.endswith(".json") else 1e-10
+            parts, other = number.split(text), number.split(default[name])
+            assert len(parts) == len(other), name
+            assert parts[::2] == other[::2], name
+            for a, b in zip(parts[1::2], other[1::2]):
+                assert a == b or math.isclose(float(a), float(b), rel_tol=rel_tol, abs_tol=1e-12), (name, a, b)
 
     def test_explicit_flags_override_defaults(self, trade_file, tmp_path):
         code = run(
@@ -319,6 +357,13 @@ class TestFailureModes:
             assert run("rank", trade_file, out, "--tol", tol) == 1
             assert "tol must be positive and finite" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_residual_above_tolerance_fails(self, trade_file, tmp_path, capsys):
+        # the solves of this file leave rounding residuals far above 1e-300
+        out = tmp_path / "out"
+        assert run("rank", trade_file, out, "--tol", "1e-300") == 1
+        assert "residual" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_sensitivity_on_product_without_volume(self, trade_file, tmp_path, capsys):
         out = tmp_path / "out"

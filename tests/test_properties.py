@@ -10,8 +10,10 @@ include dangling columns (a country that exports nothing of a product) and
 empty products. The production path builds S, v and the volume shares from
 the COO arrays and applies G to random vectors; the oracles recompute them
 from the dense tensor with no shared code. A matrix dump, parsed back,
-rebuilds the same operator. The closed-form balance differences match
-differences of the perturbed, rebuilt tensor's dense oracles.
+rebuilds the same operator. The block solves of PageRank, CheiRank and
+their teleport responses match full dense solves, also with countries that
+trade nothing. The closed-form balance differences match differences of
+the perturbed, rebuilt tensor's dense oracles.
 """
 
 import tempfile
@@ -42,14 +44,18 @@ from wtnrank import (
 from wtnrank import ingest
 from wtnrank.errors import ParseError
 from wtnrank.ingest import COO_FIELDS
-from wtnrank.testkit import dense_google_from_money, densify
+from wtnrank.ranks import _stationary, pagerank
+from wtnrank.testkit import dense_google_from_money, dense_pagerank_oracle, densify
 
 from conftest import flows, money_from_dense
 
 #: Same bound as test_testkit's check of build_google against this oracle.
 ORACLE_TOL = 1e-14
 
-#: A rank solve's 1e-12 tolerance divided by the central difference's 2h, with margin.
+#: L1 distance of a block solve from the dense solve of the same system.
+SOLVE_L1_TOL = 1e-12
+
+#: The rank solves' 1e-12 tolerance divided by the central difference's 2h, with margin.
 GLOBAL_DIFFERENCE_TOL = 1e-9
 #: The IEA differences are arithmetic on volume shares: rounding only.
 IEA_DIFFERENCE_TOL = 1e-12
@@ -298,6 +304,40 @@ def test_perturbed_operator_matches_dense_oracle(data, dense):
     assert_matches_oracles(perturbed, expected, 0.5)
 
 
+@st.composite
+def tensors_with_idle_countries(draw):
+    """A dense_tensors() draw in which some countries may trade nothing at all."""
+    dense = draw(dense_tensors())
+    for c in draw(st.sets(st.integers(0, dense.shape[1] - 1), max_size=dense.shape[1] - 2)):
+        dense[:, c, :] = dense[:, :, c] = 0.0
+    if not dense.any():
+        dense[0, 0, 1] = draw(st.floats(1e-3, 1e6))
+    return dense
+
+
+@settings(max_examples=60)
+@given(dense=tensors_with_idle_countries(), alpha=st.floats(0.05, 0.95))
+def test_block_solves_match_dense_solves(dense, alpha):
+    money = money_from_dense(dense)
+    for direction in ("direct", "inverted"):
+        for personalization in PERSONALIZATIONS:
+            G = build_google(money, direction, alpha, personalization)
+            P, report = pagerank(G)
+            assert report.converged
+            assert np.abs(P.values - dense_pagerank_oracle(G)).sum() < SOLVE_L1_TOL
+            assert np.all(P.values >= 0.0)
+            for product in np.flatnonzero(dense.sum(axis=(1, 2))):
+                # the teleport response: G with product's block of v, rescaled to 1, as teleport
+                block = slice(product * money.n_countries, (product + 1) * money.n_countries)
+                u = np.zeros(G.size)
+                u[block] = G.v.values[block] / G.v.values[block].sum()
+                Q, report = _stationary(G, 1e-12, product)
+                assert report.converged
+                oracle = dense_pagerank_oracle(make_google(G.S, PersonalizationVector(u, G.v.mode), alpha))
+                assert np.abs(Q.values - oracle).sum() < SOLVE_L1_TOL
+                assert np.all(Q.values >= 0.0)
+
+
 def read_dump(path: Path, sidecar: Path, n: int) -> tuple:
     """indptr, row, value, dangling, v and alpha parsed back from a matrix dump."""
     lines = path.read_text().splitlines()
@@ -336,9 +376,8 @@ def trading(dense: np.ndarray) -> np.ndarray:
     """Countries with at least one flow.
 
     A country that trades nothing has an IEA balance of 0/0. Under
-    volume-by-country it gets no teleport mass either, so its exact GMA
-    probabilities can be 0 too, and the power iteration's are then what is
-    left of the uniform start vector: neither balance has a derivative.
+    volume-by-country it gets no teleport mass either, so its GMA
+    probabilities can be 0 too: neither balance has a derivative.
     """
     return dense.sum(axis=(0, 1)) + dense.sum(axis=(0, 2)) > 0
 
