@@ -5,6 +5,19 @@ balances, product-price sensitivities and reduced trade networks over a
 chosen node subset. See the README for the file formats and the CLI.
 """
 
+import os
+
+# OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it. At a few
+# hundred rows a worker thread only spins, and a threaded LU rounds otherwise
+# than a serial one; so numpy loads on one thread, then the variable is restored.
+_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+import numpy
+if _threads is None:
+    del os.environ["OPENBLAS_NUM_THREADS"]
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = _threads
+
 from .analysis import (
     BalanceVector,
     SensitivityConfig,

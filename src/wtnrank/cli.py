@@ -6,7 +6,9 @@ rank-plane scatters), ``balance`` (per-country balance for both sources),
 (reduced matrices and friends edge lists for a country subset), ``dump``
 (raw stochastic-matrix triplets) and ``pipeline``, which runs everything
 for one year. All outputs are deterministic: rerunning a command on the
-same inputs reproduces every file byte for byte.
+same inputs reproduces every file byte for byte. The dense solves run on one
+BLAS thread (see the package's ``__init__``), so the bytes do not depend on
+``OPENBLAS_NUM_THREADS`` or on the core count.
 """
 
 from __future__ import annotations

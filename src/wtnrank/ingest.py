@@ -17,12 +17,13 @@ per-row loop, which csv splits and which raises every ParseError with its
 line; after a quote, csv reads the rest of the stream.
 
 Every value is read with ``float``, which rounds a decimal string
-correctly (Clinger, PLDI 1990), so a key with one row takes that float64.
-After the pass, one stable argsort finds the keys with two or more rows;
-each is summed exactly in :class:`decimal.Decimal` from its rows' text, in
-file order, and the sum is rounded to float64 once. Either way each flow is
-rounded once, into the COO arrays of :class:`MoneyMatrix`. The country
-registry is the sorted set of canonical codes of every row of the year.
+correctly (Clinger, PLDI 1990), so a key with one row takes that float64,
+and a value it rounds to 0 counts as 0. After the pass, one stable argsort
+finds the keys with two or more rows; each is summed exactly, at
+``decimal.MAX_PREC``, from its rows' text in file order, and the sum is
+rounded to float64 once. Either way each flow is rounded once, into the COO
+arrays of :class:`MoneyMatrix`. The country registry is the sorted set of
+canonical codes of every row of the year.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import io
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import MAX_PREC, Decimal, InvalidOperation, localcontext
 from itertools import accumulate, chain, compress
 from typing import IO, Iterable, Mapping
 
@@ -54,11 +55,11 @@ _IMPORT_FLOWS = {"m", "import"}
 #: MoneyMatrix array fields, in key order and then the value.
 COO_FIELDS = ("product", "importer", "exporter", "value")
 
-# Decimal precision for summing the values of one key. A float's exact
-# decimal expansion, the form testkit.write_trade_file writes, carries up to
-# ~60 significant digits for values of 1e-3 to 1e9, so a sum with more than
-# 50 digits is rounded twice: to 50 digits here, then to float64.
-_MONEY_PRECISION = 50
+# Decimal precision for summing the values of one key: the largest there is,
+# so no sum is rounded before float(). libmpdec sizes each sum to its exact
+# digits, which for a float's exact decimal expansion (the form
+# testkit.write_trade_file writes) can pass 60.
+_MONEY_PRECISION = MAX_PREC
 _ZERO = Decimal(0)
 _INF = float("inf")
 # The smallest decimal that float() rounds to inf: halfway between the
@@ -472,6 +473,8 @@ class _Rows:
                     # which rejects some forms Decimal takes, such as "1__0"
                     value = str(_parse_value(value, line + reader.line_num))
                     number = float(value)
+                    if number == 0.0:   # also in a sum: 1 + 1e-999999999 exactly has 1e9 digits
+                        value = "0"
                 if exporter != importer:
                     keys.append(product | importer << _ID_BITS | exporter)
                     values.append(number)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -78,11 +79,18 @@ class TestParse:
             read(["2018,CHN,USA,7,10", f"2018,USA,CHN,7,{raw}"])
         assert err.value.line == 3
 
-    @pytest.mark.parametrize("raw", ["1e-400", "-0", "0.00"])
+    @pytest.mark.parametrize("raw", ["1e-400", "-0", "0.00", "1e-10000000", "0E-10000000"])
     def test_value_reading_as_zero_is_dropped(self, raw):
-        money = read([f"2018,CHN,USA,7,{raw}", "2018,CHN,USA,3,1", f"2018,CHN,USA,3,{raw}"])
+        # also from a sum, where 1 + 1e-10000000 exactly would hold ten million digits
+        tracemalloc.start()
+        try:
+            money = read([f"2018,CHN,USA,7,{raw}", "2018,CHN,USA,3,1", f"2018,CHN,USA,3,{raw}"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert money.registry.codes == ("CHN", "USA")
         assert flows(money) == [(3, 1, 0, 1.0)]
+        assert peak < 2**20
 
     # "1__0" is a form Decimal accepts and float rejects
     @pytest.mark.parametrize("raw,value", [("1_000", 1000.0), (" +2.5E3 ", 2500.0), ("1__0", 10.0)])
@@ -326,6 +334,16 @@ class TestAssemble:
         money = read([f"2018,CHN,USA,7,{first}", f"2018,CHN,USA,7,{second}"])
         # starting the sum from the float of either row would give 0.12000000000000001
         assert money.value.tolist() == [0.12]
+
+    def test_sum_longer_than_fifty_digits_is_rounded_once(self):
+        # the exact expansions of two floats, as testkit.write_trade_file writes
+        # them; their exact sum has 54 significant digits, and rounding it to 50
+        # first would give 0.500086621232175, 1 ulp off
+        money = read([
+            "2018,CHN,USA,7,0.250049468500064542286764890377526171505451202392578125",
+            "2018,CHN,USA,7,0.2500371527321103570784543990157544612884521484375",
+        ])
+        assert money.value.tolist() == [0.5000866212321748]
 
     def test_unmentioned_slice_is_zero(self):
         money = read(["2018,CHN,USA,7,10"])

@@ -17,7 +17,7 @@ the perturbed, rebuilt tensor's dense oracles.
 """
 
 import tempfile
-from decimal import Decimal, localcontext
+from decimal import MAX_PREC, Decimal, localcontext
 from pathlib import Path
 from unittest import mock
 
@@ -147,7 +147,7 @@ def ingest_oracle(rows, aggregation):
     """Codes and (product, importer, exporter, value) flows, summed exactly per canonical key."""
     codes, sums = set(), {}
     with localcontext() as ctx:
-        ctx.prec = 100
+        ctx.prec = MAX_PREC
         for year, exporter, importer, sitc, value, flow in rows:
             if year != YEAR or flow.lower() not in ("x", "export"):
                 continue
@@ -200,6 +200,15 @@ def test_ingest_matches_exact_oracle(generated):
     codes, entries = ingest_oracle(rows, aggregation)
     assert money.registry.codes == codes
     assert flows(money) == entries
+
+
+@settings(max_examples=100)
+@given(st.lists(st.floats(2**-10, 16), min_size=2, max_size=4))
+def test_repeated_key_of_exact_float_expansions_is_rounded_once(values):
+    # such expansions carry up to about 60 digits, so the exact sum can pass
+    # any fixed Decimal precision below that
+    rows = [(YEAR, "CHN", "USA", "7", str(Decimal(x)), "x") for x in values]
+    assert flows(read_rows(rows, {})) == ingest_oracle(rows, {})[1]
 
 
 #: (column, text) that the row loop rejects in a kept row; None drops the column.
