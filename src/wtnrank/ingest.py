@@ -8,13 +8,13 @@ line are kept for summing after the pass.
 
 The text is read in blocks of about 64K characters of whole lines. A block
 with no quote, NUL or lone carriage return, whose every line has the
-header's width, is split into columns at once with ``str.split``. Each
-column's distinct year, flow, country and SITC cells are checked and mapped
-once, the flow, country and SITC cells only in rows of the year that are
-not mirror reports. Any other block, or one with a cell that a check
-rejects or a value that is not finite and positive, goes through the
-per-row loop, which csv splits and which raises every ParseError with its
-line; after a quote, csv reads the rest of the stream.
+header's width, is split into columns with ``str.split``. csv splits every
+other block, an iterable of lines and, after a quote, the rest of the
+stream, and hands its rows on as columns, about a block's worth at a time.
+Either way one check takes the columns: each distinct year, flow, country
+and SITC cell is checked and mapped once, the flow, country and SITC cells
+only in rows of the year that are not mirror reports, and the first row
+with a rejected cell raises its ParseError with its line.
 
 Every value is read with ``float``, which rounds a decimal string
 correctly (Clinger, PLDI 1990), so a key with one row takes that float64,
@@ -74,9 +74,9 @@ _ID_MASK = (1 << _ID_BITS) - 1
 _UNWRITABLE = ',"<&'
 # Characters of text a trade file is read in at a time, up to the end of the line.
 _BLOCK_CHARS = 1 << 16
-# Field that closes each line of a block split at once; a block holding it goes to the row loop.
+# Field that closes each line of a block str.split splits; a block holding it goes to csv.
 _MARK = "\x01"
-_NEWLINE = ord("\n")
+_COMMA = ord(",")
 
 
 def sitc_to_product(code: str) -> int:
@@ -266,10 +266,10 @@ def read_money_matrix(
     ``source`` is the file's text: a string, a text stream (a file opened
     with ``newline=""``, so that a quoted cell may hold a line break), or
     another iterable of lines, one line per item as :func:`csv.reader`
-    takes them, which only the per-row loop reads. The module docstring
-    describes the blocks, the checks and the sums. The result does not
-    depend on the row order, bit for bit. The registry holds the sorted
-    canonical codes of every row of the year, self-flows included.
+    takes them, which csv splits. The module docstring describes the
+    splitting, the checks and the sums. The result does not depend on the
+    row order, bit for bit. The registry holds the sorted canonical codes of
+    every row of the year, self-flows included.
 
     Raises ParseError (naming the file line that ends the row, the first
     such line in the file) for structural problems, such as a row the csv
@@ -283,19 +283,22 @@ def read_money_matrix(
     rows = _Rows(_read_header(reader), year, aggregation)
     try:
         if not hasattr(stream, "read"):
-            rows.read(reader, 0)
+            rows.take_rows(reader, 0)
         else:
             line = reader.line_num   # lines consumed so far
             while block := stream.read(_BLOCK_CHARS):
                 block += stream.readline()   # so the block ends where a line does
-                count = rows.block(block, line)
-                if count:
-                    line += count
+                columns = _plain_columns(block, rows.width)
+                if columns is not None:
+                    n = len(columns[0])
+                    rows.take(columns, np.arange(line + 1, line + 1 + n))
+                    del columns   # free the block's cells before the next block is read
+                    line += n
                     continue
                 quoted = '"' in block   # a quoted cell may hold a line break past the block
                 lines = io.StringIO(block, newline="")
                 reader = csv.reader(chain(lines, stream) if quoted else lines)
-                rows.read(reader, line)
+                rows.take_rows(reader, line)
                 if quoted:
                     break
                 line += reader.line_num
@@ -323,12 +326,38 @@ def read_money_matrix(
     return MoneyMatrix(registry, year, product, importer, exporter, value)
 
 
+def _plain_columns(text: str, width: int) -> list[list[str]] | None:
+    """The cells of a block of whole lines, one list per column, split with ``str.split``.
+
+    None when csv must split the block instead: it holds a quote, a NUL, a
+    lone carriage return or the marker field, it is longer than csv's field
+    limit, or a line is not ``width`` cells wide.
+    """
+    if '"' in text or "\0" in text or _MARK in text or len(text) > csv.field_size_limit():
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    if not text.endswith("\n"):
+        text += "\n"
+    n = text.count("\n")
+    stride = width + 1
+    # a marker field closes each line, so rows of the right width put every marker at a stride
+    fields = text.replace("\n", f",{_MARK},").split(",")
+    if len(fields) != n * stride + 1 or fields[width::stride].count(_MARK) != n:
+        return None
+    del fields[-1]
+    return [fields[i::stride] for i in range(width)]
+
+
 class _Rows:
     """The flows of one read, row by row in file order, and the cells checked so far.
 
-    Each row of the year that is not a mirror report or a self-flow appends
-    its packed (product, importer, exporter) key, its float value, its line
-    and its value text to growing buffers, which :meth:`totals` sums.
+    :meth:`take` is the one place a row is checked. Each row of the year
+    that is not a mirror report or a self-flow appends its packed (product,
+    importer, exporter) key, its float value, its line and its value text to
+    growing buffers, which :meth:`totals` sums.
     """
 
     def __init__(self, header: list[str], year: int, aggregation: Mapping[str, str]):
@@ -337,7 +366,8 @@ class _Rows:
         self.i_flow = header.index(FLOW_COLUMN) if FLOW_COLUMN in header else None
         self.year = year
         self.aggregation = aggregation
-        # per distinct raw cell: year kept, flow kept, provisional country id, product bits
+        # per distinct raw cell that passed its check: year kept, flow kept,
+        # provisional country id, product bits
         self.years: dict[str, bool] = {}
         self.flows: dict[str, bool] = {}
         self.countries: dict[str, int] = {}
@@ -346,145 +376,115 @@ class _Rows:
         self.keys = array("q")
         self.values = array("d")
         self.lines = array("q")
-        # UTF-8 value texts, each followed by a "\n" that no text holds; text k
-        # runs from ends[k] + 1 to ends[k + 1]
+        # UTF-8 value texts, each followed by a "," that no value text holds;
+        # text k runs from ends[k] + 1 to ends[k + 1]
         self.texts = bytearray()
         self.ends = array("q", [-1])
 
-    def block(self, text: str, line: int) -> int:
-        """Take a block of whole lines after ``line`` at once; returns its line count.
+    def take(self, columns, lines) -> None:
+        """Check and keep rows given as columns of cells, one sequence per header column.
 
-        Returns 0, having appended nothing, when the block needs the row
-        loop: csv would read it differently, a row has the wrong width, a
-        check rejects a cell, or a value is not finite and positive.
+        Row k ends on file line ``lines[k]``. When a check rejects a cell,
+        the checks of the first rejected row are rerun with its line, in the
+        order of ``tests``, which raises its ParseError.
         """
-        if '"' in text or "\0" in text or _MARK in text or len(text) > csv.field_size_limit():
-            return 0
-        if "\r" in text:
-            text = text.replace("\r\n", "\n")
-            if "\r" in text:
-                return 0
-        if not text.endswith("\n"):
-            text += "\n"
-        n = text.count("\n")
-        width, stride = self.width, self.width + 1
-        # a marker field closes each line, so rows of the right width put every marker at a stride
-        fields = text.replace("\n", f",{_MARK},").split(",")
-        if len(fields) != n * stride + 1 or fields[width::stride].count(_MARK) != n:
-            return 0
-        del fields[-1]
-        selectors = []   # kept rows of the year, then export rows of those
-
-        def column(i):
-            cells = fields[i::stride]
-            for selector in selectors:
-                cells = list(compress(cells, selector))
-            return cells
-
         year, aggregation, ids = self.year, self.aggregation, self.ids
         i_year, i_exporter, i_importer, i_sitc, i_value = self.columns
+        country = lambda cell, line: _country_id(cell, line, aggregation, ids)
+        tests = (   # in the order a row is checked
+            (i_year, self.years, lambda cell, line: _year_kept(cell, year, line)),
+            (self.i_flow, self.flows, _flow_kept),
+            (i_exporter, self.countries, country),
+            (i_importer, self.countries, country),
+            (i_sitc, self.products, _product_bits),
+            (i_value, None, _parse_value),
+        )
+        lines = np.asarray(lines, dtype=np.int64)
+        rejected = {}   # line -> cells of a row a check rejects
+
+        def reject(k):
+            rejected[lines[k]] = [column[k] for column in columns]
+
+        def checked(i, cache, test):
+            """The distinct cells of column ``i``, caching each new one's ``test`` unless it fails."""
+            distinct = set(columns[i])
+            for cell in distinct.difference(cache):
+                try:
+                    cache[cell] = test(cell, 0)
+                except ParseError:
+                    reject(columns[i].index(cell))
+            return distinct
+
+        for i, cache, test in tests[:2]:
+            if i is not None and not all(map(cache.get, checked(i, cache, test))):
+                # keep the rows of the year, then their export rows; a rejected row is dropped too
+                kept = list(map(cache.get, columns[i]))
+                columns = [list(compress(column, kept)) for column in columns]
+                lines = lines[np.array(kept, dtype=bool)]
+        for check in tests[2:5]:
+            checked(*check)
+        texts = list(columns[i_value])
         try:
-            for i, cache, check in (
-                (i_year, self.years, lambda cell: _year_kept(cell, year, 0)),
-                (self.i_flow, self.flows, lambda cell: _flow_kept(cell, 0)),
-            ):
-                if i is not None:
-                    cells = column(i)
-                    if not all(map(cache.__getitem__, _check(cache, cells, check))):
-                        selectors.append(list(map(cache.__getitem__, cells)))
-            exporter, importer = np.split(
-                _mapped(
-                    self.countries,
-                    column(i_exporter) + column(i_importer),
-                    lambda cell: _country_id(cell, 0, aggregation, ids),
-                ),
-                2,
-            )
-            product = _mapped(self.products, column(i_sitc), lambda cell: _product_bits(cell, 0))
-            texts = column(i_value)
             values = np.fromiter(map(float, texts), np.float64, len(texts))
-        except (ParseError, ValueError):
-            return 0
-        if not ((0.0 < values) & (values < _INF)).all():
-            return 0
+        except ValueError:   # a text float rejects: read every value exactly
+            values = np.zeros(len(texts))
+        for k in np.flatnonzero(~((0.0 < values) & (values < _INF))).tolist():
+            # the Decimal's text also reads with float, which rejects some
+            # forms Decimal takes, such as "1__0"
+            try:
+                text = str(_parse_value(texts[k], 0))
+            except ParseError:
+                reject(k)
+                break
+            values[k] = float(text)
+            # also in a sum: 1 + 1e-999999999 exactly has 1e9 digits
+            texts[k] = "0" if values[k] == 0.0 else text
+        if rejected:
+            line = min(rejected)
+            for i, _, test in tests:
+                if i is not None:
+                    test(rejected[line][i], int(line))
+        exporter, importer, product = (
+            np.fromiter(map(cache.__getitem__, columns[i]), np.int64, len(lines)) for i, cache, _ in tests[2:5]
+        )
         keys = product | importer << _ID_BITS | exporter
-        lines = np.arange(line + 1, line + 1 + n)
-        for selector in selectors:
-            lines = lines[np.array(selector)]
         flow = exporter != importer
         if not flow.all():
             keys, values, lines = keys[flow], values[flow], lines[flow]
             texts = list(compress(texts, flow.tolist()))
-        texts.append("")   # so that each text is followed by a "\n"
-        encoded = "\n".join(texts).encode()
-        ends = np.flatnonzero(np.frombuffer(encoded, np.uint8) == _NEWLINE) + len(self.texts)
+        texts.append("")   # so that each text is followed by a ","
+        encoded = ",".join(texts).encode()
+        ends = np.flatnonzero(np.frombuffer(encoded, np.uint8) == _COMMA) + len(self.texts)
         self.texts += encoded
         for buffer, new in ((self.ends, ends), (self.keys, keys), (self.values, values), (self.lines, lines)):
             buffer.frombytes(new.tobytes())
-        return n
 
-    def read(self, reader, line: int) -> None:
-        """Take the rows csv splits, one at a time; ``line`` is the line before the reader's first."""
-        width, year, aggregation, ids = self.width, self.year, self.aggregation, self.ids
-        i_year, i_exporter, i_importer, i_sitc, i_value = self.columns
-        i_flow = self.i_flow
-        years, flows, countries, products = self.years, self.flows, self.countries, self.products
-        keys, values, lines, texts, ends = self.keys, self.values, self.lines, self.texts, self.ends
-        # csv raises csv.Error for a row it cannot split (such as an over-long field)
+    def take_rows(self, reader, line: int) -> None:
+        """Take the rows csv splits, in chunks; ``line`` is the line before the reader's first.
+
+        A row of the wrong width, or one csv cannot split, ends the rows:
+        the rows before it are taken first, so the first bad line wins.
+        """
+        width, error = self.width, None
+        limit = _BLOCK_CHARS // 64 + 1   # a block's worth of rows of 64 characters
+        chunk, lines = [], []
         try:
             for row in reader:
-                if not row:
-                    continue
-                if len(row) != width:
-                    raise ParseError(line + reader.line_num, f"expected {width} columns, found {len(row)}")
-                cell = row[i_year]
-                kept = years.get(cell)
-                if kept is None:
-                    kept = years[cell] = _year_kept(cell, year, line + reader.line_num)
-                if not kept:
-                    continue
-                if i_flow is not None:
-                    cell = row[i_flow]
-                    kept = flows.get(cell)
-                    if kept is None:
-                        kept = flows[cell] = _flow_kept(cell, line + reader.line_num)
-                    if not kept:
-                        continue  # mirror report of a flow already present export-side
-                cell = row[i_exporter]
-                exporter = countries.get(cell)
-                if exporter is None:
-                    exporter = countries[cell] = _country_id(cell, line + reader.line_num, aggregation, ids)
-                cell = row[i_importer]
-                importer = countries.get(cell)
-                if importer is None:
-                    importer = countries[cell] = _country_id(cell, line + reader.line_num, aggregation, ids)
-                cell = row[i_sitc]
-                product = products.get(cell)
-                if product is None:
-                    product = products[cell] = _product_bits(cell, line + reader.line_num)
-                value = row[i_value]
-                try:
-                    number = float(value)
-                    fast = 0.0 < number < _INF
-                except ValueError:
-                    fast = False
-                if not fast:
-                    # check it exactly; the Decimal's text also reads with float,
-                    # which rejects some forms Decimal takes, such as "1__0"
-                    value = str(_parse_value(value, line + reader.line_num))
-                    number = float(value)
-                    if number == 0.0:   # also in a sum: 1 + 1e-999999999 exactly has 1e9 digits
-                        value = "0"
-                if exporter != importer:
-                    keys.append(product | importer << _ID_BITS | exporter)
-                    values.append(number)
+                if len(row) == width:
+                    chunk.append(row)
                     lines.append(line + reader.line_num)
-                    # a value that reads holds no "\n" but at its ends
-                    texts += value.strip().encode()
-                    ends.append(len(texts))
-                    texts.append(_NEWLINE)
+                    if len(chunk) == limit:
+                        self.take(list(zip(*chunk)), lines)
+                        chunk, lines = [], []
+                elif row:
+                    error = ParseError(line + reader.line_num, f"expected {width} columns, found {len(row)}")
+                    break
         except csv.Error as exc:
-            raise ParseError(line + reader.line_num, str(exc)) from None
+            error = ParseError(line + reader.line_num, str(exc))
+        if chunk:
+            self.take(list(zip(*chunk)), lines)
+        if error is not None:
+            raise error
 
     def totals(self) -> tuple[np.ndarray, np.ndarray, ParseError | None]:
         """The distinct keys in ascending order, the float of each one's flow, and any sum overflow.
@@ -528,20 +528,6 @@ class _Rows:
                         overflow = ParseError(line, f"sum of flow {flow} overflows float64")
                 at = end
         return keys[first], value, overflow
-
-
-def _check(cache: dict, cells: list[str], check) -> set[str]:
-    """Add each distinct cell that ``cache`` lacks, with its ``check``; returns the distinct cells."""
-    distinct = set(cells)
-    for cell in distinct.difference(cache):
-        cache[cell] = check(cell)
-    return distinct
-
-
-def _mapped(cache: dict[str, int], cells: list[str], check) -> np.ndarray:
-    """The cells' integers in ``cache``, adding each distinct new cell's ``check`` first."""
-    _check(cache, cells, check)
-    return np.fromiter(map(cache.__getitem__, cells), np.int64, len(cells))
 
 
 def _year_kept(cell: str, year: int, line: int) -> bool:
@@ -621,6 +607,6 @@ def load_money_matrix(
     year: int,
     aggregation: Mapping[str, str] | None = None,
 ) -> MoneyMatrix:
-    """Open ``path`` and read the money tensor of ``year`` with :func:`read_money_matrix`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """Open ``path`` (UTF-8, with or without a byte-order mark) and read it with :func:`read_money_matrix`."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return read_money_matrix(fh, year, aggregation)

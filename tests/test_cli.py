@@ -11,6 +11,7 @@ import pytest
 
 import wtnrank
 from wtnrank import analysis, cli, gmatrix
+from wtnrank.ingest import COO_FIELDS
 from wtnrank.ranks import RANK_TABLE_HEADER
 from wtnrank.testkit import SyntheticSpec, synthetic_money, write_trade_file
 
@@ -338,6 +339,20 @@ class TestResolution:
         codes = [row.split(",")[0] for row in lines[1:]]
         assert "CX" in codes and "C000" not in codes
         assert len(codes) == N_COUNTRIES - 1
+
+    def test_byte_order_mark_is_read(self, trade_file, tmp_path):
+        # spreadsheet exports often start with one
+        files = {"trade.csv": trade_file.read_text(), "blocs.csv": "member_code,bloc_code\nC000,CX\nC001,CX\n"}
+        tensors = []
+        for mark in ("", "\ufeff"):
+            work = tmp_path / f"mark{len(mark)}"
+            work.mkdir()
+            for name, text in files.items():
+                (work / name).write_text(mark + text, encoding="utf-8")
+            money = cli._load_money(cli.RunConfig("balance", work / "trade.csv", YEAR, work, work / "blocs.csv"))
+            tensors.append((money.registry.codes, [getattr(money, name).tobytes() for name in COO_FIELDS]))
+        assert tensors[1] == tensors[0]
+        assert "CX" in tensors[0][0]
 
 
 class TestFailureModes:

@@ -166,7 +166,7 @@ class TestParse:
 
 
 class TestBlocks:
-    """Blocks split at once against the per-row loop, at the edges of blocks and of lines."""
+    """Blocks str.split splits against those csv splits, at the edges of blocks and of lines."""
 
     ROWS = [f"2018,C{i % 7},C{(i * 3 + 1) % 5},{i % 10},{i}.{i:03d}" for i in range(1, 40)]
 
@@ -232,19 +232,22 @@ class TestBlocks:
             read(["2018,CHN,USA,7,-1"] + rows)
         assert err.value.line == 2
 
-    def test_plain_file_is_split_without_the_row_loop(self, monkeypatch, tmp_path):
+    def test_plain_file_is_split_without_csv(self, monkeypatch, tmp_path):
         rows = [f"2018,C{i % 97:02d},C{i % 89:02d},{i % 10},{i}.25" for i in range(12_000)]
-        # a quoted cell hands the whole file to the row loop
+        # a quoted cell hands the whole file to csv
         expected = self.fields(read(['"2018"' + rows[0][4:]] + rows[1:], aggregation={"C00": "C01"}))
+        calls, split = [], csv.reader
 
-        def row_loop(*args):
-            raise AssertionError("a plain file reached the row loop")
+        def reader(*args, **kwargs):
+            calls.append(args)
+            return split(*args, **kwargs)
 
-        monkeypatch.setattr(ingest._Rows, "read", row_loop)
+        monkeypatch.setattr(ingest.csv, "reader", reader)
         path = tmp_path / "trade.csv"
         path.write_text("\n".join([HEADER] + rows) + "\n")
         assert path.stat().st_size > 4 * ingest._BLOCK_CHARS
         assert self.fields(load_money_matrix(path, 2018, {"C00": "C01"})) == expected
+        assert len(calls) == 1   # the header's
 
 
 class TestSitc:

@@ -4,16 +4,17 @@ operator and shares against dense oracles.
 Random small row sets mix bloc members, duplicate keys, rows of another
 year and ``flow=m`` mirror reports; the ingest oracle sums their Decimals
 per canonical key straight from the generated rows. Each file is read at
-several block sizes and on the per-row path, which must agree bit for bit
-and raise the same error at the same line. Random small tensors
-include dangling columns (a country that exports nothing of a product) and
-empty products. The production path builds S, v and the volume shares from
-the COO arrays and applies G to random vectors; the oracles recompute them
-from the dense tensor with no shared code. A matrix dump, parsed back,
-rebuilds the same operator. The block solves of PageRank, CheiRank and
-their teleport responses match full dense solves, also with countries that
-trade nothing. The closed-form balance differences match differences of
-the perturbed, rebuilt tensor's dense oracles.
+several block sizes, split by ``str.split`` and by csv, and every read
+must agree bit for bit and raise the same error at the same line. Random
+small tensors include dangling columns (a country that exports nothing of
+a product) and empty products. The production path builds S, v and the
+volume shares from the COO arrays and applies G to random vectors; the
+oracles recompute them from the dense tensor with no shared code. A matrix
+dump, parsed back, rebuilds the same operator. The block solves of
+PageRank, CheiRank and their teleport responses match full dense solves,
+also with countries that trade nothing. The closed-form balance
+differences match differences of the perturbed, rebuilt tensor's dense
+oracles.
 """
 
 import tempfile
@@ -22,7 +23,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -117,16 +118,19 @@ def money_fields(money) -> tuple:
 
 
 def read_every_way(text: str, aggregation) -> list:
-    """Read ``text`` at the default block size, at 1 and 64 characters, and on the row path.
+    """Read ``text`` at the default block size and at 1 and 64 characters, then split by csv.
 
-    Returns each read's tensor, or its ParseError as (message, line).
+    csv splits the whole file at the default block size and at 1 character,
+    which takes its rows one at a time. Returns each read's tensor, or its
+    ParseError as (message, line).
     """
     header, first, rest = text.split("\n", 2)
     cell, tail = first.split(",", 1)
-    # a quoted cell in the first block hands the whole file to the row loop
+    # a quoted cell in the first block hands the whole file to csv
     quoted = f'{header}\n"{cell}",{tail}\n{rest}'
     results = []
-    for size, source in ((ingest._BLOCK_CHARS, text), (1, text), (64, text), (ingest._BLOCK_CHARS, quoted)):
+    sizes = ((ingest._BLOCK_CHARS, text), (1, text), (64, text), (ingest._BLOCK_CHARS, quoted), (1, quoted))
+    for size, source in sizes:
         with mock.patch.object(ingest, "_BLOCK_CHARS", size):
             try:
                 results.append(read_money_matrix(source, YEAR, aggregation))
@@ -211,7 +215,7 @@ def test_repeated_key_of_exact_float_expansions_is_rounded_once(values):
     assert flows(read_rows(rows, {})) == ingest_oracle(rows, {})[1]
 
 
-#: (column, text) that the row loop rejects in a kept row; None drops the column.
+#: (column, text) that ingest rejects in a kept row; None drops the column.
 CORRUPTIONS = (
     (0, "20x8"),
     (1, ""),
@@ -228,15 +232,21 @@ CORRUPTIONS = (
 @settings(max_examples=60)
 @given(generated=trade_rows(), data=st.data())
 def test_ingest_error_is_the_same_however_the_file_is_read(generated, data):
+    # two corrupted rows k < j: the first bad line wins whichever columns they are in
     rows, aggregation = generated
-    k = data.draw(st.integers(0, len(rows) - 1))
-    column, text = data.draw(st.sampled_from(CORRUPTIONS))
-    row = [YEAR, *rows[k][1:5], "x"]
-    if text is None:
-        del row[column]
-    else:
-        row[column] = text
-    results = read_every_way(render(rows[:k] + [tuple(row)] + rows[k + 1:]), aggregation)
+    assume(len(rows) > 1)
+    k = data.draw(st.integers(0, len(rows) - 2))
+    j = data.draw(st.integers(k + 1, len(rows) - 1))
+    rows = list(rows)
+    for i in (k, j):
+        column, text = data.draw(st.sampled_from(CORRUPTIONS))
+        row = [YEAR, *rows[i][1:5], "x"]
+        if text is None:
+            del row[column]
+        else:
+            row[column] = text
+        rows[i] = tuple(row)
+    results = read_every_way(render(rows), aggregation)
     assert all(type(result) is tuple for result in results)
     assert len(set(results)) == 1
     assert results[0][1] == k + 2
