@@ -385,8 +385,9 @@ class _Rows:
         """Check and keep rows given as columns of cells, one sequence per header column.
 
         Row k ends on file line ``lines[k]``. When a check rejects a cell,
-        the checks of the first rejected row are rerun with its line, in the
-        order of ``tests``, which raises its ParseError.
+        the rows before the first rejected row are kept, then that row's
+        checks are rerun with its line, in the order of ``tests``, which
+        raises its ParseError.
         """
         year, aggregation, ids = self.year, self.aggregation, self.ids
         i_year, i_exporter, i_importer, i_sitc, i_value = self.columns
@@ -440,10 +441,12 @@ class _Rows:
             # also in a sum: 1 + 1e-999999999 exactly has 1e9 digits
             texts[k] = "0" if values[k] == 0.0 else text
         if rejected:
-            line = min(rejected)
-            for i, _, test in tests:
-                if i is not None:
-                    test(rejected[line][i], int(line))
+            # keep the rows before the first rejected one: a sum they overflow is an earlier error
+            first = min(rejected)
+            kept = lines < first
+            columns = [list(compress(column, kept.tolist())) for column in columns]
+            texts = list(compress(texts, kept.tolist()))
+            values, lines = values[kept], lines[kept]
         exporter, importer, product = (
             np.fromiter(map(cache.__getitem__, columns[i]), np.int64, len(lines)) for i, cache, _ in tests[2:5]
         )
@@ -458,6 +461,10 @@ class _Rows:
         self.texts += encoded
         for buffer, new in ((self.ends, ends), (self.keys, keys), (self.values, values), (self.lines, lines)):
             buffer.frombytes(new.tobytes())
+        if rejected:
+            for i, _, test in tests:
+                if i is not None:
+                    test(rejected[first][i], int(first))
 
     def take_rows(self, reader, line: int) -> None:
         """Take the rows csv splits, in chunks; ``line`` is the line before the reader's first.

@@ -232,6 +232,15 @@ class TestBlocks:
             read(["2018,CHN,USA,7,-1"] + rows)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("size", [1, 64, 1 << 16])
+    @pytest.mark.parametrize("first", ["2018", '"2018"'])   # a quoted cell hands the file to csv
+    def test_sum_overflow_before_a_parse_error_in_the_same_block(self, monkeypatch, size, first):
+        monkeypatch.setattr(ingest, "_BLOCK_CHARS", size)
+        rows = [f"{first},CHN,USA,7,1e308", "2018,CHN,USA,7,1e308", "2018,CHN,USA,7,-1"]
+        with pytest.raises(ParseError, match="sum of flow .* overflows float64") as err:
+            read(rows)
+        assert err.value.line == 3
+
     def test_plain_file_is_split_without_csv(self, monkeypatch, tmp_path):
         rows = [f"2018,C{i % 97:02d},C{i % 89:02d},{i % 10},{i}.25" for i in range(12_000)]
         # a quoted cell hands the whole file to csv
