@@ -27,7 +27,6 @@ from .analysis import (
     gma_country_probabilities,
     iea_balance,
     iea_country_probabilities,
-    perturb_money,
     sensitivity_richardson,
     trade_balance,
     write_balance,
@@ -111,7 +110,6 @@ __all__ = [
     "make_google",
     "order_indexes",
     "pagerank",
-    "perturb_money",
     "rank_plane_points",
     "read_aggregation_file",
     "read_money_matrix",

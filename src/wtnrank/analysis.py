@@ -2,32 +2,28 @@
 
 The balance of a country is B_c = (P*_c - P_c)/(P*_c + P_c), computed either
 from PageRank/CheiRank (source "gma") or from import/export volume shares
-(source "iea"). A perturbation scales one product slice of the money tensor
-by (1 + delta), globally or only one country's export or import flows of
-it, and dB_c/d(delta) is the central difference of B at a step h.
+(source "iea"). A perturbation scales one product slice s of the money tensor
+by (1 + delta), globally or only one country's export or import flows of it,
+and dB_c/d(delta) is the central difference of B at a step h.
 
-Most targets need no rebuilt pipeline per step. With a = V_hit / V the
-share of the total volume that the perturbation scales, both country
-vectors of the source move along
+No target rebuilds the network. With a = V_hit / V the share of the total
+volume that the perturbation scales, the IEA vectors, and the GMA vectors of
+a direction whose links do not move, follow
 
     P(delta) = (P0 + delta a Q) / (1 + delta a)
 
-- IEA source, any target: Q and Q* are the import and export shares of the
-  scaled flows.
-- GMA source, global target: column normalisation cancels the scale, so
-  S~ (dangling repair included) does not move; only the teleport vector
-  does, v(delta) = (v0 + delta a u_s) / (1 + delta a), where u_s is block s
-  of v0 rescaled to sum 1 (under either personalization mode). PageRank is
-  linear in v, so Q is the PageRank of the unperturbed S~ with teleport
-  u_s, and Q* the CheiRank, both from the block solves behind P0 and P0*.
+- IEA: Q and Q* are the import and export shares of the scaled flows.
+- GMA: the teleport vector moves along v(delta) = (v0 + delta a w) / (1 + delta a),
+  w the teleport vector of the scaled flows alone. Column normalisation
+  cancels a scale of whole columns, so S~ stays as it is in both directions
+  under a global target, and in the direct (inverted) one under an export
+  (import) target. PageRank is linear in v, so Q is the PageRank of S~ with
+  teleport w: one solve of block s.
+- GMA, the other direction of a country target c: the scaled flows are row c
+  of block s, so each delta scales that row by (1 + delta), renormalises
+  column j by its new sum 1 + delta S[c, j], and re-solves block s alone.
 
-A country target of the GMA source also moves S~ (its flows are a row of
-one of the two directions), so each of its evaluations perturbs the tensor
-and rebuilds S, v and both ranks.
-
-Either way each target gives the country vectors at one delta, and one
-central difference turns them into dB_c/d(delta).
-:func:`balance_sensitivity` evaluates it at h and
+:func:`balance_sensitivity` evaluates dB_c/d(delta) at h and
 :func:`sensitivity_richardson` at h, h/2 and h/4, sharing the work that
 does not depend on the step.
 """
@@ -41,8 +37,8 @@ import numpy as np
 
 from ._text import fmt, write_lines
 from .errors import ConvergenceError
-from .gmatrix import DIRECTIONS, GoogleMatrix, build_google
-from .ingest import MoneyMatrix
+from .gmatrix import DIRECTIONS, GoogleMatrix, _dense_links, build_google, build_personalization
+from .ingest import COO_FIELDS, MoneyMatrix
 from .ranks import (
     DEFAULT_TOL,
     ProbabilityVector,
@@ -105,9 +101,9 @@ class SensitivityVector:
     """dB_c/d(delta) per country plus the reports of the solves behind it.
 
     ``reports`` hold the two teleport responses (direct, inverted) of a
-    global GMA target, or the four solves of a GMA country target (direct
-    and inverted at +h, then at -h). The IEA source, and a perturbation
-    that scales no flow, solve nothing.
+    global GMA target; a GMA country target keeps the response of the
+    direction whose links stay, then the other's re-solve at +h and at -h.
+    The IEA source, and a perturbation that scales no flow, solve nothing.
     """
 
     codes: tuple[str, ...]
@@ -131,40 +127,6 @@ def trade_balance(P: ProbabilityVector, Pstar: ProbabilityVector, source: str) -
     return BalanceVector(tuple(P.keys), values, source)
 
 
-def perturb_money(
-    money: MoneyMatrix,
-    product: int,
-    delta: float,
-    country: str | None = None,
-    side: str = "export",
-) -> MoneyMatrix:
-    """Scale one product slice of the money tensor by (1 + delta).
-
-    With ``country`` given, only that country's flows of the product are
-    scaled: its export columns by default, its import rows with
-    side="import". The flows keep their keys; only the values are multiplied.
-    """
-    if not np.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
-    if 1.0 + delta <= 0.0:
-        raise ValueError(f"1 + delta must stay positive, got delta={delta}")
-    hit = _scaled_flows(money, product, country, side)
-    return replace(money, value=np.where(hit, money.value * (1.0 + delta), money.value))
-
-
-def _scaled_flows(money: MoneyMatrix, product: int, country: str | None, side: str) -> np.ndarray:
-    """Mask of the entries a perturbation of ``product`` scales: all, or one country's."""
-    if not 0 <= product < money.n_products:
-        raise ValueError(f"product index {product} out of range")
-    if side not in PERTURB_SIDES:
-        raise ValueError(f"side must be one of {PERTURB_SIDES}")
-    hit = money.product == product
-    if country is not None:
-        flows = money.exporter if side == "export" else money.importer
-        hit &= flows == money.registry.index_of(country)
-    return hit
-
-
 def _converged(solved: tuple) -> tuple:
     """A rank solve's (vector, report), or ConvergenceError when its residual is not below tol."""
     if not solved[1].converged:
@@ -184,13 +146,9 @@ def gma_country_probabilities(
     ``operators`` are the direct and inverted Google matrices of ``money``
     with ``alpha`` and ``personalization``, when the caller has built them.
     """
-    direct, inverted = operators or (
-        build_google(money, "direct", alpha, personalization),
-        build_google(money, "inverted", alpha, personalization),
-    )
-    p_node, report_p = _converged(pagerank(direct, tol))
-    pstar_node, report_pstar = _converged(pagerank(inverted, tol))
-    return aggregate_country(p_node), aggregate_country(pstar_node), (report_p, report_pstar)
+    operators = operators or [build_google(money, d, alpha, personalization) for d in DIRECTIONS]
+    (p, report_p), (pstar, report_pstar) = (_converged(pagerank(G, tol)) for G in operators)
+    return aggregate_country(p), aggregate_country(pstar), (report_p, report_pstar)
 
 
 def iea_country_probabilities(money: MoneyMatrix) -> tuple[ProbabilityVector, ProbabilityVector]:
@@ -210,47 +168,70 @@ def iea_balance(money: MoneyMatrix) -> BalanceVector:
 
 
 def _differences(money: MoneyMatrix, config: SensitivityConfig, steps, operators=None, base=None) -> list:
-    """Central differences of ``config``'s target at each of ``steps``.
+    """Central differences of ``config``'s target at each of ``steps``, with the reports of their solves.
 
-    Each entry is dB_c/d(delta) at one step h and the reports of the solves
-    it rests on. What does not depend on h is done once: the mask of the
-    scaled flows and, for a linear response (see the module docstring), the
-    unperturbed country vectors and their responses Q, Q*, whose solves
-    every entry reports. A GMA country target instead perturbs the tensor,
-    rebuilds S and v and re-ranks at +h and -h for each entry. A
-    perturbation that scales no flow gives exact zeros and solves nothing.
+    The mask of the scaled flows, the unperturbed country vectors and the
+    responses Q, Q* of the directions whose links stay (module docstring) are
+    made once, and every entry reports their solves. A moving direction
+    re-solves its block s at +h and -h for each entry. A perturbation that
+    scales no flow gives exact zeros and solves nothing.
     """
-    hit = _scaled_flows(money, config.product, config.country, config.side)
+    if not 0 <= config.product < money.n_products:
+        raise ValueError(f"product index {config.product} out of range")
+    hit = money.product == config.product
+    if config.country is not None:
+        row = money.registry.index_of(config.country)
+        hit &= (money.exporter if config.side == "export" else money.importer) == row
     if not hit.any():
         return [(np.zeros(money.n_countries), ()) for _ in steps]
+    scaled = money.value[hit]
+    weight = scaled.sum() / money.value.sum()
+
+    def linear(P: ProbabilityVector, Q: np.ndarray):
+        return lambda delta: (replace(P, values=(P.values + delta * weight * Q) / (1.0 + delta * weight)), ())
+
     once = ()   # the reports of the solves made for all steps
-    if config.source == "gma" and config.country is not None:
-
-        def vectors(delta: float):
-            perturbed = perturb_money(money, config.product, delta, config.country, config.side)
-            return gma_country_probabilities(perturbed, config.alpha, config.tol, config.personalization)
+    if config.source == "iea":
+        base = base or iea_country_probabilities(money)
+        evaluators = [
+            linear(P, np.bincount(flows[hit], weights=scaled / scaled.sum(), minlength=money.n_countries))
+            for P, flows in zip(base, (money.importer, money.exporter))
+        ]
     else:
-        scaled = money.value[hit]
-        weight = scaled.sum() / money.value.sum()
-        if config.source == "gma":
-            base, response, once = _teleport_response(money, config, operators, base)
-        else:
-            base = base or iea_country_probabilities(money)
-            response = [
-                np.bincount(flows[hit], weights=scaled / scaled.sum(), minlength=money.n_countries)
-                for flows in (money.importer, money.exporter)
-            ]
+        alpha, tol, mode = config.alpha, config.tol, config.personalization
+        operators = operators or [build_google(money, d, alpha, mode) for d in DIRECTIONS]
+        base = base or gma_country_probabilities(money, alpha, tol, mode, operators)[:2]
+        hit_flows = replace(money, **{name: getattr(money, name)[hit] for name in COO_FIELDS})
+        w = build_personalization(hit_flows, mode).values
+        block = np.arange(config.product * money.n_countries, (config.product + 1) * money.n_countries)
+        # an exporter's flows are a row of the inverted links, an importer's one of the direct links
+        moving = config.country and {"export": "inverted", "import": "direct"}[config.side]
 
-        def vectors(delta: float):
-            p, pstar = (
-                replace(P, values=(P.values + delta * weight * Q) / (1.0 + delta * weight))
-                for P, Q in zip(base, response)
-            )
-            return p, pstar, ()
+        def moved(G: GoogleMatrix, links: np.ndarray):
+            def rank(delta: float):
+                # row c scales by 1 + delta, so column j's sum moves to 1 + delta S[c, j]
+                block_links = links.copy()
+                block_links[row] *= 1.0 + delta
+                block_links /= 1.0 + delta * links[row]
+                outside = 1.0 / (1.0 + delta * weight)   # v(delta) / v outside block s
+                v = (G.v.values + delta * weight * w) * outside
+                P, report = _block_variant(G, block, links, block_links, v, outside, tol)
+                return aggregate_country(P), (report,)
+            return rank
+
+        evaluators = []
+        for direction, G, P in zip(DIRECTIONS, operators, base):
+            links = _dense_links(G.S, block, block)
+            if direction == moving:
+                evaluators.append(moved(G, links))
+            else:
+                Q, report = _block_variant(G, block, links, links, w, 0.0, tol)
+                evaluators.append(linear(P, aggregate_country(Q).values))
+                once += (report,)
 
     def balance(delta: float):
-        p, pstar, reports = vectors(delta)
-        return trade_balance(p, pstar, config.source).values, reports
+        (p, p_reports), (pstar, pstar_reports) = (evaluate(delta) for evaluate in evaluators)
+        return trade_balance(p, pstar, config.source).values, p_reports + pstar_reports
 
     differences = []
     for h in steps:
@@ -259,17 +240,25 @@ def _differences(money: MoneyMatrix, config: SensitivityConfig, steps, operators
     return differences
 
 
-def _teleport_response(money: MoneyMatrix, config: SensitivityConfig, operators, base):
-    """(P0, P0*), the country-level (Q, Q*) of teleport u_s, and the reports of Q and Q*."""
-    operators = operators or tuple(
-        build_google(money, direction, config.alpha, config.personalization) for direction in DIRECTIONS
-    )
-    if base is None:
-        *base, _ = gma_country_probabilities(
-            money, config.alpha, config.tol, config.personalization, operators
-        )
-    solved = [_converged(_stationary(G, config.tol, config.product)) for G in operators]
-    return base, [aggregate_country(Q).values for Q, _ in solved], tuple(report for _, report in solved)
+def _block_variant(G: GoogleMatrix, block, links, moved, teleport, outside: float, tol: float) -> tuple:
+    """(P, report) of G with ``moved`` for block ``block`` of S, ``links``, and ``teleport`` for v.
+
+    Outside the block the teleport is ``outside`` times v, so the solves there
+    are G's z_v times ``outside`` and z_1; the block is solved again against
+    both. The residual is ``G.apply`` plus the block's and teleport's changes.
+    """
+    n, alpha = len(block), G.alpha
+    z_v, z_1 = G._link_solves.T
+    z, z1 = outside * z_v, z_1.copy()
+    rhs = np.column_stack([(1.0 - alpha) * teleport[block], np.full(n, alpha / G.size)])
+    z[block], z1[block] = np.linalg.solve(np.eye(n) - alpha * moved, rhs).T
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = G.apply(x) + (1.0 - alpha) * x.sum() * (teleport - G.v.values)
+        out[block] += alpha * (moved - links) @ x[block]
+        return out
+
+    return _converged(_stationary(G, z, z1, tol, apply))
 
 
 def balance_sensitivity(money: MoneyMatrix, config: SensitivityConfig) -> SensitivityVector:

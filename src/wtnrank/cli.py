@@ -168,7 +168,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 def _load_money(config: RunConfig):
     aggregation = None
     if config.aggregate is not None:
-        with open(config.aggregate, "r", encoding="utf-8-sig", newline="") as fh:
+        with open(config.aggregate, "r", encoding="utf-8", newline="") as fh:
             aggregation = read_aggregation_file(fh)
     return load_money_matrix(config.input, config.year, aggregation)
 

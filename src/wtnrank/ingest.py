@@ -34,7 +34,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from decimal import MAX_PREC, Decimal, InvalidOperation, localcontext
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, islice
 from typing import IO, Iterable, Mapping
 
 import numpy as np
@@ -129,8 +129,11 @@ class CountryRegistry:
         return code in self._index
 
 
-def _as_text(source: IO[str] | Iterable[str] | str) -> IO[str] | Iterable[str]:
-    return io.StringIO(source, newline="") if isinstance(source, str) else source
+def _text_reader(source: IO[str] | Iterable[str] | str) -> tuple:
+    """The text of ``source`` (a string becomes a stream) and a csv.reader of it, a leading U+FEFF dropped."""
+    stream = io.StringIO(source, newline="") if isinstance(source, str) else source
+    lines = iter(stream)
+    return stream, csv.reader(chain((line.removeprefix("\ufeff") for line in islice(lines, 1)), lines))
 
 
 def _parse_value(raw: str, line: int) -> Decimal:
@@ -278,8 +281,7 @@ def read_money_matrix(
     when no row of ``year`` is left, or only self-flows.
     """
     aggregation = dict(aggregation or {})
-    stream = _as_text(source)
-    reader = csv.reader(iter(stream))
+    stream, reader = _text_reader(source)
     rows = _Rows(_read_header(reader), year, aggregation)
     try:
         if not hasattr(stream, "read"):
@@ -584,7 +586,7 @@ def read_aggregation_file(source: IO[str] | Iterable[str] | str) -> dict[str, st
     ``source`` is the file's text, in the forms :func:`read_money_matrix`
     takes. A ParseError names the file line that ends the offending row.
     """
-    reader = csv.reader(_as_text(source))
+    reader = _text_reader(source)[1]
     mapping: dict[str, str] = {}
     try:
         try:
@@ -615,5 +617,5 @@ def load_money_matrix(
     aggregation: Mapping[str, str] | None = None,
 ) -> MoneyMatrix:
     """Open ``path`` (UTF-8, with or without a byte-order mark) and read it with :func:`read_money_matrix`."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return read_money_matrix(fh, year, aggregation)

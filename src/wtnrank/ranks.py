@@ -17,7 +17,7 @@ import numpy as np
 
 from ._text import fmt, write_lines
 from .errors import EmptyNetworkError
-from .gmatrix import GoogleMatrix, NodeSpace, PersonalizationVector, make_google
+from .gmatrix import GoogleMatrix, NodeSpace
 from .ingest import CountryRegistry, MoneyMatrix
 
 #: Probability vectors are validated to sum to 1 within this.
@@ -83,27 +83,21 @@ def pagerank(G: GoogleMatrix, tol: float = DEFAULT_TOL) -> tuple[ProbabilityVect
     The report holds iterations=1, the residual |G P - P|_1 measured with
     one apply, and converged = residual < tol.
     """
-    return _stationary(G, tol)
+    return _stationary(G, *G._link_solves.T, tol, G.apply)
 
 
-def _stationary(G: GoogleMatrix, tol: float, product: int | None = None) -> tuple:
-    """:func:`pagerank` of G, or of G with teleport u = ``product``'s block of v rescaled to sum 1.
+def _stationary(G: GoogleMatrix, z: np.ndarray, z_1: np.ndarray, tol: float, apply) -> tuple:
+    """(P, report) from the solves z, z_1 of an operator with G's dangling columns and ``apply``.
 
-    Block ``product`` of z_v is the block solve against that block of v, a
-    multiple of u, so the response takes no solve of its own.
+    As in :func:`pagerank`: add the dangling columns' rank-one term, rescale
+    to sum 1, and measure the residual |apply(P) - P|_1 against ``tol``.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    z, z_1 = G._link_solves.T
-    operator = G
-    if product is not None:
-        block = np.arange(G.size) // G.space.n_countries == product
-        z, u = np.where(block, z, 0.0), np.where(block, G.v.values, 0.0)
-        operator = make_google(G.S, PersonalizationVector(u / u.sum(), G.v.mode), G.alpha)
     dangling = G.S.dangling
     x = z + z_1 * (z[dangling].sum() / (1.0 - z_1[dangling].sum()))
-    x /= x.sum()   # also takes out the multiple of a response
-    residual = float(np.abs(operator.apply(x) - x).sum())
+    x /= x.sum()
+    residual = float(np.abs(apply(x) - x).sum())
     keys = tuple((code, p) for p in range(G.space.n_products) for code in G.registry.codes)
     vector = ProbabilityVector(x, _NODE_KINDS[G.direction], "node", keys, G.space)
     return vector, SolverReport(1, residual, residual < tol)

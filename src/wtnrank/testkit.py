@@ -8,7 +8,7 @@ meaningful. Deliberately naive; sizes are capped accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -64,6 +64,23 @@ def synthetic_money(spec: SyntheticSpec) -> MoneyMatrix:
     for p in range(npr):
         np.fill_diagonal(dense[p], 0.0)
     return MoneyMatrix.from_dense(dense, synthetic_registry(nc), year=2018)
+
+
+def perturb_money(
+    money: MoneyMatrix, product: int, delta: float, country: str | None = None, side: str = "export"
+) -> MoneyMatrix:
+    """Scale ``product``'s flows, or only ``country``'s exports or imports of it, by (1 + delta).
+
+    The sensitivities' oracle: they never scale the tensor themselves.
+    """
+    if not (np.isfinite(delta) and 1.0 + delta > 0.0):
+        raise ValueError(f"delta must be finite with 1 + delta positive, got {delta}")
+    if not 0 <= product < money.n_products or side not in ("export", "import"):
+        raise ValueError(f"no product {product} or side {side!r} to perturb")
+    hit = money.product == product
+    if country is not None:
+        hit &= (money.exporter if side == "export" else money.importer) == money.registry.index_of(country)
+    return replace(money, value=np.where(hit, money.value * (1.0 + delta), money.value))
 
 
 def dense_google_from_money(

@@ -107,15 +107,40 @@ class TestSensitivity:
         assert (tmp_path / f"sensitivity_gma_C002_s1_{YEAR}.csv").exists()
         assert (tmp_path / f"sensitivity_iea_C002_s1_{YEAR}.csv").exists()
         manifest = json.loads((tmp_path / f"sensitivity_C002_s1_{YEAR}.json").read_text())
-        # the country target re-ranks the rebuilt tensor in both directions at +h and -h
+        # the direct response, then the inverted block re-solved at +h and at -h
         gma, iea = manifest["sources"]["gma"], manifest["sources"]["iea"]
-        assert len(gma["reports"]) == 4 and all(r["converged"] for r in gma["reports"])
+        assert len(gma["reports"]) == 3 and all(r["converged"] for r in gma["reports"])
         assert iea["reports"] == []
         assert 3.0 <= gma["richardson"]["median_ratio"] <= 5.0
 
     def test_missing_product_flag_fails(self, trade_file, tmp_path, capsys):
         assert run("sensitivity", trade_file, tmp_path) == 1
         assert "sens-product" in capsys.readouterr().err
+
+    def test_unknown_country_target_fails_before_any_solve(self, trade_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(gmatrix, "_solve_links", None)   # a solve would raise
+        out = tmp_path / "out"
+        assert run("sensitivity", trade_file, out, "--sens-product", "1", "--sens-country", "XYZ") == 1
+        assert "XYZ" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("side", ["export", "import"])
+    def test_country_target_builds_each_operator_once(self, trade_file, tmp_path, monkeypatch, side):
+        builds, build_google = [], cli.build_google
+
+        def counting(*args, **kwargs):
+            builds.append(args[1])
+            return build_google(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_google", counting)
+        monkeypatch.setattr(analysis, "build_google", counting)
+        assert run(
+            "sensitivity", trade_file, tmp_path, "--sens-product", "1", "--sens-country", "C002",
+            "--sens-side", side,
+        ) == 0
+        # the moved block is re-solved in place: no tensor is perturbed and no network rebuilt
+        assert builds.count("direct") == builds.count("inverted") == 1
+        assert not hasattr(analysis, "perturb_money")
 
 
 class TestRegomax:
@@ -178,7 +203,7 @@ class TestPipeline:
             assert path.read_bytes() == (whole / path.name).read_bytes(), path.name
 
     def test_counts_unperturbed_and_perturbed_evaluations(self, trade_file, tmp_path, monkeypatch):
-        calls = {"unperturbed": 0, "perturbed": 0, "solves": 0, "passes": 0, "richardson": 0, "sensitivity": 0}
+        calls = {"unperturbed": 0, "solves": 0, "passes": 0, "blocks": 0, "richardson": 0, "sensitivity": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -189,21 +214,21 @@ class TestPipeline:
         monkeypatch.setattr(
             cli, "gma_country_probabilities", counting("unperturbed", cli.gma_country_probabilities)
         )
-        monkeypatch.setattr(analysis, "perturb_money", counting("perturbed", analysis.perturb_money))
         monkeypatch.setattr(analysis, "pagerank", counting("solves", analysis.pagerank))
         # the operators' block passes; REGOMAX holds its own reference to the helper
         monkeypatch.setattr(gmatrix, "_solve_links", counting("passes", gmatrix._solve_links))
+        monkeypatch.setattr(analysis, "_block_variant", counting("blocks", analysis._block_variant))
         monkeypatch.setattr(cli, "sensitivity_richardson", counting("richardson", cli.sensitivity_richardson))
         sensitivity = counting("sensitivity", analysis.balance_sensitivity)
         for module in (analysis, cli):
             monkeypatch.setattr(module, "balance_sensitivity", sensitivity, raising=False)
         assert run("pipeline", trade_file, tmp_path, "--sens-product", "0") == 0
         # ranks, balance, REGOMAX and the sensitivities share one unperturbed
-        # solve per direction; the global target's teleport responses come
-        # from the same block pass and it perturbs nothing; one analysis call
-        # per source gives both the CSV and the manifest entry
+        # solve per direction; the global target's teleport responses solve
+        # block 0 only, one per direction; one analysis call per source gives
+        # both the CSV and the manifest entry
         assert calls == {
-            "unperturbed": 1, "perturbed": 0, "solves": 2, "passes": 2, "richardson": 2, "sensitivity": 0
+            "unperturbed": 1, "solves": 2, "passes": 2, "blocks": 2, "richardson": 2, "sensitivity": 0
         }
 
     def test_unperturbed_operators_built_once(self, trade_file, tmp_path, monkeypatch):
@@ -344,14 +369,17 @@ class TestResolution:
         # spreadsheet exports often start with one
         files = {"trade.csv": trade_file.read_text(), "blocs.csv": "member_code,bloc_code\nC000,CX\nC001,CX\n"}
         tensors = []
-        for mark in ("", "\ufeff"):
-            work = tmp_path / f"mark{len(mark)}"
+        for mark, quoted in (("", False), ("\ufeff", False), ("\ufeff", True)):
+            work = tmp_path / f"mark{len(mark)}{quoted}"
             work.mkdir()
             for name, text in files.items():
+                if quoted:   # as R's write.csv or pandas' QUOTE_ALL write the header
+                    header, rest = text.split("\n", 1)
+                    text = ",".join(f'"{cell}"' for cell in header.split(",")) + "\n" + rest
                 (work / name).write_text(mark + text, encoding="utf-8")
             money = cli._load_money(cli.RunConfig("balance", work / "trade.csv", YEAR, work, work / "blocs.csv"))
             tensors.append((money.registry.codes, [getattr(money, name).tobytes() for name in COO_FIELDS]))
-        assert tensors[1] == tensors[0]
+        assert tensors[1] == tensors[0] and tensors[2] == tensors[0]
         assert "CX" in tensors[0][0]
 
 

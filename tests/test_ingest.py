@@ -164,6 +164,23 @@ class TestParse:
             read(["2018,CHN,USA,7,10,sideways"], header=HEADER + ",flow")
         assert err.value.line == 2
 
+    def test_byte_order_mark_before_header(self):
+        # text decoded by the caller keeps the mark as U+FEFF
+        rows = ["2018,CHN,USA,7,5", "2018,USA,CHN,3,2"]
+        plain = read(rows)
+        quoted = ",".join(f'"{cell}"' for cell in HEADER.split(","))
+        for header in (HEADER, quoted):
+            text = "\ufeff" + "\n".join([header] + rows)
+            for source in (text, io.StringIO(text, newline=""), text.splitlines()):
+                marked = read_money_matrix(source, 2018)
+                assert marked.registry.codes == plain.registry.codes
+                assert flows(marked) == flows(plain)
+
+    def test_byte_order_mark_inside_header_is_not_skipped(self):
+        header = HEADER.replace(",", ",\ufeff", 1)
+        with pytest.raises(ParseError, match="header misses"):
+            read_money_matrix(io.StringIO("\n".join([header, "2018,CHN,USA,7,5"])), 2018)
+
 
 class TestBlocks:
     """Blocks str.split splits against those csv splits, at the edges of blocks and of lines."""
@@ -298,6 +315,15 @@ class TestAggregation:
     def test_aggregation_file(self):
         text = "member_code,bloc_code\nDEU,EUU\nFRA,EUU\n"
         assert read_aggregation_file(io.StringIO(text)) == EU
+
+    def test_aggregation_file_after_byte_order_mark(self):
+        # text decoded by the caller keeps the mark as U+FEFF
+        for header in ("member_code,bloc_code", '"member_code","bloc_code"'):
+            text = "\ufeff" + header + "\nDEU,EUU\nFRA,EUU\n"
+            assert read_aggregation_file(io.StringIO(text)) == EU
+            assert read_aggregation_file(text) == EU
+        with pytest.raises(ParseError):
+            read_aggregation_file(io.StringIO("member_code,\ufeffbloc_code\nDEU,EUU\n"))
 
     def test_aggregation_file_bad_header(self):
         with pytest.raises(ParseError):

@@ -12,9 +12,9 @@ volume shares from the COO arrays and applies G to random vectors; the
 oracles recompute them from the dense tensor with no shared code. A matrix
 dump, parsed back, rebuilds the same operator. The block solves of
 PageRank, CheiRank and their teleport responses match full dense solves,
-also with countries that trade nothing. The closed-form balance
-differences match differences of the perturbed, rebuilt tensor's dense
-oracles.
+also with countries that trade nothing. The balance differences, from the
+closed form or from one re-solved product block, match differences of the
+perturbed, rebuilt tensor's dense oracles.
 """
 
 import tempfile
@@ -35,7 +35,6 @@ from wtnrank import (
     balance_sensitivity,
     build_google,
     make_google,
-    perturb_money,
     read_money_matrix,
     sensitivity_richardson,
     trade_balance,
@@ -43,10 +42,12 @@ from wtnrank import (
     write_matrix_dump,
 )
 from wtnrank import ingest
+from wtnrank.analysis import _block_variant
 from wtnrank.errors import ParseError
+from wtnrank.gmatrix import _dense_links
 from wtnrank.ingest import COO_FIELDS
-from wtnrank.ranks import _stationary, pagerank
-from wtnrank.testkit import dense_google_from_money, dense_pagerank_oracle, densify
+from wtnrank.ranks import pagerank
+from wtnrank.testkit import dense_google_from_money, dense_pagerank_oracle, densify, perturb_money
 
 from conftest import flows, money_from_dense
 
@@ -347,10 +348,11 @@ def test_block_solves_match_dense_solves(dense, alpha):
             assert np.all(P.values >= 0.0)
             for product in np.flatnonzero(dense.sum(axis=(1, 2))):
                 # the teleport response: G with product's block of v, rescaled to 1, as teleport
-                block = slice(product * money.n_countries, (product + 1) * money.n_countries)
+                block = np.arange(product * money.n_countries, (product + 1) * money.n_countries)
                 u = np.zeros(G.size)
                 u[block] = G.v.values[block] / G.v.values[block].sum()
-                Q, report = _stationary(G, 1e-12, product)
+                links = _dense_links(G.S, block, block)
+                Q, report = _block_variant(G, block, links, links, u, 0.0, 1e-12)
                 assert report.converged
                 oracle = dense_pagerank_oracle(make_google(G.S, PersonalizationVector(u, G.v.mode), alpha))
                 assert np.abs(Q.values - oracle).sum() < SOLVE_L1_TOL
@@ -402,14 +404,23 @@ def trading(dense: np.ndarray) -> np.ndarray:
 
 
 def oracle_balance(money, source: str, personalization: str) -> np.ndarray:
-    """B per country from the dense tensor: a dense solve of each Google matrix, or volume shares."""
+    """B per country from the dense tensor: power iteration on each Google matrix, or volume shares.
+
+    G and the iterates are non-negative, so each step keeps every entry to a
+    few ulps of itself, tiny ones included; a dense solve of (I - G + 1) x = 1
+    does not, and a country trading 1e-7 of the volume lost up to 1e-6 of its
+    D_h. 0.5**200 leaves nothing of the start.
+    """
     dense = money.to_dense()
     if source == "gma":
         nodes = []
         for direction in ("direct", "inverted"):
             G = dense_google_from_money(money, direction, 0.5, personalization)
-            # the stationary vector, with the sum-to-1 condition added to every row
-            nodes.append(np.linalg.solve(np.eye(len(G)) - G + 1.0, np.ones(len(G))))
+            x = np.full(len(G), 1.0 / len(G))
+            for _ in range(200):
+                x = G @ x
+                x /= x.sum()
+            nodes.append(x)
     else:
         nodes = dense_volume_shares(dense)
     P, Pstar = (x.reshape(dense.shape[0], -1).sum(axis=0) for x in nodes)
@@ -433,6 +444,28 @@ def test_global_difference_matches_rebuilt_oracle(dense, data, source, personali
         values = result[key]
         up, down = (oracle_balance(perturb_money(money, product, d), source, personalization) for d in (h, -h))
         error = np.abs(values - (up - down) / (2.0 * h))[trading(dense)]
+        assert np.max(error, initial=0.0) <= GLOBAL_DIFFERENCE_TOL, (h, error)
+
+
+@settings(max_examples=40)
+@given(
+    dense=dense_tensors(),
+    data=st.data(),
+    side=st.sampled_from(("export", "import")),
+    personalization=st.sampled_from(PERSONALIZATIONS),
+)
+def test_gma_country_difference_matches_rebuilt_oracle(dense, data, side, personalization):
+    money = money_from_dense(dense)
+    product = data.draw(st.integers(0, dense.shape[0] - 1))
+    country = f"C{data.draw(st.integers(0, dense.shape[1] - 1)):03d}"
+    config = SensitivityConfig(product=product, country=country, side=side, personalization=personalization)
+    result = sensitivity_richardson(money, config)
+    for key, h in (("d_h", config.step), ("d_h2", config.step / 2), ("d_h4", config.step / 4)):
+        up, down = (
+            oracle_balance(perturb_money(money, product, d, country, side), "gma", personalization)
+            for d in (h, -h)
+        )
+        error = np.abs(result[key] - (up - down) / (2.0 * h))[trading(dense)]
         assert np.max(error, initial=0.0) <= GLOBAL_DIFFERENCE_TOL, (h, error)
 
 
