@@ -281,7 +281,9 @@ def _write_balance(config: RunConfig, year: int, p_c, pstar_c, phat_c, phatstar_
 def _richardson_summary(result: dict) -> dict:
     """Convergence diagnostic: ratio of successive halved-step differences."""
     spread = np.abs(result["d_h2"] - result["d_h4"])
-    mask = spread > 1e-12
+    # a difference quotient at step h carries rounding of about eps / h; a spread
+    # not a thousand times above it measures that rounding, not convergence
+    mask = spread > 1e3 * np.finfo(np.float64).eps / result["h"]
     checked = int(mask.sum())
     ratios = np.sort(result["ratio"][mask])
     # the mean of the middle one or two, as np.median takes it; np.median would import numpy.ma

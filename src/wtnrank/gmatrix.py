@@ -9,8 +9,10 @@ personalization vector and the dangling-node repair. The damped operator
 
 is never densified; consumers go through :meth:`GoogleMatrix.apply`, which
 evaluates the three terms (sparse links, uniform dangling columns, teleport).
-The links of S are three numpy arrays in column order: column j holds rows
-``row[indptr[j]:indptr[j + 1]]`` (ascending) with weights ``value[...]``.
+The links of S are COO arrays ``row``, ``col``, ``value`` in the money
+tensor's (product, importer, exporter) order, so each product's links are one
+run ``blocks[p]:blocks[p + 1]`` and each row meets its columns in ascending
+order, in either direction.
 """
 
 from __future__ import annotations
@@ -66,14 +68,16 @@ class NodeSpace:
 class StochasticMatrix:
     """Column-stochastic link matrix S with the dangling columns kept implicit.
 
-    The normalized trade links are held in column order: ``indptr`` (N + 1
-    offsets), and per entry its ``row`` and ``value``; column j's entries
-    are ``indptr[j]:indptr[j + 1]``, rows ascending. Dangling columns are
-    empty; ``dangling`` marks them, each standing for a uniform 1/N column.
+    The normalized trade links are held per entry as ``row``, ``col`` and
+    ``value``, in the order of the money tensor they came from: direct links
+    run importer <- exporter, inverted ones exporter <- importer. Product p's
+    entries are ``blocks[p]:blocks[p + 1]``. Dangling columns are empty;
+    ``dangling`` marks them, each standing for a uniform 1/N column.
     """
 
-    indptr: np.ndarray
+    blocks: np.ndarray
     row: np.ndarray
+    col: np.ndarray
     value: np.ndarray
     dangling: np.ndarray
     space: NodeSpace
@@ -83,16 +87,17 @@ class StochasticMatrix:
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
-        n = self.space.size
-        if self.indptr.shape != (n + 1,) or not self.row.shape == self.value.shape == (self.indptr[-1],):
-            raise ValueError(f"link arrays do not describe {n} columns")
+        if self.blocks.shape != (self.space.n_products + 1,) or not (
+            self.row.shape == self.col.shape == self.value.shape == (self.blocks[-1],)
+        ):
+            raise ValueError(f"link arrays do not describe {self.space.n_products} product blocks")
 
     @property
     def size(self) -> int:
         return self.space.size
 
     def column_sums(self) -> np.ndarray:
-        return _column_sums(self.indptr, self.value)
+        return np.bincount(self.col, weights=self.value, minlength=self.size)
 
     def validate(self, tol: float = COLUMN_SUM_TOL) -> None:
         sums = self.column_sums()
@@ -152,10 +157,10 @@ class GoogleMatrix:
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.size,):
             raise ValueError(f"vector length {x.shape} does not match N={self.size}")
-        # entries are in column order, so each row adds its terms in the order of a CSC matvec
-        weights = self.S.value * np.repeat(x, np.diff(self.S.indptr))
-        out = self.alpha * np.bincount(self.S.row, weights=weights, minlength=self.size)
-        out += self.alpha * x[self.S.dangling].sum() / self.size
+        # each row meets its columns in ascending order, so it adds its terms as a CSC matvec does
+        S = self.S
+        out = self.alpha * np.bincount(S.row, weights=S.value * x[S.col], minlength=self.size)
+        out += self.alpha * x[S.dangling].sum() / self.size
         out += (1.0 - self.alpha) * x.sum() * self.v.values
         return out
 
@@ -167,14 +172,14 @@ class GoogleMatrix:
 
 
 def _dense_links(S: StochasticMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """S[rows, cols] as a dense array, scattered from the entries of the columns cols span."""
-    lo, hi = cols.min(), cols.max() + 1
-    first, last = S.indptr[lo], S.indptr[hi]
+    """S[rows, cols] as a dense array, scattered from the entries of the products cols span."""
+    n_countries = S.space.n_countries
+    first, last = S.blocks[cols.min() // n_countries], S.blocks[cols.max() // n_countries + 1]
     row_at = np.full(S.size, -1)
     row_at[rows] = np.arange(len(rows))
     col_at = np.full(S.size, -1)
     col_at[cols] = np.arange(len(cols))
-    i, j = row_at[S.row[first:last]], np.repeat(col_at[lo:hi], np.diff(S.indptr[lo : hi + 1]))
+    i, j = row_at[S.row[first:last]], col_at[S.col[first:last]]
     keep = (i >= 0) & (j >= 0)
     links = np.zeros((len(rows), len(cols)))
     links[i[keep], j[keep]] = S.value[first:last][keep]
@@ -184,8 +189,8 @@ def _dense_links(S: StochasticMatrix, rows: np.ndarray, cols: np.ndarray) -> np.
 def _solve_links(S: StochasticMatrix, alpha: float, rhs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Solve (I - alpha S[nodes, nodes]) Z = rhs, one dense product block at a time.
 
-    S links nodes of one product only, and a product's columns are one
-    ``indptr`` range, so each block is densified from its own entries. Row i
+    S links nodes of one product only, and a product's entries are one
+    ``blocks`` run, so each block is densified from its own entries. Row i
     of ``rhs`` and of Z belongs to ``nodes[i]``; nodes ascend. alpha S has
     column sums at most alpha < 1, so no block is singular.
     """
@@ -213,27 +218,12 @@ def build_stochastic(money: MoneyMatrix, direction: str = "direct") -> Stochasti
     space = NodeSpace(money.n_countries, money.n_products)
     base = money.product * money.n_countries
     importer, exporter = base + money.importer, base + money.exporter
-    # money is sorted by (product, importer, exporter), so the inverted
-    # direction is in column order already; the direct one is sorted once,
-    # by a key unique per entry, so any sort gives rows ascending per column
-    if direction == "direct":
-        order = np.argsort(exporter * space.size + importer)
-        row, col, value = importer[order], exporter[order], money.value[order]
-    else:
-        row, col, value = exporter, importer, money.value
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=space.size))])
-    sums = _column_sums(indptr, value)
+    row, col = (importer, exporter) if direction == "direct" else (exporter, importer)
+    sums = np.bincount(col, weights=money.value, minlength=space.size)
     dangling = sums == 0.0
-    value = value / np.repeat(np.where(dangling, 1.0, sums), np.diff(indptr))
-    return StochasticMatrix(indptr, row, value, dangling, space, money.registry, direction)
-
-
-def _column_sums(indptr: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """Per-column sums, added in entry order (empty columns sum to 0)."""
-    sums = np.zeros(len(indptr) - 1)
-    live = np.diff(indptr) > 0
-    sums[live] = np.add.reduceat(value, indptr[:-1][live])
-    return sums
+    value = money.value / np.where(dangling, 1.0, sums)[col]
+    blocks = np.searchsorted(money.product, np.arange(money.n_products + 1))
+    return StochasticMatrix(blocks, row, col, value, dangling, space, money.registry, direction)
 
 
 def build_personalization(money: MoneyMatrix, mode: str = "uniform-by-product") -> PersonalizationVector:
@@ -295,11 +285,10 @@ def write_matrix_dump(G: GoogleMatrix, path, sidecar=None) -> tuple[Path, Path]:
     if sidecar is None:
         sidecar = path.with_suffix(".meta")
     S = G.S
-    col = np.repeat(np.arange(S.size), np.diff(S.indptr))
-    order = np.lexsort((col, S.row))
+    order = np.lexsort((S.col, S.row))
     lines = ["row,col,value"]
     for i in order:
-        lines.append(f"{S.row[i]},{col[i]},{fmt(S.value[i])}")
+        lines.append(f"{S.row[i]},{S.col[i]},{fmt(S.value[i])}")
     write_lines(path, lines)
     meta = [
         f"alpha={fmt(G.alpha)}",

@@ -39,7 +39,7 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .errors import NoRecordsError, ParseError, UnknownCountryError
+from .errors import NoRecordsError, ParseError, UnknownCountryError, WtnError
 
 #: Number of one-digit SITC Rev. 1 sections; fixed by the classification.
 N_PRODUCTS = 10
@@ -278,7 +278,9 @@ def read_money_matrix(
     such line in the file) for structural problems, such as a row the csv
     module cannot split, for a value or a sum past the float64 range, for a
     canonical country code the output files cannot hold, and NoRecordsError
-    when no row of ``year`` is left, or only self-flows.
+    when no row of ``year`` is left, or only self-flows. Raises WtnError
+    when ``aggregation`` names no bloc among the year's canonical codes, as
+    when it maps ISO codes and the file holds numeric ones.
     """
     aggregation = dict(aggregation or {})
     stream, reader = _text_reader(source)
@@ -317,6 +319,9 @@ def read_money_matrix(
     del rows   # free the row buffers before the constructor's temporaries
     if not ids:
         raise NoRecordsError(year)
+    blocs = set(aggregation.values())
+    if blocs and blocs.isdisjoint(ids):
+        raise WtnError(f"aggregation onto {', '.join(sorted(blocs))} matched no country code of {year}")
     ordered = tuple(sorted(ids))
     registry = CountryRegistry(codes=ordered, names=ordered, aggregation=aggregation)
     if not len(keys):

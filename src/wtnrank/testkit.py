@@ -124,7 +124,7 @@ def dense_google_from_money(
 def dense_links(S: StochasticMatrix) -> np.ndarray:
     """The stored links of S as a dense (N, N) array; dangling columns stay zero."""
     dense = np.zeros((S.size, S.size))
-    dense[S.row, np.repeat(np.arange(S.size), np.diff(S.indptr))] = S.value
+    dense[S.row, S.col] = S.value
     return dense
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -332,10 +333,15 @@ print(os.environ.get("OPENBLAS_NUM_THREADS"))
             spread = np.where(rng.random(n) < 0.8, 1.0, 0.0)
             result = {"h": 0.01, "ratio": ratio, "d_h2": spread, "d_h4": np.zeros(n)}
             summary = cli._richardson_summary(result)
-            checked = spread > 1e-12
+            checked = spread > 1e3 * np.finfo(np.float64).eps / 0.01
             expected = float(np.median(ratio[checked])) if checked.any() else None
             assert summary["median_ratio"] == expected
             assert summary["checked"] == int(checked.sum())
+
+    def test_richardson_skips_rounding_spreads(self):
+        # at h = 0.01 the cut is 2.2e-11: a 5e-12 spread is rounding, a 5e-11 one is counted
+        result = {"h": 0.01, "ratio": np.array([9.0, 4.0]), "d_h2": np.array([5e-12, 5e-11]), "d_h4": np.zeros(2)}
+        assert cli._richardson_summary(result) == {"h": 0.01, "checked": 1, "median_ratio": 4.0}
 
 
 class TestResolution:
@@ -349,12 +355,34 @@ class TestResolution:
         assert (tmp_path / f"balance_{YEAR}.csv").exists()
 
     def test_packaged_eu27_alias(self, trade_file, tmp_path):
-        # no EU members in the synthetic registry, so the merge is a no-op
-        plain, merged = tmp_path / "plain", tmp_path / "merged"
-        assert run("balance", trade_file, plain) == 0
-        assert run("balance", trade_file, merged, "--aggregate", "eu27") == 0
+        # two synthetic countries renamed to EU members, so the packaged map merges them
+        eu_file = tmp_path / "eu.csv"
+        eu_file.write_text(trade_file.read_text().replace("C000", "DEU").replace("C001", "FRA"))
+        mapping = tmp_path / "blocs.csv"
+        mapping.write_text((resources.files("wtnrank") / "data" / "eu27_aggregation.csv").read_text())
+        by_alias, by_path = tmp_path / "alias", tmp_path / "path"
+        assert run("balance", eu_file, by_alias, "--aggregate", "eu27") == 0
+        assert run("balance", eu_file, by_path, "--aggregate", str(mapping)) == 0
         name = f"balance_{YEAR}.csv"
-        assert (plain / name).read_bytes() == (merged / name).read_bytes()
+        assert (by_alias / name).read_bytes() == (by_path / name).read_bytes()
+        codes = [row.split(",")[0] for row in (by_alias / name).read_text().splitlines()[1:]]
+        assert "EUU" in codes and "DEU" not in codes and "FRA" not in codes
+
+    def test_aggregation_matching_no_code_fails(self, tmp_path, capsys):
+        # M49 numeric codes for Germany, the USA and China: the EU-27 map names ISO codes
+        rows = ["year,exporter,importer,sitc,value_usd"]
+        rows += [f"{YEAR},276,842,0,5", f"{YEAR},842,156,1,7", f"{YEAR},156,276,2,9"]
+        numeric = tmp_path / "m49.csv"
+        numeric.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        assert run("balance", numeric, out, "--aggregate", "eu27") == 1
+        assert "EUU" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+        # a file already aggregated onto the bloc matches it
+        aggregated = tmp_path / "euu.csv"
+        aggregated.write_text(numeric.read_text().replace("276", "EUU"))
+        assert run("balance", aggregated, out, "--aggregate", "eu27") == 0
+        assert "EUU" in (out / f"balance_{YEAR}.csv").read_text()
 
     def test_custom_aggregation_merges_rows(self, trade_file, tmp_path):
         mapping = tmp_path / "blocs.csv"

@@ -31,7 +31,8 @@ def uniform_google(n_countries=3, n_products=2, alpha=0.5):
     space = NodeSpace(n_countries, n_products)
     n = space.size
     S = StochasticMatrix(
-        np.zeros(n + 1, dtype=np.int64),
+        np.zeros(n_products + 1, dtype=np.int64),
+        np.zeros(0, dtype=np.int64),
         np.zeros(0, dtype=np.int64),
         np.zeros(0),
         np.ones(n, dtype=bool),
@@ -87,8 +88,14 @@ class TestBuildStochastic:
     def test_direction_duality(self, small_money):
         inverted = build_stochastic(small_money, "inverted")
         direct_of_transposed = build_stochastic(small_money.transposed(), "direct")
-        for name in ("indptr", "row", "value"):
-            assert np.array_equal(getattr(inverted, name), getattr(direct_of_transposed, name))
+
+        def entries(S):
+            order = np.lexsort((S.col, S.row))
+            return S.row[order], S.col[order], S.value[order]
+
+        for ours, theirs in zip(entries(inverted), entries(direct_of_transposed)):
+            assert np.array_equal(ours, theirs)
+        assert np.array_equal(inverted.blocks, direct_of_transposed.blocks)
         assert np.array_equal(inverted.dangling, direct_of_transposed.dangling)
 
     def test_validate_passes_on_fixtures(self):
@@ -109,9 +116,9 @@ class TestBuildStochastic:
     def test_validate_rejections(self, column0, column1, dangling, message):
         columns = np.array([column0, column1])
         col, row = np.nonzero(columns)
-        indptr = np.array([0, *np.cumsum(np.count_nonzero(columns, axis=1))])
         S = StochasticMatrix(
-            indptr, row, columns[col, row], np.array(dangling), NodeSpace(2, 1), synthetic_registry(2), "direct"
+            np.array([0, len(row)]), row, col, columns[col, row], np.array(dangling),
+            NodeSpace(2, 1), synthetic_registry(2), "direct",
         )
         with pytest.raises(ValueError, match=message):
             S.validate()

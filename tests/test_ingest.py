@@ -300,9 +300,10 @@ class TestAggregation:
         assert flows(money) == [(3, 1, 0, 15.0)]
 
     def test_non_member_pass_through(self):
-        money = read(["2018,CHN,USA,3,7"], aggregation=EU)
-        assert money.registry.codes == ("CHN", "USA")
-        assert flows(money) == [(3, 1, 0, 7.0)]
+        # one member row, as a map that matches no code at all is an error
+        money = read(["2018,CHN,USA,3,7", "2018,DEU,CHN,3,2"], aggregation=EU)
+        assert money.registry.codes == ("CHN", "EUU", "USA")
+        assert flows(money) == [(3, 0, 1, 2.0), (3, 2, 0, 7.0)]
 
     def test_idempotent(self):
         once = read(["2018,DEU,USA,3,10", "2018,FRA,USA,3,5", "2018,USA,DEU,1,2"], aggregation=EU)

@@ -28,12 +28,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wtnrank import (
+    NodeSpace,
     PersonalizationVector,
     SensitivityConfig,
     StochasticMatrix,
     aggregate_country,
     balance_sensitivity,
     build_google,
+    build_stochastic,
     make_google,
     read_money_matrix,
     sensitivity_richardson,
@@ -91,7 +93,9 @@ def trade_rows(draw):
 
     The first row is an export of ``YEAR`` between two non-members, so at
     least one flow survives; the rest may be of another year, mirror
-    reports, bloc self-flows or repeats of one key. Values are cell texts.
+    reports, bloc self-flows or repeats of one key. A non-empty map gets one
+    bloc self-flow of ``YEAR``, as a map that matches no code is an error.
+    Values are cell texts.
     """
     blocs = draw(st.lists(st.sampled_from(MEMBERS), unique=True))
     aggregation = {member: "EUU" for member in blocs}
@@ -105,7 +109,10 @@ def trade_rows(draw):
         st.sampled_from(("x", "export", "X", "m", "import")),
     )
     first = (YEAR, *draw(st.permutations(OTHERS)), "3", str(draw(st.decimals(1, 10**6, places=2))), "x")
-    return [first] + draw(st.lists(row, max_size=30)), aggregation
+    rest = draw(st.lists(row, max_size=30))
+    if blocs:
+        rest.insert(draw(st.integers(0, len(rest))), (YEAR, blocs[0], blocs[-1], "3", "1.00", "x"))
+    return [first] + rest, aggregation
 
 
 def render(rows) -> str:
@@ -359,21 +366,28 @@ def test_block_solves_match_dense_solves(dense, alpha):
                 assert np.all(Q.values >= 0.0)
 
 
-def read_dump(path: Path, sidecar: Path, n: int) -> tuple:
-    """indptr, row, value, dangling, v and alpha parsed back from a matrix dump."""
+def read_dump(path: Path, sidecar: Path, space: NodeSpace, direction: str) -> tuple:
+    """blocks, row, col, value, dangling, v and alpha parsed back from a matrix dump.
+
+    The triplets are put back in the money tensor's (product, importer,
+    exporter) order; the importer is the row of a direct link and the column
+    of an inverted one.
+    """
+    n = space.size
     lines = path.read_text().splitlines()
     assert lines[0] == "row,col,value"
     triplets = [line.split(",") for line in lines[1:]]
     row = np.array([int(r) for r, _, _ in triplets], dtype=np.int64)
     col = np.array([int(c) for _, c, _ in triplets], dtype=np.int64)
     value = np.array([float(x) for _, _, x in triplets])
-    order = np.lexsort((row, col))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))])
+    order = np.lexsort((col, row) if direction == "direct" else (row, col))
+    row, col, value = row[order], col[order], value[order]
+    blocks = np.searchsorted(row // space.n_countries, np.arange(space.n_products + 1))
     meta = dict(line.split("=", 1) for line in sidecar.read_text().splitlines())
     dangling = np.zeros(n, dtype=bool)
     dangling[[int(i) for i in meta["dangling"].split(",") if i]] = True
     v = np.array([float(x) for x in meta["v"].split(",")])
-    return indptr, row[order], value[order], dangling, v, float(meta["alpha"])
+    return blocks, row, col, value, dangling, v, float(meta["alpha"])
 
 
 @settings(max_examples=40)
@@ -381,16 +395,35 @@ def read_dump(path: Path, sidecar: Path, n: int) -> tuple:
 def test_dump_rebuilds_the_operator(dense, alpha, direction):
     G = build_google(money_from_dense(dense), direction, alpha)
     with tempfile.TemporaryDirectory() as tmp:
-        indptr, row, value, dangling, v, dumped_alpha = read_dump(
-            *write_matrix_dump(G, Path(tmp) / "gm.csv"), G.size
+        blocks, row, col, value, dangling, v, dumped_alpha = read_dump(
+            *write_matrix_dump(G, Path(tmp) / "gm.csv"), G.space, direction
         )
-    for name, array in (("indptr", indptr), ("row", row), ("value", value), ("dangling", dangling)):
+    arrays = {"blocks": blocks, "row": row, "col": col, "value": value, "dangling": dangling}
+    for name, array in arrays.items():
         assert np.array_equal(getattr(G.S, name), array), name
     assert np.array_equal(G.v.values, v) and dumped_alpha == G.alpha
-    S = StochasticMatrix(indptr, row, value, dangling, G.space, G.registry, direction)
+    S = StochasticMatrix(blocks, row, col, value, dangling, G.space, G.registry, direction)
     rebuilt = make_google(S, PersonalizationVector(v, G.v.mode), dumped_alpha)
     x = np.random.default_rng(0).random(G.size)
     assert rebuilt.apply(x).tobytes() == G.apply(x).tobytes()
+
+
+@settings(max_examples=60)
+@given(dense=dense_tensors())
+def test_both_directions_keep_the_tensor_order(dense):
+    money = money_from_dense(dense)
+    direct, inverted = build_stochastic(money, "direct"), build_stochastic(money, "inverted")
+    assert np.array_equal(direct.row, inverted.col) and np.array_equal(direct.col, inverted.row)
+    imports, exports = money.node_volumes()
+    for S, volumes in ((direct, exports), (inverted, imports)):
+        # block p holds exactly product p's entries, and row and col both lie in it
+        product = np.repeat(np.arange(money.n_products), np.diff(S.blocks))
+        assert S.blocks[0] == 0 and np.array_equal(product, money.product)
+        assert np.array_equal(S.row // money.n_countries, product)
+        assert np.array_equal(S.col // money.n_countries, product)
+        # each column is divided by its node's volume, added as node_volumes adds it
+        assert np.array_equal(S.value, money.value / volumes[S.col])
+        assert np.array_equal(S.dangling, volumes == 0.0)
 
 
 def trading(dense: np.ndarray) -> np.ndarray:
