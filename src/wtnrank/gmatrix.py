@@ -12,7 +12,8 @@ evaluates the three terms (sparse links, uniform dangling columns, teleport).
 The links of S are COO arrays ``row``, ``col``, ``value`` in the money
 tensor's (product, importer, exporter) order, so each product's links are one
 run ``blocks[p]:blocks[p + 1]`` and each row meets its columns in ascending
-order, in either direction.
+order, in either direction. ``row`` and ``col`` are the tensor's read-only
+``MoneyMatrix.nodes``, which both directions share.
 """
 
 from __future__ import annotations
@@ -70,9 +71,10 @@ class StochasticMatrix:
 
     The normalized trade links are held per entry as ``row``, ``col`` and
     ``value``, in the order of the money tensor they came from: direct links
-    run importer <- exporter, inverted ones exporter <- importer. Product p's
-    entries are ``blocks[p]:blocks[p + 1]``. Dangling columns are empty;
-    ``dangling`` marks them, each standing for a uniform 1/N column.
+    run importer <- exporter, inverted ones exporter <- importer. ``row`` and
+    ``col`` are the tensor's read-only node arrays, shared by both directions.
+    Product p's entries are ``blocks[p]:blocks[p + 1]``. Dangling columns are
+    empty; ``dangling`` marks them, each standing for a uniform 1/N column.
     """
 
     blocks: np.ndarray
@@ -172,17 +174,20 @@ class GoogleMatrix:
 
 
 def _dense_links(S: StochasticMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """S[rows, cols] as a dense array, scattered from the entries of the products cols span."""
+    """S[rows, cols] as a dense array, from the entries of the products cols span.
+
+    Masks of the rows and columns asked for pick the entries; only kept ones are gathered.
+    """
     n_countries = S.space.n_countries
     first, last = S.blocks[cols.min() // n_countries], S.blocks[cols.max() // n_countries + 1]
     row_at = np.full(S.size, -1)
     row_at[rows] = np.arange(len(rows))
     col_at = np.full(S.size, -1)
     col_at[cols] = np.arange(len(cols))
-    i, j = row_at[S.row[first:last]], col_at[S.col[first:last]]
-    keep = (i >= 0) & (j >= 0)
+    row, col = S.row[first:last], S.col[first:last]
+    keep = np.flatnonzero((row_at >= 0)[row] & (col_at >= 0)[col])
     links = np.zeros((len(rows), len(cols)))
-    links[i[keep], j[keep]] = S.value[first:last][keep]
+    links[row_at[row[keep]], col_at[col[keep]]] = S.value[first:last][keep]
     return links
 
 
@@ -216,8 +221,7 @@ def build_stochastic(money: MoneyMatrix, direction: str = "direct") -> Stochasti
     if not money.value.size:
         raise EmptyNetworkError("money matrix has no flows; no network to build")
     space = NodeSpace(money.n_countries, money.n_products)
-    base = money.product * money.n_countries
-    importer, exporter = base + money.importer, base + money.exporter
+    importer, exporter = money.nodes
     row, col = (importer, exporter) if direction == "direct" else (exporter, importer)
     sums = np.bincount(col, weights=money.value, minlength=space.size)
     dangling = sums == 0.0

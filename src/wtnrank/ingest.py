@@ -34,6 +34,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from decimal import MAX_PREC, Decimal, InvalidOperation, localcontext
+from functools import cached_property
 from itertools import accumulate, chain, compress, islice
 from typing import IO, Iterable, Mapping
 
@@ -224,13 +225,20 @@ class MoneyMatrix:
         """Total traded volume of each product, shape (n_products,)."""
         return np.bincount(self.product, weights=self.value, minlength=self.n_products)
 
+    @cached_property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only importer and exporter node ids p * n_countries + c of each entry, computed once."""
+        importer = self.product * self.n_countries
+        exporter = importer + self.exporter
+        importer += self.importer
+        importer.setflags(write=False)
+        exporter.setflags(write=False)
+        return importer, exporter
+
     def node_volumes(self) -> tuple[np.ndarray, np.ndarray]:
         """Import and export volume of every node p * n_countries + c."""
-        base = self.product * self.n_countries
         size = self.n_products * self.n_countries
-        imports = np.bincount(base + self.importer, weights=self.value, minlength=size)
-        exports = np.bincount(base + self.exporter, weights=self.value, minlength=size)
-        return imports, exports
+        return tuple(np.bincount(nodes, weights=self.value, minlength=size) for nodes in self.nodes)
 
     def to_dense(self) -> np.ndarray:
         """Float64 array of shape (n_products, n_countries, n_countries)."""
@@ -279,8 +287,8 @@ def read_money_matrix(
     module cannot split, for a value or a sum past the float64 range, for a
     canonical country code the output files cannot hold, and NoRecordsError
     when no row of ``year`` is left, or only self-flows. Raises WtnError
-    when ``aggregation`` names no bloc among the year's canonical codes, as
-    when it maps ISO codes and the file holds numeric ones.
+    naming each bloc of ``aggregation`` not among the year's canonical
+    codes, as when it maps ISO codes and the file holds numeric ones.
     """
     aggregation = dict(aggregation or {})
     stream, reader = _text_reader(source)
@@ -312,16 +320,15 @@ def read_money_matrix(
         if overflow is not None and overflow.line < exc.line:
             raise overflow from None
         raise
-    keys, value, overflow = rows.totals()
+    keys, value, overflow = rows.totals()   # frees the row buffers
     if overflow is not None:
         raise overflow
     ids = rows.ids
-    del rows   # free the row buffers before the constructor's temporaries
     if not ids:
         raise NoRecordsError(year)
-    blocs = set(aggregation.values())
-    if blocs and blocs.isdisjoint(ids):
-        raise WtnError(f"aggregation onto {', '.join(sorted(blocs))} matched no country code of {year}")
+    unmatched = sorted(set(aggregation.values()).difference(ids))
+    if unmatched:
+        raise WtnError(f"aggregation onto {', '.join(unmatched)} matched no country code of {year}")
     ordered = tuple(sorted(ids))
     registry = CountryRegistry(codes=ordered, names=ordered, aggregation=aggregation)
     if not len(keys):
@@ -364,7 +371,7 @@ class _Rows:
     :meth:`take` is the one place a row is checked. Each row of the year
     that is not a mirror report or a self-flow appends its packed (product,
     importer, exporter) key, its float value, its line and its value text to
-    growing buffers, which :meth:`totals` sums.
+    growing buffers, which :meth:`totals` sums to one entry per key and frees.
     """
 
     def __init__(self, header: list[str], year: int, aggregation: Mapping[str, str]):
@@ -507,41 +514,45 @@ class _Rows:
         than once are summed exactly in Decimal from their text, in file
         order, and the sum is rounded to float once. The overflow is the
         ParseError of the first line at which a sum passes the float64
-        range, or None.
+        range, or None. It holds one stable permutation, the keys and values
+        gathered through it and a mark on each row that repeats the key before;
+        only the rows of repeated keys are indexed. It frees the row buffers.
         """
-        keys = np.frombuffer(self.keys, dtype=np.int64)
-        order = np.argsort(keys, kind="stable")   # each key's rows stay in file order
-        keys = keys[order]
-        new = np.ones(len(keys), dtype=bool)
-        new[1:] = keys[1:] != keys[:-1]
-        first = np.flatnonzero(new)
-        size = np.diff(first, append=len(keys))
-        value = np.frombuffer(self.values, dtype=np.float64)[order[first]]
-        rows = order[np.repeat(size > 1, size)]   # the rows of repeated keys, key by key
+        # each key's rows stay in file order; each buffer is freed once gathered
+        order = np.argsort(np.frombuffer(self.keys, dtype=np.int64), kind="stable")
+        keys, self.keys = np.frombuffer(self.keys, dtype=np.int64)[order], None
+        values, self.values = np.frombuffer(self.values, dtype=np.float64)[order], None
+        repeat = np.zeros(len(keys), dtype=bool)
+        repeat[1:] = keys[1:] == keys[:-1]
+        at = np.flatnonzero(repeat)
+        heads = at[~repeat[at - 1]] - 1   # the first row of each repeated key
+        positions = np.sort(np.concatenate((heads, at)))   # the rows of repeated keys, key by key
+        bounds = np.append(np.searchsorted(positions, heads), len(positions)).tolist()
+        rows = order[positions]
+        del order
         ends = np.frombuffer(self.ends, dtype=np.int64)
         starts, stops = ends[rows] + 1, ends[rows + 1]
-        texts = self.texts
         overflow = None
         with localcontext() as ctx:
             ctx.prec = _MONEY_PRECISION
-            at = 0
-            for k in np.flatnonzero(size > 1).tolist():
-                end = at + size[k]
+            for head, a, b in zip(heads.tolist(), bounds[:-1], bounds[1:]):
                 parts = [
-                    Decimal(texts[a:b].decode().strip())
-                    for a, b in zip(starts[at:end].tolist(), stops[at:end].tolist())
+                    Decimal(self.texts[s:t].decode().strip())
+                    for s, t in zip(starts[a:b].tolist(), stops[a:b].tolist())
                 ]
                 total = sum(parts, _ZERO)
-                value[k] = float(total)
+                values[head] = float(total)
                 if total >= _FLOAT_OVERFLOW:
                     # the running sum only grows; it is checked from the key's second row on
                     n = max(2, bisect_left(list(accumulate(parts, initial=_ZERO)), _FLOAT_OVERFLOW))
-                    line = self.lines[rows[at + n - 1]]
+                    line = self.lines[rows[a + n - 1]]
                     if overflow is None or line < overflow.line:
-                        flow = _flow_name(int(keys[first[k]]), self.ids)
+                        codes, key = list(self.ids), int(keys[head])
+                        importer, exporter = codes[key >> _ID_BITS & _ID_MASK], codes[key & _ID_MASK]
+                        flow = f"(product {key >> 2 * _ID_BITS}, importer {importer}, exporter {exporter})"
                         overflow = ParseError(line, f"sum of flow {flow} overflows float64")
-                at = end
-        return keys[first], value, overflow
+        self.lines = self.ends = self.texts = None
+        return keys[~repeat], values[~repeat], overflow
 
 
 def _year_kept(cell: str, year: int, line: int) -> bool:
@@ -576,13 +587,6 @@ def _product_bits(cell: str, line: int) -> int:
         return sitc_to_product(cell.strip()) << 2 * _ID_BITS
     except ValueError as exc:
         raise ParseError(line, str(exc)) from None
-
-
-def _flow_name(key: int, ids: dict[str, int]) -> str:
-    codes = list(ids)
-    product = key >> 2 * _ID_BITS
-    importer, exporter = codes[key >> _ID_BITS & _ID_MASK], codes[key & _ID_MASK]
-    return f"(product {product}, importer {importer}, exporter {exporter})"
 
 
 def read_aggregation_file(source: IO[str] | Iterable[str] | str) -> dict[str, str]:

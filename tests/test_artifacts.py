@@ -4,16 +4,24 @@ The fixture file exercises what ingest does besides reading: two members
 merged into a bloc, a mirror row, a key given twice and a country whose
 only rows are self-flows. The test sums the tensor by hand, builds both
 Google matrices with ``testkit.dense_google_from_money``, takes their
-stationary vectors by power iteration and checks each file against them.
+stationary vectors by power iteration and checks each file against them;
+the sensitivities are central differences of ``testkit.perturb_money``.
 """
 
 import numpy as np
 import pytest
 
 from wtnrank import NodeSubset, build_google, cli
-from wtnrank.gmatrix import PERSONALIZATION_MODES
+from wtnrank.analysis import DEFAULT_STEP
+from wtnrank.gmatrix import DIRECTIONS, PERSONALIZATION_MODES
 from wtnrank.ingest import N_PRODUCTS, CountryRegistry, MoneyMatrix
-from wtnrank.testkit import dense_google_from_money, dense_regomax_oracle, dense_stationary, densify
+from wtnrank.testkit import (
+    dense_google_from_money,
+    dense_regomax_oracle,
+    dense_stationary,
+    densify,
+    perturb_money,
+)
 
 YEAR = 2018
 ALPHA = 0.5
@@ -38,6 +46,10 @@ ROWS = [
     ("SLF", "SLF", "7", 5.0, "x"),
 ]
 VALUE_TOL = 1e-13
+# an error of VALUE_TOL in B at delta = +-h becomes VALUE_TOL / h in D_h
+SENSITIVITY_TOL = VALUE_TOL / DEFAULT_STEP
+# below 6, so the rank planes keep some countries and drop others
+INDEX_CUTOFF = 4
 
 
 def expected_money() -> MoneyMatrix:
@@ -50,6 +62,27 @@ def expected_money() -> MoneyMatrix:
         if flow == "x" and exporter != importer:
             dense[int(sitc[0]), codes.index(importer), codes.index(exporter)] += value
     return MoneyMatrix.from_dense(dense, CountryRegistry(codes, codes, {}), YEAR)
+
+
+def country_vectors(money: MoneyMatrix, personalization: str) -> dict:
+    """P and P* from the dense Google matrices' stationary vectors, Phat and Phat* from the volume shares."""
+    n = money.n_countries
+    P, Pstar = (
+        dense_stationary(dense_google_from_money(money, d, ALPHA, personalization)).reshape(N_PRODUCTS, n).sum(axis=0)
+        for d in DIRECTIONS
+    )
+    dense = money.to_dense()
+    Phat, Phatstar = dense.sum(axis=(0, 2)) / dense.sum(), dense.sum(axis=(0, 1)) / dense.sum()
+    return {"P": P, "Pstar": Pstar, "Phat": Phat, "Phatstar": Phatstar}
+
+
+def balances(values: dict) -> dict:
+    """B of both sources; a country with P + P* = 0 gets NaN."""
+    with np.errstate(invalid="ignore"):
+        return {
+            "gma": (values["Pstar"] - values["P"]) / (values["Pstar"] + values["P"]),
+            "iea": (values["Phatstar"] - values["Phat"]) / (values["Phatstar"] + values["Phat"]),
+        }
 
 
 def indexes(values: np.ndarray, codes: tuple) -> np.ndarray:
@@ -78,37 +111,32 @@ def run(request, tmp_path_factory):
     out = work / "out"
     for command in ("pipeline", "dump"):
         argv = [command, "--input", str(trade), "--year", str(YEAR), "--aggregate", str(blocs)]
+        argv += ["--index-cutoff", str(INDEX_CUTOFF)]
         assert cli.main([*argv, "--out", str(out), "--personalization", personalization]) == 0
 
     money = expected_money()
     codes, n = money.registry.codes, money.n_countries
-    google = {d: dense_google_from_money(money, d, ALPHA, personalization) for d in ("direct", "inverted")}
-    P, Pstar = (dense_stationary(google[d]).reshape(N_PRODUCTS, n).sum(axis=0) for d in ("direct", "inverted"))
-    dense = money.to_dense()
-    Phat, Phatstar = dense.sum(axis=(0, 2)) / dense.sum(), dense.sum(axis=(0, 1)) / dense.sum()
-    for values in (P, Pstar):   # no near-tie the oracle's rounding could order either way
-        gaps = np.abs(values[:, None] - values[None, :])[~np.eye(n, dtype=bool)]
+    google = {d: dense_google_from_money(money, d, ALPHA, personalization) for d in DIRECTIONS}
+    values = country_vectors(money, personalization)
+    for vector in (values["P"], values["Pstar"]):   # no near-tie the oracle's rounding could order either way
+        gaps = np.abs(vector[:, None] - vector[None, :])[~np.eye(n, dtype=bool)]
         assert gaps.min() > 1e-9
+    names = {"K": "P", "Kstar": "Pstar", "Khat": "Phat", "Khatstar": "Phatstar"}
     return {
         "out": out,
         "personalization": personalization,
         "money": money,
         "google": google,
-        "values": {"P": P, "Pstar": Pstar, "Phat": Phat, "Phatstar": Phatstar},
-        "K": {
-            "K": indexes(P, codes),
-            "Kstar": indexes(Pstar, codes),
-            "Khat": indexes(Phat, codes),
-            "Khatstar": indexes(Phatstar, codes),
-        },
+        "values": values,
+        "K": {index: indexes(values[name], codes) for index, name in names.items()},
     }
 
 
-def assert_close(written: str, expected: float):
+def assert_close(written: str, expected: float, tol: float = VALUE_TOL):
     if np.isnan(expected):
         assert written == "nan"
     else:
-        assert abs(float(written) - expected) < VALUE_TOL, (written, expected)
+        assert abs(float(written) - expected) < tol, (written, expected)
 
 
 def test_fixture_has_the_cases_it_names(run):
@@ -145,19 +173,45 @@ def test_top_table(run):
         assert row == [str(r), *expected]
 
 
+@pytest.mark.parametrize("kind,axes", [("google", ("K", "Kstar")), ("volume", ("Khat", "Khatstar"))])
+def test_rank_plane(run, kind, axes):
+    codes = run["money"].registry.codes
+    kx, ky = (run["K"][axis] for axis in axes)
+    below = [c for c in range(len(codes)) if kx[c] < INDEX_CUTOFF and ky[c] < INDEX_CUTOFF]
+    assert 0 < len(below) < len(codes)
+    header, *rows = read_csv(run["out"] / f"rank_plane_{kind}_{YEAR}.csv")
+    assert header == ["entity", *axes]
+    assert rows == [[codes[c], str(kx[c]), str(ky[c])] for c in sorted(below, key=lambda c: (kx[c], ky[c]))]
+
+
 def test_balance(run):
     codes = run["money"].registry.codes
-    values = run["values"]
-    with np.errstate(invalid="ignore"):
-        gma = (values["Pstar"] - values["P"]) / (values["Pstar"] + values["P"])
-        iea = (values["Phatstar"] - values["Phat"]) / (values["Phatstar"] + values["Phat"])
+    expected = balances(run["values"])
     header, *rows = read_csv(run["out"] / f"balance_{YEAR}.csv")
     assert header == ["country", "B_gma", "B_iea"]
     assert [row[0] for row in rows] == list(codes)
     assert rows[codes.index("SLF")][2] == "nan"
     for c, (_, b_gma, b_iea) in enumerate(rows):
-        assert_close(b_gma, gma[c])
-        assert_close(b_iea, iea[c])
+        assert_close(b_gma, expected["gma"][c])
+        assert_close(b_iea, expected["iea"][c])
+
+
+@pytest.mark.parametrize("product", cli.PIPELINE_PRODUCTS)
+def test_sensitivity(run, product):
+    codes = run["money"].registry.codes
+    h = DEFAULT_STEP
+    up, down = (
+        balances(country_vectors(perturb_money(run["money"], product, delta), run["personalization"]))
+        for delta in (h, -h)
+    )
+    for source in ("gma", "iea"):
+        header, *rows = read_csv(run["out"] / f"sensitivity_{source}_s{product}_{YEAR}.csv")
+        assert header == ["country", "dB_ddelta"]
+        assert [row[0] for row in rows] == list(codes)
+        d_h = (up[source] - down[source]) / (2.0 * h)
+        assert np.nanmax(np.abs(d_h)) > 1e3 * SENSITIVITY_TOL   # the price moves every balance
+        for (_, written), expected in zip(rows, d_h):
+            assert_close(written, expected, SENSITIVITY_TOL)
 
 
 @pytest.mark.parametrize("direction", ["direct", "inverted"])

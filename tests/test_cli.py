@@ -384,6 +384,20 @@ class TestResolution:
         assert run("balance", aggregated, out, "--aggregate", "eu27") == 0
         assert "EUU" in (out / f"balance_{YEAR}.csv").read_text()
 
+    def test_every_unmatched_bloc_fails(self, tmp_path, capsys):
+        # EUU's members are in the file; USX's member is the USA's M49 code, which it is not
+        rows = ["year,exporter,importer,sitc,value_usd"]
+        rows += [f"{YEAR},DEU,USA,0,5", f"{YEAR},FRA,CHN,1,7", f"{YEAR},USA,CHN,2,9", f"{YEAR},CHN,DEU,3,4"]
+        trade = tmp_path / "trade.csv"
+        trade.write_text("\n".join(rows) + "\n")
+        mapping = tmp_path / "blocs.csv"
+        mapping.write_text("member_code,bloc_code\nDEU,EUU\nFRA,EUU\n840,USX\n")
+        out = tmp_path / "out"
+        assert run("balance", trade, out, "--aggregate", str(mapping)) == 1
+        err = capsys.readouterr().err
+        assert "USX" in err and "EUU" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_custom_aggregation_merges_rows(self, trade_file, tmp_path):
         mapping = tmp_path / "blocs.csv"
         mapping.write_text("member_code,bloc_code\nC000,CX\nC001,CX\n")

@@ -98,6 +98,14 @@ class TestBuildStochastic:
         assert np.array_equal(inverted.blocks, direct_of_transposed.blocks)
         assert np.array_equal(inverted.dangling, direct_of_transposed.dangling)
 
+    def test_directions_hold_the_tensor_node_arrays(self, small_money):
+        importer, exporter = small_money.nodes
+        direct, inverted = (build_stochastic(small_money, d) for d in ("direct", "inverted"))
+        assert direct.row is importer and direct.col is exporter
+        assert inverted.row is exporter and inverted.col is importer
+        flipped = small_money.transposed()
+        assert build_stochastic(flipped, "direct").row is flipped.nodes[0] is not exporter
+
     def test_validate_passes_on_fixtures(self):
         for seed in range(5):
             money = synthetic_money(SyntheticSpec(seed=seed, n_countries=6, n_products=3))

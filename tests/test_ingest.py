@@ -18,7 +18,7 @@ from wtnrank import (
 )
 from wtnrank import ingest
 from wtnrank.errors import NoRecordsError, ParseError, UnknownCountryError
-from wtnrank.testkit import synthetic_registry
+from wtnrank.testkit import SyntheticSpec, synthetic_money, synthetic_registry, write_trade_file
 
 from conftest import flows
 
@@ -438,6 +438,26 @@ class TestLoad:
         assert money.registry.codes == ("EUU", "USA")
         assert flows(money) == [(3, 1, 0, 15.0)]
 
+    # the traced peak above the value text is about 51 and 67 bytes a row: the row buffers, one
+    # permutation and the keys gathered through it; full-length per-key temporaries add 20-30
+    @pytest.mark.parametrize(
+        "n_countries,density,members,bound", [(120, 0.3, 20, 60.0), (60, 0.5, 0, 78.0)], ids=["bloc", "no-bloc"]
+    )
+    def test_peak_memory_per_row(self, tmp_path, n_countries, density, members, bound):
+        money = synthetic_money(SyntheticSpec(seed=7, n_countries=n_countries, n_products=10, density=density))
+        path = write_trade_file(money, tmp_path / "trade.csv")
+        rows = path.read_text().splitlines()[1:]
+        text = sum(len(row.rsplit(",", 1)[1]) for row in rows)
+        blocs = {code: "BLC" for code in money.registry.codes[:members]}
+        tracemalloc.start()
+        try:
+            loaded = load_money_matrix(path, 2018, blocs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded.value) < len(rows) if members else len(loaded.value) == len(rows)
+        assert (peak - text) / len(rows) < bound
+
 
 class TestMoneyMatrix:
     def test_to_dense_layout(self):
@@ -453,6 +473,19 @@ class TestMoneyMatrix:
         assert np.array_equal(
             flipped.to_dense(), np.transpose(small_money.to_dense(), (0, 2, 1))
         )
+
+    def test_nodes_are_read_only_and_computed_once(self, small_money):
+        importer, exporter = small_money.nodes
+        base = small_money.product * small_money.n_countries
+        assert np.array_equal(importer, base + small_money.importer)
+        assert np.array_equal(exporter, base + small_money.exporter)
+        assert small_money.nodes[0] is importer and small_money.nodes[1] is exporter
+        for nodes in (importer, exporter):
+            with pytest.raises(ValueError, match="read-only"):
+                nodes[0] = 0
+        flipped = small_money.transposed()   # its own entry order, so its own arrays
+        assert flipped.nodes[0] is not exporter and flipped.nodes[1] is not importer
+        assert np.array_equal(np.sort(flipped.nodes[0]), np.sort(exporter))
 
     def test_from_dense_exact(self):
         dense = np.zeros((1, 2, 2))
