@@ -37,8 +37,8 @@ import numpy as np
 
 from ._text import fmt, write_lines
 from .errors import ConvergenceError
-from .gmatrix import DIRECTIONS, GoogleMatrix, _dense_links, build_google, build_personalization
-from .ingest import COO_FIELDS, MoneyMatrix
+from .gmatrix import DIRECTIONS, GoogleMatrix, _dense_links, _identity_minus, _teleport, build_google
+from .ingest import MoneyMatrix
 from .ranks import (
     DEFAULT_TOL,
     ProbabilityVector,
@@ -201,8 +201,10 @@ def _differences(money: MoneyMatrix, config: SensitivityConfig, steps, operators
         alpha, tol, mode = config.alpha, config.tol, config.personalization
         operators = operators or [build_google(money, d, alpha, mode) for d in DIRECTIONS]
         base = base or gma_country_probabilities(money, alpha, tol, mode, operators)[:2]
-        hit_flows = replace(money, **{name: getattr(money, name)[hit] for name in COO_FIELDS})
-        w = build_personalization(hit_flows, mode).values
+        # w: the teleport vector of the scaled flows alone, summed as their own tensor would sum them
+        volume = lambda ids, length: np.bincount(ids[hit], weights=scaled, minlength=length)
+        node_volumes = lambda: [volume(ids, money.n_products * money.n_countries) for ids in money.nodes]
+        w = _teleport(volume(money.product, money.n_products), node_volumes, money.n_countries, mode)
         block = np.arange(config.product * money.n_countries, (config.product + 1) * money.n_countries)
         # an exporter's flows are a row of the inverted links, an importer's one of the direct links
         moving = config.country and {"export": "inverted", "import": "direct"}[config.side]
@@ -251,7 +253,7 @@ def _block_variant(G: GoogleMatrix, block, links, moved, teleport, outside: floa
     z_v, z_1 = G._link_solves.T
     z, z1 = outside * z_v, z_1.copy()
     rhs = np.column_stack([(1.0 - alpha) * teleport[block], np.full(n, alpha / G.size)])
-    z[block], z1[block] = np.linalg.solve(np.eye(n) - alpha * moved, rhs).T
+    z[block], z1[block] = np.linalg.solve(_identity_minus(moved.copy(), alpha), rhs).T
 
     def apply(x: np.ndarray) -> np.ndarray:
         out = G.apply(x) + (1.0 - alpha) * x.sum() * (teleport - G.v.values)

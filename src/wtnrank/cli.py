@@ -356,12 +356,8 @@ def cmd_regomax(config: RunConfig, money, operators=None) -> list[Path]:
         subset, labels = subset_from_countries(G, config.subset)
         reduced = reduced_google_matrix(G, subset)
         net = friends_network(reduced, config.k, config.friends_by)
-        written.append(
-            write_reduced_matrix(reduced, labels, config.out / f"gr_{direction}_{year}.csv")
-        )
-        written.append(
-            write_edge_list(net, labels, config.out / f"friends_{direction}_{year}.csv")
-        )
+        written.append(write_reduced_matrix(reduced, labels, config.out / f"gr_{direction}_{year}.csv"))
+        written.append(write_edge_list(net, labels, config.out / f"friends_{direction}_{year}.csv"))
     return written
 
 
@@ -379,9 +375,7 @@ def _pipeline_products(money) -> list[int]:
     they carry volume, otherwise the largest slice present."""
     volumes = money.product_volumes()
     chosen = [p for p in PIPELINE_PRODUCTS if p < money.n_products and volumes[p] > 0.0]
-    if not chosen:
-        chosen = [int(np.argmax(volumes))]
-    return chosen
+    return chosen or [int(np.argmax(volumes))]
 
 
 def cmd_pipeline(config: RunConfig, money) -> list[Path]:

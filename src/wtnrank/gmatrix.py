@@ -191,22 +191,29 @@ def _dense_links(S: StochasticMatrix, rows: np.ndarray, cols: np.ndarray) -> np.
     return links
 
 
-def _solve_links(S: StochasticMatrix, alpha: float, rhs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Solve (I - alpha S[nodes, nodes]) Z = rhs, one dense product block at a time.
+def _identity_minus(links: np.ndarray, alpha: float) -> np.ndarray:
+    """Overwrite the square ``links`` with the bits of ``np.eye(n) - alpha * links`` and return it."""
+    np.subtract(0.0, np.multiply(links, alpha, out=links), out=links)   # 0 - x, so no -0.0
+    links.ravel()[:: len(links) + 1] += 1.0   # 1 + (-x) is 1 - x, bit for bit
+    return links
 
-    S links nodes of one product only, and a product's entries are one
-    ``blocks`` run, so each block is densified from its own entries. Row i
-    of ``rhs`` and of Z belongs to ``nodes[i]``; nodes ascend. alpha S has
-    column sums at most alpha < 1, so no block is singular.
+
+def _solve_links(S: StochasticMatrix, alpha: float, rhs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Solve (I - alpha S[nodes, nodes]) Z = rhs in place, one dense product block at a time.
+
+    Overwrites the caller's float64 ``rhs`` with Z and returns it. S links
+    nodes of one product only, and a product's entries are one ``blocks``
+    run, so each block's system matrix is built in the buffer its links are
+    densified into. Row i of ``rhs`` belongs to ``nodes[i]``; nodes ascend.
+    alpha S has column sums at most alpha < 1, so no block is singular.
     """
-    Z = np.array(rhs, dtype=np.float64)
     # node = p * n_countries + c, so each product is one run of the ascending nodes
     bounds = np.searchsorted(nodes, S.space.n_countries * np.arange(S.space.n_products + 1))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if lo < hi:
             block = nodes[lo:hi]
-            Z[lo:hi] = np.linalg.solve(np.eye(hi - lo) - alpha * _dense_links(S, block, block), Z[lo:hi])
-    return Z
+            rhs[lo:hi] = np.linalg.solve(_identity_minus(_dense_links(S, block, block), alpha), rhs[lo:hi])
+    return rhs
 
 
 def build_stochastic(money: MoneyMatrix, direction: str = "direct") -> StochasticMatrix:
@@ -238,23 +245,25 @@ def build_personalization(money: MoneyMatrix, mode: str = "uniform-by-product") 
     proportion to each country's traded volume (imports + exports) of that
     product. Zero-volume products contribute zero weight either way.
     """
+    values = _teleport(money.product_volumes(), money.node_volumes, money.n_countries, mode)
+    return PersonalizationVector(values, mode)
+
+
+def _teleport(product_volume: np.ndarray, node_volumes, n_countries: int, mode: str) -> np.ndarray:
+    """:func:`build_personalization`'s values from V_p; volume-by-country calls ``node_volumes()``."""
     if mode not in PERSONALIZATION_MODES:
         raise ValueError(f"mode must be one of {PERSONALIZATION_MODES}")
-    product_volume = money.product_volumes()
     total = product_volume.sum()
     if total == 0.0:
         raise EmptyNetworkError("money matrix has zero total volume")
     if mode == "uniform-by-product":
-        weights = product_volume / (money.n_countries * total)
-        values = np.repeat(weights, money.n_countries)
-    else:
-        imports, exports = money.node_volumes()
-        country_volume = (imports + exports).reshape(money.n_products, money.n_countries)
-        block_volume = country_volume.sum(axis=1, keepdims=True)
-        # within-product shares sum to 1 (a zero-volume block stays 0); the block carries V_p / V
-        shares = country_volume / np.where(block_volume > 0, block_volume, 1.0)
-        values = ((product_volume / total)[:, None] * shares).ravel()
-    return PersonalizationVector(values, mode)
+        return np.repeat(product_volume / (n_countries * total), n_countries)
+    imports, exports = node_volumes()
+    country_volume = (imports + exports).reshape(len(product_volume), n_countries)
+    block_volume = country_volume.sum(axis=1, keepdims=True)
+    # within-product shares sum to 1 (a zero-volume block stays 0); the block carries V_p / V
+    shares = country_volume / np.where(block_volume > 0, block_volume, 1.0)
+    return ((product_volume / total)[:, None] * shares).ravel()
 
 
 def make_google(S: StochasticMatrix, v: PersonalizationVector, alpha: float = 0.5) -> GoogleMatrix:

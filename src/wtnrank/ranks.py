@@ -178,24 +178,10 @@ RANK_PLANE_KINDS = ("google", "volume")
 
 def write_rank_table(table: RankTable, path) -> Path:
     """Write the full table as delimited text, rows ordered by K."""
-    order = np.argsort(table.K, kind="stable")
+    columns = [getattr(table, name) for name in RANK_TABLE_HEADER.split(",")[1:]]
     lines = [RANK_TABLE_HEADER]
-    for i in order:
-        lines.append(
-            ",".join(
-                (
-                    table.codes[i],
-                    fmt(table.P[i]),
-                    fmt(table.Pstar[i]),
-                    fmt(table.K[i]),
-                    fmt(table.Kstar[i]),
-                    fmt(table.Phat[i]),
-                    fmt(table.Phatstar[i]),
-                    fmt(table.Khat[i]),
-                    fmt(table.Khatstar[i]),
-                )
-            )
-        )
+    for i in np.argsort(table.K, kind="stable"):
+        lines.append(",".join([table.codes[i]] + [fmt(column[i]) for column in columns]))
     return write_lines(path, lines)
 
 

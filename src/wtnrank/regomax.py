@@ -13,6 +13,8 @@ of the full PageRank, which the test suite uses as the exactness oracle.
 I - alpha S_ss is block diagonal over products and is solved block by
 block as PageRank's is (``gmatrix._solve_links``), and the dangling and
 teleport terms are a rank-2 update applied with the Woodbury identity.
+No dense teleport block is formed, and the 2 x 2 Woodbury capacitance is
+conditioned in closed form, from its Frobenius norm and determinant.
 """
 
 from __future__ import annotations
@@ -63,16 +65,11 @@ def subset_from_countries(
     countries: Sequence[str],
 ) -> tuple[NodeSubset, tuple[str, ...]]:
     """All products of the named countries, country-major, with node labels."""
-    registry = G.registry
     space = G.space
-    ids = []
-    labels = []
-    for code in countries:
-        c = registry.index_of(code)
-        for p in range(space.n_products):
-            ids.append(space.node_id(c, p))
-            labels.append(f"{code}_{p}")
-    return NodeSubset(tuple(ids), space.size), tuple(labels)
+    indexed = [(code, G.registry.index_of(code)) for code in countries]
+    ids = tuple(space.node_id(c, p) for _, c in indexed for p in range(space.n_products))
+    labels = tuple(f"{code}_{p}" for code, _ in indexed for p in range(space.n_products))
+    return NodeSubset(ids, space.size), labels
 
 
 @dataclass(frozen=True)
@@ -104,10 +101,23 @@ class FriendsNetwork:
 
 
 def _dense_block(G: GoogleMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Densify G[rows, cols]: the links of S + dangling repair + teleport."""
-    S = _dense_links(G.S, rows, cols)
-    S[:, G.S.dangling[cols]] = 1.0 / G.size
-    return G.alpha * S + (1.0 - G.alpha) * np.outer(G.v.values[rows], np.ones(len(cols)))
+    """Densify G[rows, cols]: the links of S + dangling repair + teleport, in one buffer."""
+    block = _dense_links(G.S, rows, cols)
+    block[:, G.S.dangling[cols]] = 1.0 / G.size
+    block *= G.alpha
+    block += ((1.0 - G.alpha) * G.v.values[rows])[:, None]
+    return block
+
+
+def _cond2(C: np.ndarray) -> float:
+    """2-norm condition number of a 2 x 2 matrix from ||C||_F and det C; inf when det C is 0.
+
+    (sigma_1 +- sigma_2)^2 = ||C||_F^2 +- 2 |det C|, which for C = [[a, b], [c, d]] are the
+    squares of hypot(a +- d, b -+ c), with no cancellation; cond = sigma_1^2 / |det C|.
+    """
+    (a, b), (c, d) = C
+    det = abs(a * d - b * c)
+    return float((np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) ** 2 / (4.0 * det)) if det else np.inf
 
 
 def reduced_google_matrix(G: GoogleMatrix, subset: NodeSubset) -> ReducedGoogleMatrix:
@@ -135,12 +145,14 @@ def reduced_google_matrix(G: GoogleMatrix, subset: NodeSubset) -> ReducedGoogleM
     # of C alone can exceed the column-sum tolerance.
     VtZ = np.vstack([Z[G.S.dangling[s_ids]].sum(axis=0), Z.sum(axis=0)])
     capacitance = np.eye(2) - VtZ[:, -2:]
-    cond = np.linalg.cond(capacitance)
+    cond = _cond2(capacitance)
     if not cond * np.finfo(float).eps < REDUCED_SUM_TOL:
         raise np.linalg.LinAlgError(
             f"(1 - G_ss) is singular: Woodbury capacitance condition number {cond:.3g}"
         )
-    X = Z[:, :-2] + Z[:, -2:] @ np.linalg.solve(capacitance, VtZ[:, :-2])
+    X = Z[:, -2:] @ np.linalg.solve(capacitance, VtZ[:, :-2])
+    X += Z[:, :-2]   # a + b is b + a, bit for bit
+    del Z
     G_rr = _dense_block(G, r_ids, r_ids)
     G_rs = _dense_block(G, r_ids, s_ids)
     reduced = ReducedGoogleMatrix(G_rr + G_rs @ X, subset, G.direction)
@@ -163,8 +175,7 @@ def friends_network(GR: ReducedGoogleMatrix, k: int = 4, mode: str = "column") -
     edges = []
     for source in range(n):
         column = GR.matrix[:, source] if mode == "column" else GR.matrix[source, :]
-        targets = [i for i in range(n) if i != source]
-        targets.sort(key=lambda i: (-column[i], i))
+        targets = sorted((i for i in range(n) if i != source), key=lambda i: (-column[i], i))
         for target in targets[:k]:
             edges.append((source, target, float(column[target])))
     return FriendsNetwork(tuple(edges), k, mode)
@@ -177,9 +188,7 @@ def write_reduced_matrix(GR: ReducedGoogleMatrix, labels: Sequence[str], path) -
     """
     if len(labels) != GR.n:
         raise ValueError("one label per kept node required")
-    lines = [",".join(labels)]
-    for row in GR.matrix:
-        lines.append(",".join(fmt(value) for value in row))
+    lines = [",".join(labels)] + [",".join(fmt(value) for value in row) for row in GR.matrix]
     return write_lines(path, lines)
 
 

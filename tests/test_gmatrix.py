@@ -15,6 +15,7 @@ from wtnrank import (
     write_matrix_dump,
 )
 from wtnrank.errors import EmptyNetworkError
+from wtnrank.gmatrix import _dense_links, _identity_minus, _solve_links
 from wtnrank.testkit import (
     SyntheticSpec,
     dense_links,
@@ -231,6 +232,33 @@ class TestApply:
         rng = np.random.default_rng(1)
         x = rng.random(G.size)
         assert np.abs(G.apply(x) - dense @ x).max() < 1e-14
+
+
+class TestBlockSolves:
+    @pytest.mark.parametrize("alpha", [0.5, 0.15, 0.85, 1.0 / 3.0])
+    def test_identity_minus_has_the_bits_of_eye_minus_scaled_links(self, alpha):
+        rng = np.random.default_rng(3)
+        links = rng.random((9, 9)) * (rng.random((9, 9)) < 0.5)   # zeros on and off the diagonal
+        links[:, 4] = 0.0
+        links[2, 2] = 0.7
+        expected = np.eye(9) - alpha * links
+        built = _identity_minus(links.copy(), alpha)
+        assert np.array_equal(built.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(np.signbit(built), np.signbit(expected))
+        assert not np.signbit(built[(links == 0) & ~np.eye(9, dtype=bool)]).any()   # +0.0, not -0.0
+
+    def test_solve_links_overwrites_the_right_hand_side(self, small_money):
+        G = build_google(small_money)
+        n = small_money.n_countries
+        nodes = np.flatnonzero(np.arange(G.size) % n != 1)   # one country left out of every block
+        rhs = np.random.default_rng(4).random((len(nodes), 3))
+        expected = rhs.copy()
+        for p in range(small_money.n_products):
+            rows = slice(p * (n - 1), (p + 1) * (n - 1))
+            links = _dense_links(G.S, nodes[rows], nodes[rows])
+            expected[rows] = np.linalg.solve(np.eye(n - 1) - G.alpha * links, expected[rows])
+        assert _solve_links(G.S, G.alpha, rhs, nodes) is rhs
+        assert np.array_equal(rhs, expected)
 
 
 class TestNodeSpace:

@@ -23,6 +23,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -45,7 +46,7 @@ from wtnrank import (
 )
 from wtnrank import ingest
 from wtnrank.analysis import _block_variant
-from wtnrank.errors import ParseError
+from wtnrank.errors import ParseError, WtnError
 from wtnrank.gmatrix import _dense_links
 from wtnrank.ingest import COO_FIELDS
 from wtnrank.ranks import pagerank
@@ -221,6 +222,36 @@ def test_repeated_key_of_exact_float_expansions_is_rounded_once(values):
     # any fixed Decimal precision below that
     rows = [(YEAR, "CHN", "USA", "7", str(Decimal(x)), "x") for x in values]
     assert flows(read_rows(rows, {})) == ingest_oracle(rows, {})[1]
+
+
+#: Codes a random bloc map draws its members from, and its bloc codes.
+BLOC_MEMBERS = MEMBERS + ("ITA", "POL")
+BLOCS = ("BLA", "BLB", "BLC")
+
+
+@settings(max_examples=80)
+@given(
+    aggregation=st.dictionaries(st.sampled_from(BLOC_MEMBERS), st.sampled_from(BLOCS)),
+    present=st.lists(st.sampled_from(BLOC_MEMBERS), unique=True),
+    elsewhere=st.lists(st.sampled_from(BLOC_MEMBERS), unique=True),
+)
+def test_bloc_reaches_the_registry_iff_a_member_trades_that_year(aggregation, present, elsewhere):
+    # ``present`` trade with CHN in YEAR; ``elsewhere`` only in YEAR - 1 or as mirror reports
+    rows = [(YEAR, *OTHERS, "3", "1.00", "x")]
+    rows += [(YEAR, "CHN", code, "7", "2.00", "x") for code in present]
+    rows += [(YEAR - 1, code, "USA", "7", "3.00", "x") for code in elsewhere]
+    rows += [(YEAR, code, "USA", "7", "4.00", "m") for code in elsewhere]
+    matched = {bloc for member, bloc in aggregation.items() if member in present}
+    unmatched = set(aggregation.values()) - matched
+    if unmatched:
+        with pytest.raises(WtnError) as raised:
+            read_money_matrix(render(rows), YEAR, aggregation)
+        assert raised.type is WtnError
+        assert all(bloc in str(raised.value) for bloc in unmatched)
+        assert not any(bloc in str(raised.value) for bloc in matched)
+    else:
+        money = read_money_matrix(render(rows), YEAR, aggregation)
+        assert money.registry.codes == tuple(sorted({*OTHERS, *(aggregation.get(c, c) for c in present)}))
 
 
 #: (column, text) that ingest rejects in a kept row; None drops the column.

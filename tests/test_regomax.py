@@ -1,5 +1,7 @@
 """Reduced Google matrix, friends network, and their exports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from wtnrank import (
     write_reduced_matrix,
 )
 from wtnrank.errors import UnknownCountryError
-from wtnrank.regomax import REDUCED_SUM_TOL, ReducedGoogleMatrix
+from wtnrank.regomax import REDUCED_SUM_TOL, ReducedGoogleMatrix, _cond2
 from wtnrank.testkit import (
     SyntheticSpec,
     dense_regomax_oracle,
@@ -168,6 +170,48 @@ class TestReduction:
         with pytest.raises(ValueError, match="sum to 1"):
             lossy.validate()
 
+    @pytest.mark.parametrize("direction", ["direct", "inverted"])
+    def test_peak_memory_in_dense_blocks(self, direction):
+        # the traced rise above the inputs, in units of one dense product block of
+        # the complement plus the |s| x (|r| + 2) right-hand side
+        money = synthetic_money(SyntheticSpec(seed=7, n_countries=120, n_products=10, density=0.3))
+        G = build_google(money, direction)
+        subset, _ = subset_from_countries(G, money.registry.codes[:4])
+        n_s, n_r = G.size - subset.n_kept, subset.n_kept
+        unit = 8 * ((money.n_countries - 4) ** 2 + n_s * (n_r + 2))
+        tracemalloc.start()
+        try:
+            reduced_google_matrix(G, subset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / unit < 2.0
+
+
+class TestCapacitanceCondition:
+    """The closed-form 2-norm condition number against the SVD's, up to rounding of about eps * cond."""
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            C = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-5, 5)
+            assert _cond2(C) == pytest.approx(np.linalg.cond(C, 2), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("exponent", range(1, 7))
+    def test_ill_conditioned_matrices(self, exponent):
+        # up to 1e6, past the 4.5e5 (= REDUCED_SUM_TOL / eps) at which the guard trips
+        rng = np.random.default_rng(exponent)
+        for _ in range(200):
+            left, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+            right, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+            C = left @ np.diag([1.0, 10.0**-exponent]) @ right * 10.0 ** rng.uniform(-3, 3)
+            assert _cond2(C) == pytest.approx(np.linalg.cond(C, 2), rel=1e-9, abs=0)
+        for C in (np.diag([3.0, 3e-15]), np.array([[1e-12, 0.0], [0.0, -2.0]]), np.eye(2) - 0.25):
+            assert _cond2(C) == pytest.approx(np.linalg.cond(C, 2), rel=1e-9, abs=0)
+
+    def test_exactly_singular_is_infinite(self):
+        for C in ([[1.0, 2.0], [2.0, 4.0]], [[0.0, 3.0], [0.0, 5.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]):
+            assert _cond2(np.array(C)) == np.inf
 
 class TestSubsetFromCountries:
     def test_country_major_ids_and_labels(self, small_money):
