@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._text import fmt, write_lines
+from ._text import write_columns
 from .errors import ConvergenceError
 from .gmatrix import DIRECTIONS, GoogleMatrix, _dense_links, _identity_minus, _teleport, build_google
 from .ingest import MoneyMatrix
@@ -304,15 +304,9 @@ def write_balance(path, gma: BalanceVector, iea: BalanceVector) -> Path:
         raise ValueError("expected one gma and one iea balance vector")
     if gma.codes != iea.codes:
         raise ValueError("balance vectors must cover the same countries")
-    lines = ["country,B_gma,B_iea"]
-    for i, code in enumerate(gma.codes):
-        lines.append(f"{code},{fmt(gma.values[i])},{fmt(iea.values[i])}")
-    return write_lines(path, lines)
+    return write_columns(path, ("country", "B_gma", "B_iea"), (gma.codes, gma.values, iea.values))
 
 
 def write_sensitivity(path, sensitivity: SensitivityVector) -> Path:
     """Write ``country,dB_ddelta`` for one sensitivity run."""
-    lines = ["country,dB_ddelta"]
-    for code, value in zip(sensitivity.codes, sensitivity.values):
-        lines.append(f"{code},{fmt(value)}")
-    return write_lines(path, lines)
+    return write_columns(path, ("country", "dB_ddelta"), (sensitivity.codes, sensitivity.values))

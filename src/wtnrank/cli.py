@@ -38,7 +38,7 @@ from .analysis import (
     write_balance,
     write_sensitivity,
 )
-from ._text import write_json, write_lines
+from ._text import write_columns, write_json, write_lines
 from .errors import WtnError
 from .gmatrix import (
     DIRECTIONS,
@@ -259,9 +259,9 @@ def _write_rank(config: RunConfig, year: int, table) -> list[Path]:
     for kind in ("google", "volume"):
         points = rank_plane_points(table, kind, config.index_cutoff)
         x_label, y_label = _PLANE_AXES[kind]
-        lines = [f"entity,{x_label},{y_label}"]
-        lines += [f"{code},{kx},{ky}" for code, kx, ky in points]
-        written.append(write_lines(config.out / f"rank_plane_{kind}_{year}.csv", lines))
+        indexes = np.array([point[1:] for point in points], dtype=np.int64).reshape(-1, 2)
+        columns = ([point[0] for point in points], *indexes.T)
+        written.append(write_columns(config.out / f"rank_plane_{kind}_{year}.csv", ("entity", x_label, y_label), columns))
         if config.svg:
             svg = _plane_svg(points, x_label, y_label, config.index_cutoff)
             written.append(write_lines(config.out / f"rank_plane_{kind}_{year}.svg", svg))

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._text import fmt, write_lines
+from ._text import write_columns, write_lines
 from .errors import EmptyNetworkError
 from .ingest import CountryRegistry, MoneyMatrix
 
@@ -176,7 +176,8 @@ class GoogleMatrix:
 def _dense_links(S: StochasticMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """S[rows, cols] as a dense array, from the entries of the products cols span.
 
-    Masks of the rows and columns asked for pick the entries; only kept ones are gathered.
+    Masks of the rows and columns asked for pick the entries; only kept ones
+    are gathered, through one flat index into the block, built in place.
     """
     n_countries = S.space.n_countries
     first, last = S.blocks[cols.min() // n_countries], S.blocks[cols.max() // n_countries + 1]
@@ -185,9 +186,14 @@ def _dense_links(S: StochasticMatrix, rows: np.ndarray, cols: np.ndarray) -> np.
     col_at = np.full(S.size, -1)
     col_at[cols] = np.arange(len(cols))
     row, col = S.row[first:last], S.col[first:last]
-    keep = np.flatnonzero((row_at >= 0)[row] & (col_at >= 0)[col])
+    keep = (row_at >= 0)[row] & (col_at >= 0)[col]
+    flat = row_at[row[keep]]
+    flat *= len(cols)
+    flat += col_at[col[keep]]
+    values = S.value[first:last][keep]
+    del keep, row_at, col_at
     links = np.zeros((len(rows), len(cols)))
-    links[row_at[row[keep]], col_at[col[keep]]] = S.value[first:last][keep]
+    links.ravel()[flat] = values
     return links
 
 
@@ -299,14 +305,11 @@ def write_matrix_dump(G: GoogleMatrix, path, sidecar=None) -> tuple[Path, Path]:
         sidecar = path.with_suffix(".meta")
     S = G.S
     order = np.lexsort((S.col, S.row))
-    lines = ["row,col,value"]
-    for i in order:
-        lines.append(f"{S.row[i]},{S.col[i]},{fmt(S.value[i])}")
-    write_lines(path, lines)
+    write_columns(path, ("row", "col", "value"), (S.row[order], S.col[order], S.value[order]))
     meta = [
-        f"alpha={fmt(G.alpha)}",
-        "dangling=" + ",".join(str(int(i)) for i in np.flatnonzero(G.S.dangling)),
-        "v=" + ",".join(fmt(value) for value in G.v.values),
+        f"alpha={float(G.alpha)!r}",
+        "dangling=" + ",".join(map(repr, np.flatnonzero(S.dangling).tolist())),
+        "v=" + ",".join(map(repr, G.v.values.tolist())),
     ]
     write_lines(sidecar, meta)
     return path, Path(sidecar)

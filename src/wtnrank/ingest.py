@@ -207,11 +207,16 @@ class MoneyMatrix:
             raise ValueError("non-finite money entry (inf or nan)")
         if np.any(value < 0):
             raise ValueError("negative money entry")
-        key = (product * n + importer) * n + exporter
+        key = product * n   # (product * n + importer) * n + exporter, built in place
+        key += importer
+        key *= n
+        key += exporter
         order = np.argsort(key, kind="stable")
-        if np.any(np.diff(key[order]) == 0):
+        key = key[order]
+        if np.any(key[1:] == key[:-1]):
             raise ValueError("duplicate money entry for one (product, importer, exporter)")
-        keep = order[value[order] != 0]
+        del key
+        keep = order[(value != 0)[order]]
         for name, array in zip(COO_FIELDS, arrays):
             array = array[keep]   # a copy: the caller's arrays are never aliased
             array.setflags(write=False)
@@ -552,7 +557,9 @@ class _Rows:
                         flow = f"(product {key >> 2 * _ID_BITS}, importer {importer}, exporter {exporter})"
                         overflow = ParseError(line, f"sum of flow {flow} overflows float64")
         self.lines = self.ends = self.texts = None
-        return keys[~repeat], values[~repeat], overflow
+        if len(at):
+            keys, values = keys[~repeat], values[~repeat]
+        return keys, values, overflow
 
 
 def _year_kept(cell: str, year: int, line: int) -> bool:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._text import fmt, write_lines
+from ._text import write_columns
 from .errors import EmptyNetworkError
 from .gmatrix import GoogleMatrix, NodeSpace
 from .ingest import CountryRegistry, MoneyMatrix
@@ -178,11 +178,10 @@ RANK_PLANE_KINDS = ("google", "volume")
 
 def write_rank_table(table: RankTable, path) -> Path:
     """Write the full table as delimited text, rows ordered by K."""
-    columns = [getattr(table, name) for name in RANK_TABLE_HEADER.split(",")[1:]]
-    lines = [RANK_TABLE_HEADER]
-    for i in np.argsort(table.K, kind="stable"):
-        lines.append(",".join([table.codes[i]] + [fmt(column[i]) for column in columns]))
-    return write_lines(path, lines)
+    header = RANK_TABLE_HEADER.split(",")
+    order = np.argsort(table.K, kind="stable")
+    columns = [[table.codes[i] for i in order]] + [getattr(table, name)[order] for name in header[1:]]
+    return write_columns(path, header, columns)
 
 
 def write_top_table(table: RankTable, path, count: int = 20) -> Path:
@@ -190,11 +189,8 @@ def write_top_table(table: RankTable, path, count: int = 20) -> Path:
     count = min(count, len(table.codes))
     if count < 1:
         raise ValueError("top table needs at least one row")
-    columns = [table.top(name, count) for name in TOP_TABLE_COLUMNS]
-    lines = ["rank,pagerank,cheirank,importrank,exportrank"]
-    for r in range(count):
-        lines.append(",".join([str(r + 1)] + [col[r] for col in columns]))
-    return write_lines(path, lines)
+    columns = [np.arange(1, count + 1)] + [table.top(name, count) for name in TOP_TABLE_COLUMNS]
+    return write_columns(path, ("rank", "pagerank", "cheirank", "importrank", "exportrank"), columns)
 
 
 def rank_plane_points(

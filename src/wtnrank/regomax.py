@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._text import fmt, write_lines
+from ._text import write_columns
 from .gmatrix import GoogleMatrix, _dense_links, _solve_links
 
 #: Column-sum tolerance of the reduced matrix.
@@ -188,8 +188,7 @@ def write_reduced_matrix(GR: ReducedGoogleMatrix, labels: Sequence[str], path) -
     """
     if len(labels) != GR.n:
         raise ValueError("one label per kept node required")
-    lines = [",".join(labels)] + [",".join(fmt(value) for value in row) for row in GR.matrix]
-    return write_lines(path, lines)
+    return write_columns(path, labels, GR.matrix.T)
 
 
 def write_edge_list(net: FriendsNetwork, labels: Sequence[str], path) -> Path:
@@ -197,7 +196,7 @@ def write_edge_list(net: FriendsNetwork, labels: Sequence[str], path) -> Path:
     needed = 1 + max((max(s, t) for s, t, _ in net.edges), default=0)
     if len(labels) < needed:
         raise ValueError("edge list references a node without a label")
-    lines = ["source,target,weight"]
-    for source, target, weight in net.edges:
-        lines.append(f"{labels[source]},{labels[target]},{fmt(weight)}")
-    return write_lines(path, lines)
+    sources = [labels[source] for source, _, _ in net.edges]
+    targets = [labels[target] for _, target, _ in net.edges]
+    weights = np.array([weight for _, _, weight in net.edges], dtype=np.float64)
+    return write_columns(path, ("source", "target", "weight"), (sources, targets, weights))

@@ -6,12 +6,17 @@ only rows are self-flows. The test sums the tensor by hand, builds both
 Google matrices with ``testkit.dense_google_from_money``, takes their
 stationary vectors by power iteration and checks each file against them;
 the sensitivities are central differences of ``testkit.perturb_money``.
+Every number in every CSV and ``.meta`` file is also checked for its one
+written form: the shortest round-trip repr of a float, or an int's digits.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 from wtnrank import NodeSubset, build_google, cli
+from wtnrank._text import write_columns
 from wtnrank.analysis import DEFAULT_STEP
 from wtnrank.gmatrix import DIRECTIONS, PERSONALIZATION_MODES
 from wtnrank.ingest import N_PRODUCTS, CountryRegistry, MoneyMatrix
@@ -50,6 +55,8 @@ VALUE_TOL = 1e-13
 SENSITIVITY_TOL = VALUE_TOL / DEFAULT_STEP
 # below 6, so the rank planes keep some countries and drop others
 INDEX_CUTOFF = 4
+# country codes and REGOMAX node labels such as BLC_3; every other cell is a number
+LABEL = re.compile(r"[A-Z][A-Z0-9_]*")
 
 
 def expected_money() -> MoneyMatrix:
@@ -99,7 +106,7 @@ def read_csv(path) -> list[list[str]]:
 
 @pytest.fixture(scope="module", params=PERSONALIZATION_MODES)
 def run(request, tmp_path_factory):
-    """Pipeline and dump outputs of the fixture file, and the oracle's numbers."""
+    """Pipeline (with SVG) and dump outputs of the fixture file, and the oracle's numbers."""
     personalization = request.param
     work = tmp_path_factory.mktemp(personalization)
     trade = work / "trade.csv"
@@ -111,7 +118,7 @@ def run(request, tmp_path_factory):
     out = work / "out"
     for command in ("pipeline", "dump"):
         argv = [command, "--input", str(trade), "--year", str(YEAR), "--aggregate", str(blocs)]
-        argv += ["--index-cutoff", str(INDEX_CUTOFF)]
+        argv += ["--index-cutoff", str(INDEX_CUTOFF), "--svg"]
         assert cli.main([*argv, "--out", str(out), "--personalization", personalization]) == 0
 
     money = expected_money()
@@ -275,3 +282,46 @@ def test_matrix_dump(run, direction):
     links[:, dangling] = 1.0 / size
     rebuilt = ALPHA * links + (1.0 - ALPHA) * np.outer(v, np.ones(size))
     assert np.abs(rebuilt - run["google"][direction]).max() < 1e-15
+
+
+def round_trips(cell: str) -> bool:
+    """The cell is a float's shortest round-trip repr or an int's digits."""
+    try:
+        return cell == repr(float(cell)) or cell == str(int(cell))
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("cell", [
+    "np.float64(0.1)",                                                     # repr of a numpy scalar
+    "0.10000000000000001",                                                 # %.17g
+    "0.1000000000000000055511151231257827021181583404541015625",           # str(Decimal(0.1))
+    "1.50",
+    "01",
+    "",
+])
+def test_round_trips_rejects_other_forms(cell):
+    assert not round_trips(cell)
+
+
+def test_every_number_written_in_its_round_trip_form(run):
+    files = sorted(run["out"].glob("*.csv")) + sorted(run["out"].glob("*.meta"))
+    assert len(files) == 17   # 13 pipeline CSVs, then the dump's triplets and sidecar per direction
+    numbers = 0
+    for path in files:
+        lines = path.read_text().splitlines()
+        if path.suffix == ".csv":
+            rows = lines[1:]   # the header line names the columns or the nodes
+        else:
+            rows = [line.split("=", 1)[1] for line in lines]
+        cells = [cell for row in rows if row for cell in row.split(",")]
+        assert not [cell for cell in cells if not (LABEL.fullmatch(cell) or round_trips(cell))], path.name
+        numbers += sum(map(round_trips, cells))
+    assert numbers > 1000
+
+
+def test_write_columns_rejects_columns_of_unequal_length(tmp_path):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match="unequal length"):
+        write_columns(path, ("code", "value"), (["AAA", "BBB"], np.arange(3.0)))
+    assert not path.exists()
