@@ -134,6 +134,22 @@ def _converged(solved: tuple) -> tuple:
     return solved
 
 
+def _google_pair(money: MoneyMatrix, alpha: float, personalization: str, operators) -> tuple:
+    """``operators``, or the direct and inverted Google matrices of ``money`` when there are none.
+
+    Operators of another ``alpha`` or ``personalization`` raise ValueError: their solves would mix two models.
+    """
+    if not operators:
+        return tuple(build_google(money, d, alpha, personalization) for d in DIRECTIONS)
+    for G in operators:
+        if (G.alpha, G.v.mode) != (alpha, personalization):
+            raise ValueError(
+                f"operators with alpha={G.alpha}, v.mode={G.v.mode!r} do not match the requested "
+                f"alpha={alpha}, personalization={personalization!r}"
+            )
+    return operators
+
+
 def gma_country_probabilities(
     money: MoneyMatrix,
     alpha: float = 0.5,
@@ -144,9 +160,10 @@ def gma_country_probabilities(
     """PageRank and CheiRank country probabilities for one money tensor.
 
     ``operators`` are the direct and inverted Google matrices of ``money``
-    with ``alpha`` and ``personalization``, when the caller has built them.
+    with ``alpha`` and ``personalization``, when the caller has built them;
+    operators built with another alpha or personalization raise ValueError.
     """
-    operators = operators or [build_google(money, d, alpha, personalization) for d in DIRECTIONS]
+    operators = _google_pair(money, alpha, personalization, operators)
     (p, report_p), (pstar, report_pstar) = (_converged(pagerank(G, tol)) for G in operators)
     return aggregate_country(p), aggregate_country(pstar), (report_p, report_pstar)
 
@@ -199,7 +216,7 @@ def _differences(money: MoneyMatrix, config: SensitivityConfig, steps, operators
         ]
     else:
         alpha, tol, mode = config.alpha, config.tol, config.personalization
-        operators = operators or [build_google(money, d, alpha, mode) for d in DIRECTIONS]
+        operators = _google_pair(money, alpha, mode, operators)
         base = base or gma_country_probabilities(money, alpha, tol, mode, operators)[:2]
         # w: the teleport vector of the scaled flows alone, summed as their own tensor would sum them
         volume = lambda ids, length: np.bincount(ids[hit], weights=scaled, minlength=length)
@@ -283,8 +300,9 @@ def sensitivity_richardson(
     are what :func:`balance_sensitivity` returns for ``config``.
 
     ``operators`` are the direct and inverted Google matrices of ``money``
-    with ``config``'s alpha and personalization, and ``base`` the unperturbed
-    country vectors (P, P*) of ``config``'s source, when the caller has them.
+    with ``config``'s alpha and personalization (others raise ValueError),
+    and ``base`` the unperturbed country vectors (P, P*) of ``config``'s
+    source, when the caller has them.
     """
     h = config.step
     steps = (h, h / 2.0, h / 4.0)

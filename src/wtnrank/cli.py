@@ -83,12 +83,12 @@ _SVG_MARGIN = 48
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved options of one command invocation."""
+    """Resolved options of one command invocation; every option's default is stated here."""
 
     command: str
     input: Path
     year: int
-    out: Path
+    out: Path = Path(".")
     aggregate: Path | None = None
     alpha: float = 0.5
     tol: float = DEFAULT_TOL
@@ -128,9 +128,7 @@ def _resolve_existing(raw: str, kind: str) -> Path:
     raise FileNotFoundError(f"{kind} file not found: {raw}")
 
 
-def _resolve_aggregate(raw: str | None) -> Path | None:
-    if raw is None:
-        return None
+def _resolve_aggregate(raw: str) -> Path:
     if raw.lower() == EU27_ALIAS:
         packaged = resources.files("wtnrank") / "data" / "eu27_aggregation.csv"
         return Path(str(packaged))
@@ -138,31 +136,17 @@ def _resolve_aggregate(raw: str | None) -> Path | None:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    subset = None
-    if args.subset:
-        subset = tuple(code.strip() for code in args.subset.split(",") if code.strip())
-        if not subset:
+    """The RunConfig of parsed ``args``; an option not given keeps RunConfig's default."""
+    options = dict(vars(args))
+    subset = options.pop("subset", None)
+    if subset:
+        options["subset"] = tuple(code.strip() for code in subset.split(",") if code.strip())
+        if not options["subset"]:
             raise ValueError("subset must name at least one country")
-    return RunConfig(
-        command=args.command,
-        input=_resolve_existing(args.input, "input"),
-        year=args.year,
-        out=Path(args.out),
-        aggregate=_resolve_aggregate(args.aggregate),
-        alpha=args.alpha,
-        tol=args.tol,
-        personalization=args.personalization,
-        top=args.top,
-        index_cutoff=args.index_cutoff,
-        svg=args.svg,
-        sens_product=args.sens_product,
-        sens_country=args.sens_country,
-        step=args.step,
-        sens_side=args.sens_side,
-        subset=subset,
-        k=args.k,
-        friends_by=args.friends_by,
-    )
+    options["input"] = _resolve_existing(args.input, "input")
+    if "aggregate" in options:
+        options["aggregate"] = _resolve_aggregate(options["aggregate"])
+    return RunConfig(**options)
 
 
 def _load_money(config: RunConfig):
@@ -181,7 +165,7 @@ def _operators(config: RunConfig, money) -> tuple[GoogleMatrix, GoogleMatrix]:
     )
 
 
-def _country_vectors(config: RunConfig, money, operators=None) -> tuple:
+def _country_vectors(config: RunConfig, money, operators) -> tuple:
     """PageRank, CheiRank, import and export country vectors, in that order."""
     p_c, pstar_c, _ = gma_country_probabilities(
         money, config.alpha, config.tol, config.personalization, operators
@@ -246,9 +230,9 @@ def _plane_svg(points, x_label: str, y_label: str, cutoff: int) -> list[str]:
 _PLANE_AXES = {"google": ("K", "Kstar"), "volume": ("Khat", "Khatstar")}
 
 
-def cmd_rank(config: RunConfig, money) -> list[Path]:
+def cmd_rank(config: RunConfig, money, operators) -> list[Path]:
     """Rank table, top-k table and the two rank-plane scatters."""
-    return _write_rank(config, money.year, build_rank_table(*_country_vectors(config, money)))
+    return _write_rank(config, money.year, build_rank_table(*_country_vectors(config, money, operators)))
 
 
 def _write_rank(config: RunConfig, year: int, table) -> list[Path]:
@@ -268,9 +252,9 @@ def _write_rank(config: RunConfig, year: int, table) -> list[Path]:
     return written
 
 
-def cmd_balance(config: RunConfig, money) -> list[Path]:
+def cmd_balance(config: RunConfig, money, operators) -> list[Path]:
     """Per-country balance, both sources, keyed by canonical code."""
-    return _write_balance(config, money.year, *_country_vectors(config, money))
+    return _write_balance(config, money.year, *_country_vectors(config, money, operators))
 
 
 def _write_balance(config: RunConfig, year: int, p_c, pstar_c, phat_c, phatstar_c) -> list[Path]:
@@ -291,11 +275,10 @@ def _richardson_summary(result: dict) -> dict:
     return {"h": result["h"], "checked": checked, "median_ratio": median}
 
 
-def cmd_sensitivity(config: RunConfig, money, operators=None, vectors=None) -> list[Path]:
+def cmd_sensitivity(config: RunConfig, money, operators, vectors=None) -> list[Path]:
     """dB/ddelta per country for both sources, plus the run manifest.
 
-    ``operators`` and ``vectors`` are those of :func:`_operators` and
-    :func:`_country_vectors`, when already built.
+    ``vectors`` are those of :func:`_country_vectors`, when already built.
     """
     if config.sens_product is None:
         raise ValueError("sensitivity needs --sens-product")
@@ -343,16 +326,13 @@ def cmd_sensitivity(config: RunConfig, money, operators=None, vectors=None) -> l
     return written
 
 
-def cmd_regomax(config: RunConfig, money, operators=None) -> list[Path]:
-    """Reduced matrices and friends edge lists for a country subset.
-
-    ``operators`` are those of :func:`_operators`, when already built.
-    """
+def cmd_regomax(config: RunConfig, money, operators) -> list[Path]:
+    """Reduced matrices and friends edge lists for a country subset."""
     if not config.subset:
         raise ValueError("regomax needs --subset with at least one country code")
     year = money.year
     written = []
-    for direction, G in zip(DIRECTIONS, operators or _operators(config, money)):
+    for direction, G in zip(DIRECTIONS, operators):
         subset, labels = subset_from_countries(G, config.subset)
         reduced = reduced_google_matrix(G, subset)
         net = friends_network(reduced, config.k, config.friends_by)
@@ -361,10 +341,10 @@ def cmd_regomax(config: RunConfig, money, operators=None) -> list[Path]:
     return written
 
 
-def cmd_dump(config: RunConfig, money) -> list[Path]:
+def cmd_dump(config: RunConfig, money, operators) -> list[Path]:
     """Raw stochastic-matrix triplets plus sidecars, both directions."""
     written = []
-    for direction, G in zip(DIRECTIONS, _operators(config, money)):
+    for direction, G in zip(DIRECTIONS, operators):
         path, sidecar = write_matrix_dump(G, config.out / f"gmatrix_{direction}_{config.year}.csv")
         written += [path, sidecar]
     return written
@@ -378,14 +358,12 @@ def _pipeline_products(money) -> list[int]:
     return chosen or [int(np.argmax(volumes))]
 
 
-def cmd_pipeline(config: RunConfig, money) -> list[Path]:
+def cmd_pipeline(config: RunConfig, money, operators) -> list[Path]:
     """Everything for one year: ranks, balance, sensitivities, REGOMAX.
 
     Ranks, balance, the sensitivities and the default REGOMAX subset share
-    one set of country vectors, and the vectors, the sensitivities and
-    REGOMAX one pair of unperturbed operators.
+    one set of country vectors.
     """
-    operators = _operators(config, money)
     vectors = _country_vectors(config, money, operators)
     table = build_rank_table(*vectors)
     written = _write_rank(config, money.year, table)
@@ -398,6 +376,8 @@ def cmd_pipeline(config: RunConfig, money) -> list[Path]:
     return written
 
 
+#: Each command takes the run's config, its money tensor and the unperturbed
+#: operators of :func:`_operators`, which every command uses.
 _COMMANDS = {
     "rank": cmd_rank,
     "balance": cmd_balance,
@@ -409,7 +389,8 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # an option not given stays out of the namespace, so RunConfig supplies its default
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument(
         "--input",
         required=True,
@@ -418,50 +399,29 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--year", type=int, required=True, help="calendar year to analyze")
     common.add_argument(
         "--aggregate",
-        default=None,
         help=f"member_code,bloc_code file, or '{EU27_ALIAS}' for the packaged EU list",
     )
-    common.add_argument("--alpha", type=float, default=0.5, help="damping factor (default 0.5)")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="bound on each solve's L1 residual")
-    common.add_argument(
-        "--personalization",
-        choices=PERSONALIZATION_MODES,
-        default="uniform-by-product",
-        help="teleport vector variant",
-    )
-    common.add_argument("--out", default=".", help="output directory (created if missing)")
-    common.add_argument("--top", type=int, default=20, help="rows in the top-k rank table")
+    common.add_argument("--alpha", type=float, help="damping factor")
+    common.add_argument("--tol", type=float, help="bound on each solve's L1 residual")
+    common.add_argument("--personalization", choices=PERSONALIZATION_MODES, help="teleport vector variant")
+    common.add_argument("--out", type=Path, help="output directory (created if missing)")
+    common.add_argument("--top", type=int, help="rows in the top-k rank table")
     common.add_argument(
         "--index-cutoff",
         type=int,
-        default=61,
         help="rank-plane display filter: keep entities with both indexes below this",
     )
     common.add_argument("--svg", action="store_true", help="also render rank-plane SVG scatters")
-    common.add_argument("--sens-product", type=int, default=None, help="SITC slice to perturb")
+    common.add_argument("--sens-product", type=int, help="SITC slice to perturb")
+    common.add_argument("--sens-country", help="narrow the perturbation to this country's flows of the slice")
+    common.add_argument("--step", type=float, help="central-difference step h")
     common.add_argument(
-        "--sens-country",
-        default=None,
-        help="narrow the perturbation to this country's flows of the slice",
+        "--sens-side", choices=PERTURB_SIDES, help="which flows a country-targeted perturbation scales"
     )
+    common.add_argument("--subset", help="comma-separated country codes for REGOMAX")
+    common.add_argument("--k", type=int, help="friends per node in the edge lists")
     common.add_argument(
-        "--step", type=float, default=DEFAULT_STEP, help="central-difference step h"
-    )
-    common.add_argument(
-        "--sens-side",
-        choices=PERTURB_SIDES,
-        default="export",
-        help="which flows a country-targeted perturbation scales",
-    )
-    common.add_argument(
-        "--subset", default=None, help="comma-separated country codes for REGOMAX"
-    )
-    common.add_argument("--k", type=int, default=4, help="friends per node in the edge lists")
-    common.add_argument(
-        "--friends-by",
-        choices=FRIEND_MODES,
-        default="column",
-        help="read outgoing links from matrix columns (default) or rows",
+        "--friends-by", choices=FRIEND_MODES, help="read outgoing links from matrix columns or rows"
     )
 
     parser = argparse.ArgumentParser(
@@ -488,7 +448,7 @@ def main(argv=None) -> int:
         # command has succeeded, so a failed run leaves nothing in --out
         staging = Path(tempfile.mkdtemp(prefix=".wtnrank-", dir=config.out.parent))
         money = _load_money(config)
-        staged = _COMMANDS[config.command](replace(config, out=staging), money)
+        staged = _COMMANDS[config.command](replace(config, out=staging), money, _operators(config, money))
         written = []
         for path in staged:
             final = config.out / path.name

@@ -111,9 +111,6 @@ class CountryRegistry:
             raise ValueError("registry codes must be unique")
         if len(self.names) != len(self.codes):
             raise ValueError("one display name per code required")
-        for member, bloc in self.aggregation.items():
-            if bloc in self.aggregation:
-                raise ValueError(f"aggregation chains not allowed: {member} -> {bloc} -> ...")
         object.__setattr__(self, "_index", {c: i for i, c in enumerate(self.codes)})
 
     @property
@@ -293,9 +290,14 @@ def read_money_matrix(
     canonical country code the output files cannot hold, and NoRecordsError
     when no row of ``year`` is left, or only self-flows. Raises WtnError
     naming each bloc of ``aggregation`` not among the year's canonical
-    codes, as when it maps ISO codes and the file holds numeric ones.
+    codes, as when it maps ISO codes and the file holds numeric ones, and
+    ValueError, before any row is read, when a bloc is itself a member of
+    another bloc.
     """
     aggregation = dict(aggregation or {})
+    for member, bloc in aggregation.items():
+        if bloc in aggregation:
+            raise ValueError(f"aggregation chains not allowed: {member} -> {bloc} -> ...")
     stream, reader = _text_reader(source)
     rows = _Rows(_read_header(reader), year, aggregation)
     try:

@@ -1,5 +1,7 @@
 """Trade balance, perturbations and sensitivity differencing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from wtnrank import (
     ProbabilityVector,
     SensitivityConfig,
     balance_sensitivity,
+    build_google,
     gma_balance,
     gma_country_probabilities,
     iea_balance,
@@ -17,6 +20,7 @@ from wtnrank import (
 from wtnrank import analysis
 from wtnrank.analysis import write_balance, write_sensitivity
 from wtnrank.errors import ConvergenceError
+from wtnrank.gmatrix import DIRECTIONS
 from wtnrank.testkit import SyntheticSpec, perturb_money, synthetic_money, synthetic_registry
 
 from conftest import flows, money_from_dense
@@ -233,6 +237,19 @@ class TestSensitivity:
             SensitivityConfig(product=0, source="raw")
         with pytest.raises(ValueError):
             SensitivityConfig(product=0, side="both")
+
+    def test_operators_of_another_model_rejected(self, small_money):
+        uniform = [build_google(small_money, d, 0.5, "uniform-by-product") for d in DIRECTIONS]
+        config = SensitivityConfig(product=0, personalization="volume-by-country")
+        # with the uniform teleport the responses would mix the two modes' answers
+        with pytest.raises(ValueError, match=r"v.mode='uniform-by-product'.*personalization='volume-by-country'"):
+            sensitivity_richardson(small_money, config, uniform)
+        with pytest.raises(ValueError, match=r"alpha=0.5.*alpha=0.85"):
+            gma_country_probabilities(small_money, alpha=0.85, operators=uniform)
+        # operators of the requested model give the answer of none
+        matching = replace(config, personalization="uniform-by-product")
+        given = sensitivity_richardson(small_money, matching, uniform)
+        assert np.array_equal(given["d_h"], sensitivity_richardson(small_money, matching)["d_h"])
 
     def test_country_target_differs_from_global(self, small_money):
         code = small_money.registry.codes[0]

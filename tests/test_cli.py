@@ -344,6 +344,34 @@ print(os.environ.get("OPENBLAS_NUM_THREADS"))
         assert cli._richardson_summary(result) == {"h": 0.01, "checked": 1, "median_ratio": 4.0}
 
 
+class TestParser:
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_options_not_given_keep_run_config_defaults(self, trade_file, command):
+        args = cli.build_parser().parse_args([command, "--input", str(trade_file), "--year", str(YEAR)])
+        assert cli.config_from_args(args) == cli.RunConfig(command, trade_file, YEAR)
+
+    def test_every_option_reaches_run_config(self, trade_file, tmp_path):
+        argv = [
+            "pipeline", "--input", str(trade_file), "--year", str(YEAR), "--out", str(tmp_path),
+            "--aggregate", "eu27", "--alpha", "0.85", "--tol", "1e-9", "--personalization", "volume-by-country",
+            "--top", "5", "--index-cutoff", "11", "--svg", "--sens-product", "3", "--sens-country", "C001",
+            "--step", "0.02", "--sens-side", "import", "--subset", "C000, C002", "--k", "2", "--friends-by", "row",
+        ]
+        config = cli.config_from_args(cli.build_parser().parse_args(argv))
+        assert config == cli.RunConfig(
+            "pipeline", trade_file, YEAR, tmp_path, cli._resolve_aggregate("eu27"), alpha=0.85, tol=1e-9,
+            personalization="volume-by-country", top=5, index_cutoff=11, svg=True, sens_product=3,
+            sens_country="C001", step=0.02, sens_side="import", subset=("C000", "C002"), k=2, friends_by="row",
+        )
+
+    @pytest.mark.parametrize("command", [None, *sorted(cli._COMMANDS)])
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as raised:
+            cli.build_parser().parse_args([command, "--help"] if command else ["--help"])
+        assert raised.value.code == 0
+        assert "usage: wtnrank" in capsys.readouterr().out
+
+
 class TestResolution:
     def test_data_dir_env_fallback(self, trade_file, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -344,6 +344,9 @@ class TestAggregation:
     def test_chained_aggregation_rejected(self):
         with pytest.raises(ValueError, match="aggregation chains"):
             read(["2018,AAA,CCC,0,1"], aggregation={"AAA": "BBB", "BBB": "CCC"})
+        # the chain is named even when its last bloc is absent from the data
+        with pytest.raises(ValueError, match="aggregation chains not allowed: DEU -> EUU -> ..."):
+            read(["2018,DEU,USA,0,1", "2018,USA,DEU,1,2"], aggregation={"DEU": "EUU", "EUU": "EUX"})
 
 
 class TestRegistry:
