@@ -187,7 +187,7 @@ def iea_balance(money: MoneyMatrix) -> BalanceVector:
 def _differences(money: MoneyMatrix, config: SensitivityConfig, steps, operators=None, base=None) -> list:
     """Central differences of ``config``'s target at each of ``steps``, with the reports of their solves.
 
-    The mask of the scaled flows, the unperturbed country vectors and the
+    The entries of the scaled flows, the unperturbed country vectors and the
     responses Q, Q* of the directions whose links stay (module docstring) are
     made once, and every entry reports their solves. A moving direction
     re-solves its block s at +h and -h for each entry. A perturbation that
@@ -195,12 +195,13 @@ def _differences(money: MoneyMatrix, config: SensitivityConfig, steps, operators
     """
     if not 0 <= config.product < money.n_products:
         raise ValueError(f"product index {config.product} out of range")
-    hit = money.product == config.product
+    n = money.n_countries
+    hit = np.arange(*money.blocks[config.product : config.product + 2])   # the product's run
     if config.country is not None:
         row = money.registry.index_of(config.country)
-        hit &= (money.exporter if config.side == "export" else money.importer) == row
-    if not hit.any():
-        return [(np.zeros(money.n_countries), ()) for _ in steps]
+        hit = hit[(money.nodes[1] if config.side == "export" else money.nodes[0])[hit] == config.product * n + row]
+    if not len(hit):
+        return [(np.zeros(n), ()) for _ in steps]
     scaled = money.value[hit]
     weight = scaled.sum() / money.value.sum()
 
@@ -211,18 +212,18 @@ def _differences(money: MoneyMatrix, config: SensitivityConfig, steps, operators
     if config.source == "iea":
         base = base or iea_country_probabilities(money)
         evaluators = [
-            linear(P, np.bincount(flows[hit], weights=scaled / scaled.sum(), minlength=money.n_countries))
-            for P, flows in zip(base, (money.importer, money.exporter))
+            linear(P, np.bincount(ids[hit] % n, weights=scaled / scaled.sum(), minlength=n))
+            for P, ids in zip(base, money.nodes)
         ]
     else:
         alpha, tol, mode = config.alpha, config.tol, config.personalization
         operators = _google_pair(money, alpha, mode, operators)
         base = base or gma_country_probabilities(money, alpha, tol, mode, operators)[:2]
         # w: the teleport vector of the scaled flows alone, summed as their own tensor would sum them
-        volume = lambda ids, length: np.bincount(ids[hit], weights=scaled, minlength=length)
-        node_volumes = lambda: [volume(ids, money.n_products * money.n_countries) for ids in money.nodes]
-        w = _teleport(volume(money.product, money.n_products), node_volumes, money.n_countries, mode)
-        block = np.arange(config.product * money.n_countries, (config.product + 1) * money.n_countries)
+        volume = lambda ids, length: np.bincount(ids, weights=scaled, minlength=length)
+        node_volumes = lambda: [volume(ids[hit], money.n_products * n) for ids in money.nodes]
+        w = _teleport(volume(np.full(len(hit), config.product), money.n_products), node_volumes, n, mode)
+        block = np.arange(config.product * n, (config.product + 1) * n)
         # an exporter's flows are a row of the inverted links, an importer's one of the direct links
         moving = config.country and {"export": "inverted", "import": "direct"}[config.side]
 

@@ -25,10 +25,11 @@ class NoRecordsError(WtnError):
 
 
 class UnknownCountryError(WtnError):
-    """A country code could not be resolved against the registry."""
+    """A country code could not be resolved against the registry; ``bloc`` is the one it was merged into."""
 
-    def __init__(self, code: str):
-        super().__init__(f"unknown country code {code!r}")
+    def __init__(self, code: str, bloc: str | None = None):
+        merged = f": {code} was merged into {bloc} by the aggregation map" if bloc else ""
+        super().__init__(f"unknown country code {code!r}{merged}")
         self.code = code
 
 

@@ -12,8 +12,10 @@ evaluates the three terms (sparse links, uniform dangling columns, teleport).
 The links of S are COO arrays ``row``, ``col``, ``value`` in the money
 tensor's (product, importer, exporter) order, so each product's links are one
 run ``blocks[p]:blocks[p + 1]`` and each row meets its columns in ascending
-order, in either direction. ``row`` and ``col`` are the tensor's read-only
-``MoneyMatrix.nodes``, which both directions share.
+order, in either direction. ``row`` and ``col`` are the arrays of the
+tensor's read-only ``MoneyMatrix.nodes`` and ``blocks`` is its own, all
+shared by both directions, so S adds only its normalized values to the
+tensor's 24 bytes a flow.
 """
 
 from __future__ import annotations
@@ -58,12 +60,6 @@ class NodeSpace:
             raise ValueError(f"product index {product} out of range")
         return product * self.n_countries + country
 
-    def country_of(self, node: int) -> int:
-        return node % self.n_countries
-
-    def product_of(self, node: int) -> int:
-        return node // self.n_countries
-
 
 @dataclass
 class StochasticMatrix:
@@ -72,9 +68,10 @@ class StochasticMatrix:
     The normalized trade links are held per entry as ``row``, ``col`` and
     ``value``, in the order of the money tensor they came from: direct links
     run importer <- exporter, inverted ones exporter <- importer. ``row`` and
-    ``col`` are the tensor's read-only node arrays, shared by both directions.
-    Product p's entries are ``blocks[p]:blocks[p + 1]``. Dangling columns are
-    empty; ``dangling`` marks them, each standing for a uniform 1/N column.
+    ``col`` are the tensor's read-only node arrays and ``blocks`` its product
+    runs, shared by both directions: product p's entries are
+    ``blocks[p]:blocks[p + 1]``. Dangling columns are empty; ``dangling``
+    marks them, each standing for a uniform 1/N column.
     """
 
     blocks: np.ndarray
@@ -234,13 +231,11 @@ def build_stochastic(money: MoneyMatrix, direction: str = "direct") -> Stochasti
     if not money.value.size:
         raise EmptyNetworkError("money matrix has no flows; no network to build")
     space = NodeSpace(money.n_countries, money.n_products)
-    importer, exporter = money.nodes
-    row, col = (importer, exporter) if direction == "direct" else (exporter, importer)
+    row, col = money.nodes if direction == "direct" else money.nodes[::-1]
     sums = np.bincount(col, weights=money.value, minlength=space.size)
     dangling = sums == 0.0
     value = money.value / np.where(dangling, 1.0, sums)[col]
-    blocks = np.searchsorted(money.product, np.arange(money.n_products + 1))
-    return StochasticMatrix(blocks, row, col, value, dangling, space, money.registry, direction)
+    return StochasticMatrix(money.blocks, row, col, value, dangling, space, money.registry, direction)
 
 
 def build_personalization(money: MoneyMatrix, mode: str = "uniform-by-product") -> PersonalizationVector:

@@ -21,9 +21,9 @@ correctly (Clinger, PLDI 1990), so a key with one row takes that float64,
 and a value it rounds to 0 counts as 0. After the pass, one stable argsort
 finds the keys with two or more rows; each is summed exactly, at
 ``decimal.MAX_PREC``, from its rows' text in file order, and the sum is
-rounded to float64 once. Either way each flow is rounded once, into the COO
-arrays of :class:`MoneyMatrix`. The country registry is the sorted set of
-canonical codes of every row of the year.
+rounded to float64 once. Either way each flow is rounded once, into the one
+entry :class:`MoneyMatrix` holds for it. The country registry is the sorted
+set of canonical codes of every row of the year.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ import csv
 import io
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import MAX_PREC, Decimal, InvalidOperation, localcontext
-from functools import cached_property
 from itertools import accumulate, chain, compress, islice
 from typing import IO, Iterable, Mapping
 
@@ -53,9 +52,6 @@ FLOW_COLUMN = "flow"
 _EXPORT_FLOWS = {"x", "export"}
 _IMPORT_FLOWS = {"m", "import"}
 
-#: MoneyMatrix array fields, in key order and then the value.
-COO_FIELDS = ("product", "importer", "exporter", "value")
-
 # Decimal precision for summing the values of one key: the largest there is,
 # so no sum is rounded before float(). libmpdec sizes each sum to its exact
 # digits, which for a float's exact decimal expansion (the form
@@ -73,7 +69,7 @@ _ID_BITS = 29
 _ID_MASK = (1 << _ID_BITS) - 1
 # Characters a canonical country code may not hold, besides non-printable ones.
 _UNWRITABLE = ',"<&'
-# Characters of text a trade file is read in at a time, up to the end of the line.
+# Characters of text read at a time, up to the end of the line; also bytes of value text scanned at a time.
 _BLOCK_CHARS = 1 << 16
 # Field that closes each line of a block str.split splits; a block holding it goes to csv.
 _MARK = "\x01"
@@ -121,10 +117,7 @@ class CountryRegistry:
         try:
             return self._index[code]
         except KeyError:
-            raise UnknownCountryError(code) from None
-
-    def __contains__(self, code: str) -> bool:
-        return code in self._index
+            raise UnknownCountryError(code, self.aggregation.get(code)) from None
 
 
 def _text_reader(source: IO[str] | Iterable[str] | str) -> tuple:
@@ -168,34 +161,34 @@ def _read_header(reader) -> list[str]:
     return header
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MoneyMatrix:
     """Money tensor: entry (p, c, c') = USD of product p exported from c' to c.
 
-    Held as COO arrays sorted by (product, importer, exporter): int64
-    ``product``/``importer``/``exporter`` indexes and float64 ``value``s,
-    one entry per non-zero flow. The constructor validates and sorts them,
-    drops zero values and makes the arrays read-only. The diagonal
-    (c == c') is identically zero.
+    Holds each non-zero flow once, sorted by (product, importer, exporter):
+    its read-only int64 importer and exporter node ids ``nodes`` (p * n + c,
+    which both link matrices share) and float64 ``value``, 24 bytes a flow.
+    Product p's flows are ``blocks[p]:blocks[p + 1]``. The constructor takes
+    product, importer and exporter indexes and values in any order,
+    validates and sorts them and drops zero values. The diagonal (c == c')
+    is identically zero.
     """
 
     registry: CountryRegistry
     year: int
-    product: np.ndarray
-    importer: np.ndarray
-    exporter: np.ndarray
+    nodes: tuple[np.ndarray, np.ndarray]
     value: np.ndarray
-    n_products: int = N_PRODUCTS
+    blocks: np.ndarray
+    n_products: int
 
-    def __post_init__(self):
-        n = self.registry.n
-        arrays = [np.asarray(getattr(self, name), dtype=np.int64) for name in COO_FIELDS[:3]]
-        arrays.append(np.asarray(self.value, dtype=np.float64))
-        product, importer, exporter, value = arrays
+    def __init__(self, registry, year, product, importer, exporter, value, n_products=N_PRODUCTS):
+        n = registry.n
+        product, importer, exporter = (np.asarray(a, dtype=np.int64) for a in (product, importer, exporter))
+        value = np.asarray(value, dtype=np.float64)
         if value.ndim != 1 or not product.shape == importer.shape == exporter.shape == value.shape:
             raise ValueError("product, importer, exporter and value must be 1-D arrays of one length")
-        if np.any((product < 0) | (product >= self.n_products)):
-            raise ValueError(f"product index outside 0-{self.n_products - 1}")
+        if np.any((product < 0) | (product >= n_products)):
+            raise ValueError(f"product index outside 0-{n_products - 1}")
         if np.any((importer < 0) | (importer >= n) | (exporter < 0) | (exporter >= n)):
             raise ValueError("country index outside registry range")
         if np.any(importer == exporter):
@@ -204,9 +197,9 @@ class MoneyMatrix:
             raise ValueError("non-finite money entry (inf or nan)")
         if np.any(value < 0):
             raise ValueError("negative money entry")
-        key = product * n   # (product * n + importer) * n + exporter, built in place
-        key += importer
-        key *= n
+        into = product * n   # the importer nodes, then the key into * n + exporter, built in place
+        into += importer
+        key = into * n
         key += exporter
         order = np.argsort(key, kind="stable")
         key = key[order]
@@ -214,28 +207,27 @@ class MoneyMatrix:
             raise ValueError("duplicate money entry for one (product, importer, exporter)")
         del key
         keep = order[(value != 0)[order]]
-        for name, array in zip(COO_FIELDS, arrays):
-            array = array[keep]   # a copy: the caller's arrays are never aliased
+        del order
+        into = into[keep]   # copies: the caller's arrays are never aliased
+        nodes = into, into + (exporter - importer)[keep]
+        value = value[keep]
+        blocks = np.searchsorted(into, n * np.arange(n_products + 1))
+        for array in (*nodes, value, blocks):
             array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        vars(self).update(registry=registry, year=year, nodes=nodes, value=value, blocks=blocks, n_products=n_products)
 
     @property
     def n_countries(self) -> int:
         return self.registry.n
 
+    # the product, importer and exporter index of each entry, computed from the node ids
+    product = property(lambda self: self.nodes[0] // self.n_countries)
+    importer = property(lambda self: self.nodes[0] % self.n_countries)
+    exporter = property(lambda self: self.nodes[1] % self.n_countries)
+
     def product_volumes(self) -> np.ndarray:
         """Total traded volume of each product, shape (n_products,)."""
-        return np.bincount(self.product, weights=self.value, minlength=self.n_products)
-
-    @cached_property
-    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only importer and exporter node ids p * n_countries + c of each entry, computed once."""
-        importer = self.product * self.n_countries
-        exporter = importer + self.exporter
-        importer += self.importer
-        importer.setflags(write=False)
-        exporter.setflags(write=False)
-        return importer, exporter
+        return np.bincount(self.nodes[0] // self.n_countries, weights=self.value, minlength=self.n_products)
 
     def node_volumes(self) -> tuple[np.ndarray, np.ndarray]:
         """Import and export volume of every node p * n_countries + c."""
@@ -250,7 +242,8 @@ class MoneyMatrix:
 
     def transposed(self) -> "MoneyMatrix":
         """Money matrix with every flow reversed (importer <-> exporter)."""
-        return replace(self, importer=self.exporter, exporter=self.importer)
+        return MoneyMatrix(self.registry, self.year, self.product, self.exporter, self.importer, self.value,
+                           self.n_products)
 
     @classmethod
     def from_dense(
@@ -292,9 +285,9 @@ def read_money_matrix(
     naming each bloc of ``aggregation`` not among the year's canonical
     codes, as when it maps ISO codes and the file holds numeric ones, and
     ValueError, before any row is read, when a bloc is itself a member of
-    another bloc.
+    another bloc. A code mapped onto itself is left as it is.
     """
-    aggregation = dict(aggregation or {})
+    aggregation = {member: bloc for member, bloc in (aggregation or {}).items() if member != bloc}
     for member, bloc in aggregation.items():
         if bloc in aggregation:
             raise ValueError(f"aggregation chains not allowed: {member} -> {bloc} -> ...")
@@ -344,6 +337,7 @@ def read_money_matrix(
     product = keys >> 2 * _ID_BITS
     importer = position[keys >> _ID_BITS & _ID_MASK]
     exporter = position[keys & _ID_MASK]
+    del keys
     return MoneyMatrix(registry, year, product, importer, exporter, value)
 
 
@@ -377,8 +371,9 @@ class _Rows:
 
     :meth:`take` is the one place a row is checked. Each row of the year
     that is not a mirror report or a self-flow appends its packed (product,
-    importer, exporter) key, its float value, its line and its value text to
-    growing buffers, which :meth:`totals` sums to one entry per key and frees.
+    importer, exporter) key, its float value and its line to 8-byte row
+    buffers and its value text to a text buffer, which :meth:`totals` sums
+    to one entry per key and frees.
     """
 
     def __init__(self, header: list[str], year: int, aggregation: Mapping[str, str]):
@@ -397,10 +392,8 @@ class _Rows:
         self.keys = array("q")
         self.values = array("d")
         self.lines = array("q")
-        # UTF-8 value texts, each followed by a "," that no value text holds;
-        # text k runs from ends[k] + 1 to ends[k + 1]
+        # UTF-8 value texts, each followed by a "," that no value text holds: row k's ends at the k-th ","
         self.texts = bytearray()
-        self.ends = array("q", [-1])
 
     def take(self, columns, lines) -> None:
         """Check and keep rows given as columns of cells, one sequence per header column.
@@ -477,10 +470,8 @@ class _Rows:
             keys, values, lines = keys[flow], values[flow], lines[flow]
             texts = list(compress(texts, flow.tolist()))
         texts.append("")   # so that each text is followed by a ","
-        encoded = ",".join(texts).encode()
-        ends = np.flatnonzero(np.frombuffer(encoded, np.uint8) == _COMMA) + len(self.texts)
-        self.texts += encoded
-        for buffer, new in ((self.ends, ends), (self.keys, keys), (self.values, values), (self.lines, lines)):
+        self.texts += ",".join(texts).encode()
+        for buffer, new in ((self.keys, keys), (self.values, values), (self.lines, lines)):
             buffer.frombytes(new.tobytes())
         if rejected:
             for i, _, test in tests:
@@ -523,7 +514,8 @@ class _Rows:
         ParseError of the first line at which a sum passes the float64
         range, or None. It holds one stable permutation, the keys and values
         gathered through it and a mark on each row that repeats the key before;
-        only the rows of repeated keys are indexed. It frees the row buffers.
+        only the rows of repeated keys are indexed, and their texts found by
+        :func:`_text_ends` once the permutation is freed. It frees the row buffers.
         """
         # each key's rows stay in file order; each buffer is freed once gathered
         order = np.argsort(np.frombuffer(self.keys, dtype=np.int64), kind="stable")
@@ -537,16 +529,13 @@ class _Rows:
         bounds = np.append(np.searchsorted(positions, heads), len(positions)).tolist()
         rows = order[positions]
         del order
-        ends = np.frombuffer(self.ends, dtype=np.int64)
-        starts, stops = ends[rows] + 1, ends[rows + 1]
-        overflow = None
+        ascending = np.sort(rows)
+        stops = _text_ends(self.texts, ascending)[np.searchsorted(ascending, rows)]
+        texts, overflow = self.texts, None
         with localcontext() as ctx:
             ctx.prec = _MONEY_PRECISION
             for head, a, b in zip(heads.tolist(), bounds[:-1], bounds[1:]):
-                parts = [
-                    Decimal(self.texts[s:t].decode().strip())
-                    for s, t in zip(starts[a:b].tolist(), stops[a:b].tolist())
-                ]
+                parts = [Decimal(texts[texts.rfind(b",", 0, t) + 1 : t].decode().strip()) for t in stops[a:b].tolist()]
                 total = sum(parts, _ZERO)
                 values[head] = float(total)
                 if total >= _FLOAT_OVERFLOW:
@@ -558,10 +547,22 @@ class _Rows:
                         importer, exporter = codes[key >> _ID_BITS & _ID_MASK], codes[key & _ID_MASK]
                         flow = f"(product {key >> 2 * _ID_BITS}, importer {importer}, exporter {exporter})"
                         overflow = ParseError(line, f"sum of flow {flow} overflows float64")
-        self.lines = self.ends = self.texts = None
+        self.lines = self.texts = None
         if len(at):
             keys, values = keys[~repeat], values[~repeat]
         return keys, values, overflow
+
+
+def _text_ends(texts: bytearray, rows: np.ndarray) -> np.ndarray:
+    """Where the texts of the ascending ``rows`` end: row k's at the k-th "," of ``texts``."""
+    ends, seen, found = np.empty(len(rows), dtype=np.int64), 0, 0   # ","s before the piece, rows found
+    for start in range(0, len(texts) if len(rows) else 0, _BLOCK_CHARS):
+        piece = np.frombuffer(texts, np.uint8, min(_BLOCK_CHARS, len(texts) - start), start)
+        commas = np.flatnonzero(piece == _COMMA)
+        stop = found + int(np.searchsorted(rows[found:], seen + len(commas)))
+        ends[found:stop] = commas[rows[found:stop] - seen] + start
+        seen, found = seen + len(commas), stop
+    return ends
 
 
 def _year_kept(cell: str, year: int, line: int) -> bool:

@@ -8,7 +8,7 @@ meaningful. Deliberately naive; sizes are capped accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from ._text import write_lines
 from .gmatrix import GoogleMatrix, StochasticMatrix
-from .ingest import COO_FIELDS, CountryRegistry, MoneyMatrix
+from .ingest import CountryRegistry, MoneyMatrix
 from .regomax import NodeSubset
 
 _DENSE_PAGERANK_CAP = 2000
@@ -80,7 +80,8 @@ def perturb_money(
     hit = money.product == product
     if country is not None:
         hit &= (money.exporter if side == "export" else money.importer) == money.registry.index_of(country)
-    return replace(money, value=np.where(hit, money.value * (1.0 + delta), money.value))
+    return MoneyMatrix(money.registry, money.year, money.product, money.importer, money.exporter,
+                       np.where(hit, money.value * (1.0 + delta), money.value), money.n_products)
 
 
 def dense_google_from_money(
@@ -198,6 +199,7 @@ def write_trade_file(money: MoneyMatrix, path) -> Path:
     """
     lines = ["year,exporter,importer,sitc,value_usd"]
     codes = money.registry.codes
-    for p, importer, exporter, value in zip(*(getattr(money, name).tolist() for name in COO_FIELDS)):
+    columns = (money.product, money.importer, money.exporter, money.value)
+    for p, importer, exporter, value in zip(*(column.tolist() for column in columns)):
         lines.append(f"{money.year},{codes[exporter]},{codes[importer]},{p},{Decimal(value)}")
     return write_lines(path, lines)

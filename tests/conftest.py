@@ -5,8 +5,10 @@ import pytest
 from hypothesis import settings
 
 from wtnrank import MoneyMatrix
-from wtnrank.ingest import COO_FIELDS
 from wtnrank.testkit import SyntheticSpec, synthetic_money, synthetic_registry
+
+#: The indexes a MoneyMatrix computes from its node ids, in entry key order, and its values.
+COO_FIELDS = ("product", "importer", "exporter", "value")
 
 # Property tests draw the same examples on every run, with no time limit per
 # example: a slow machine must not turn a passing test into a failing one.

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import wtnrank
-from wtnrank import analysis, cli, gmatrix
-from wtnrank.ingest import COO_FIELDS
+from wtnrank import MoneyMatrix, analysis, cli, gmatrix
 from wtnrank.ranks import RANK_TABLE_HEADER
 from wtnrank.testkit import SyntheticSpec, synthetic_money, write_trade_file
+
+from conftest import COO_FIELDS
 
 N_COUNTRIES = 6
 N_PRODUCTS = 3
@@ -35,6 +36,16 @@ def run(command, trade_file, out, *extra):
     return cli.main(
         [command, "--input", str(trade_file), "--year", str(YEAR), "--out", str(out), *extra]
     )
+
+
+def bloc_files(tmp_path, pairs=("DEU,EUU", "FRA,EUU")):
+    """A trade file of DEU, FRA, USA and CHN rows, and a bloc map of ``pairs``."""
+    rows = ["year,exporter,importer,sitc,value_usd"]
+    rows += [f"{YEAR},DEU,USA,7,5", f"{YEAR},FRA,CHN,7,7", f"{YEAR},USA,CHN,7,9", f"{YEAR},CHN,DEU,3,4"]
+    trade, mapping = tmp_path / "trade.csv", tmp_path / "blocs.csv"
+    trade.write_text("\n".join(rows) + "\n")
+    mapping.write_text("\n".join(["member_code,bloc_code", *pairs]) + "\n")
+    return trade, mapping
 
 
 class TestRank:
@@ -125,6 +136,14 @@ class TestSensitivity:
         assert "XYZ" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_merged_country_target_names_its_bloc(self, tmp_path, capsys):
+        trade, mapping = bloc_files(tmp_path)
+        out = tmp_path / "out"
+        extra = ("--aggregate", str(mapping), "--sens-product", "7", "--sens-country", "FRA")
+        assert run("sensitivity", trade, out, *extra) == 1
+        assert "FRA was merged into EUU by the aggregation map" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("side", ["export", "import"])
     def test_country_target_builds_each_operator_once(self, trade_file, tmp_path, monkeypatch, side):
         builds, build_google = [], cli.build_google
@@ -163,6 +182,13 @@ class TestRegomax:
     def test_unknown_subset_country_fails(self, trade_file, tmp_path, capsys):
         assert run("regomax", trade_file, tmp_path, "--subset", "C000,XYZ") == 1
         assert "XYZ" in capsys.readouterr().err
+
+    def test_merged_subset_country_names_its_bloc(self, tmp_path, capsys):
+        trade, mapping = bloc_files(tmp_path)
+        out = tmp_path / "out"
+        assert run("regomax", trade, out, "--aggregate", str(mapping), "--subset", "DEU") == 1
+        assert "DEU was merged into EUU by the aggregation map" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_missing_subset_fails(self, trade_file, tmp_path):
         assert run("regomax", trade_file, tmp_path) == 1
@@ -282,6 +308,24 @@ class TestPipeline:
         assert (tmp_path / f"sensitivity_s0_{YEAR}.json").exists()
         gr = (tmp_path / f"gr_direct_{YEAR}.csv").read_text().splitlines()
         assert gr[0].startswith("C003_0,") and gr[0].endswith(f",C004_{N_SITC - 1}")
+
+
+class TestOneTensorForm:
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("pipeline", ()),
+            ("regomax", ("--subset", "C000,C001")),
+            ("sensitivity", ("--sens-product", "1", "--sens-country", "C002", "--sens-side", "import")),
+        ],
+    )
+    def test_no_command_reads_the_derived_indexes(self, trade_file, tmp_path, monkeypatch, command, extra):
+        def derived(money):
+            raise AssertionError("the index arrays were rebuilt from the node ids")
+
+        for name in ("product", "importer", "exporter"):
+            monkeypatch.setattr(MoneyMatrix, name, property(derived))
+        assert run(command, trade_file, tmp_path, *extra) == 0
 
 
 class TestImports:
@@ -425,6 +469,18 @@ class TestResolution:
         err = capsys.readouterr().err
         assert "USX" in err and "EUU" not in err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_identity_pair_in_bloc_map_is_a_no_op(self, tmp_path):
+        trade, mapping = bloc_files(tmp_path, ("DEU,EUU", "FRA,EUU", "EUU,EUU"))
+        plain = tmp_path / "plain.csv"
+        plain.write_text("member_code,bloc_code\nDEU,EUU\nFRA,EUU\n")
+        outputs = []
+        for blocs in (mapping, plain):
+            out = tmp_path / blocs.stem
+            assert run("balance", trade, out, "--aggregate", str(blocs)) == 0
+            outputs.append((out / f"balance_{YEAR}.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b"EUU" in outputs[0] and b"DEU" not in outputs[0]
 
     def test_custom_aggregation_merges_rows(self, trade_file, tmp_path):
         mapping = tmp_path / "blocs.csv"

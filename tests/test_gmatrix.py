@@ -266,13 +266,13 @@ class TestNodeSpace:
         space = NodeSpace(3, 2)
         assert space.size == 6
         assert space.node_id(2, 1) == 5
-        assert space.country_of(5) == 2
-        assert space.product_of(5) == 1
+        assert divmod(5, space.n_countries) == (1, 2)   # (product, country)
 
     def test_roundtrip(self):
         space = NodeSpace(4, 3)
         for node in range(space.size):
-            assert space.node_id(space.country_of(node), space.product_of(node)) == node
+            product, country = divmod(node, space.n_countries)
+            assert space.node_id(country, product) == node
 
 
 class TestMatrixDump:

@@ -348,6 +348,15 @@ class TestAggregation:
         with pytest.raises(ValueError, match="aggregation chains not allowed: DEU -> EUU -> ..."):
             read(["2018,DEU,USA,0,1", "2018,USA,DEU,1,2"], aggregation={"DEU": "EUU", "EUU": "EUX"})
 
+    def test_identity_pair_is_no_chain(self):
+        rows = ["2018,DEU,USA,3,10", "2018,FRA,USA,3,5", "2018,USA,EUU,1,2"]
+        money = read(rows, aggregation={**EU, "EUU": "EUU"})
+        assert money.registry.aggregation == EU
+        assert money.registry.codes == ("EUU", "USA")
+        assert flows(money) == flows(read(rows, aggregation=EU)) == [(1, 0, 1, 2.0), (3, 1, 0, 15.0)]
+        # a map of identity pairs alone merges nothing and names no unmatched bloc
+        assert read(rows, aggregation={"EUX": "EUX"}).registry.codes == ("DEU", "EUU", "FRA", "USA")
+
 
 class TestRegistry:
     def test_alphabetical_and_partner_only(self):
@@ -356,8 +365,16 @@ class TestRegistry:
 
     def test_index_of_unknown(self):
         registry = read(["2018,USA,CHN,0,1"]).registry
-        with pytest.raises(UnknownCountryError):
+        with pytest.raises(UnknownCountryError, match="unknown country code 'FRA'"):
             registry.index_of("FRA")
+
+    def test_index_of_merged_member_names_its_bloc(self):
+        registry = read(["2018,DEU,USA,3,10", "2018,USA,CHN,1,2"], aggregation=EU).registry
+        # FRA has no row, but the map still merges it
+        for member in ("DEU", "FRA"):
+            with pytest.raises(UnknownCountryError, match=f"{member} was merged into EUU by the aggregation map"):
+                registry.index_of(member)
+        assert registry.index_of("EUU") == 1
 
 
 class TestAssemble:
@@ -441,10 +458,12 @@ class TestLoad:
         assert money.registry.codes == ("EUU", "USA")
         assert flows(money) == [(3, 1, 0, 15.0)]
 
-    # the traced peak above the value text is about 51 and 67 bytes a row: the row buffers, one
-    # permutation and the keys gathered through it; full-length per-key temporaries add 20-30
+    # the traced peak above the value text is about 45 and 58 bytes a row. With the bloc it is in the
+    # sum pass: the key, value and line row buffers, one permutation and the keys and values gathered
+    # through it. Without it, it is in the reading pass: the row buffers and the cells of one text block,
+    # which weigh more a row in the smaller file; full-length per-key temporaries add 20-30
     @pytest.mark.parametrize(
-        "n_countries,density,members,bound", [(120, 0.3, 20, 60.0), (60, 0.5, 0, 78.0)], ids=["bloc", "no-bloc"]
+        "n_countries,density,members,bound", [(120, 0.3, 20, 52.0), (60, 0.5, 0, 68.0)], ids=["bloc", "no-bloc"]
     )
     def test_peak_memory_per_row(self, tmp_path, n_countries, density, members, bound):
         money = synthetic_money(SyntheticSpec(seed=7, n_countries=n_countries, n_products=10, density=density))
@@ -489,6 +508,17 @@ class TestMoneyMatrix:
         flipped = small_money.transposed()   # its own entry order, so its own arrays
         assert flipped.nodes[0] is not exporter and flipped.nodes[1] is not importer
         assert np.array_equal(np.sort(flipped.nodes[0]), np.sort(exporter))
+
+    def test_holds_24_bytes_an_entry_read_only(self, small_money):
+        flipped = small_money.transposed()
+        for money in (small_money, flipped):
+            assert set(vars(money)) == {"registry", "year", "nodes", "value", "blocks", "n_products"}
+            held = [*money.nodes, money.value, money.blocks]
+            assert sum(array.nbytes for array in held) == 24 * len(money.value) + money.blocks.nbytes
+            for array in held:   # none is a view that keeps a larger array alive
+                assert array.base is None and not array.flags.writeable
+        # transposed() sorts its entries its own way, into arrays of its own
+        assert not any(np.shares_memory(a, b) for a in flipped.nodes for b in small_money.nodes)
 
     def test_from_dense_exact(self):
         dense = np.zeros((1, 2, 2))

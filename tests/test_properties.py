@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wtnrank import (
+    MoneyMatrix,
     NodeSpace,
     PersonalizationVector,
     SensitivityConfig,
@@ -48,11 +49,10 @@ from wtnrank import ingest
 from wtnrank.analysis import _block_variant
 from wtnrank.errors import ParseError, WtnError
 from wtnrank.gmatrix import _dense_links
-from wtnrank.ingest import COO_FIELDS
 from wtnrank.ranks import pagerank
-from wtnrank.testkit import dense_google_from_money, dense_pagerank_oracle, densify, perturb_money
+from wtnrank.testkit import dense_google_from_money, dense_pagerank_oracle, densify, perturb_money, synthetic_registry
 
-from conftest import flows, money_from_dense
+from conftest import COO_FIELDS, flows, money_from_dense
 
 #: Same bound as test_testkit's check of build_google against this oracle.
 ORACLE_TOL = 1e-14
@@ -455,6 +455,25 @@ def test_both_directions_keep_the_tensor_order(dense):
         # each column is divided by its node's volume, added as node_volumes adds it
         assert np.array_equal(S.value, money.value / volumes[S.col])
         assert np.array_equal(S.dangling, volumes == 0.0)
+
+
+@settings(max_examples=100)
+@given(data=st.data(), n=st.integers(2, 5), n_products=st.integers(1, 3))
+def test_tensor_holds_the_sorted_non_zero_input(data, n, n_products):
+    cell = st.tuples(st.integers(0, n_products - 1), st.integers(0, n - 1), st.integers(0, n - 1))
+    cells = data.draw(st.lists(cell.filter(lambda c: c[1] != c[2]), unique=True, max_size=30))
+    value = st.one_of(st.just(0.0), st.floats(0.0, 1e12), st.floats(5e-324, 1e-300))
+    values = np.array(data.draw(st.lists(value, min_size=len(cells), max_size=len(cells))), dtype=np.float64)
+    product, importer, exporter = np.array(cells, dtype=np.int64).reshape(-1, 3).T
+    money = MoneyMatrix(synthetic_registry(n), YEAR, product, importer, exporter, values, n_products)
+    order = np.lexsort((exporter, importer, product))
+    order = order[values[order] != 0.0]
+    p, i, e = product[order], importer[order], exporter[order]
+    for name, expected in zip(COO_FIELDS, (p, i, e, values[order])):
+        assert np.array_equal(getattr(money, name), expected), name
+    assert np.array_equal(money.nodes[0], p * n + i) and np.array_equal(money.nodes[1], p * n + e)
+    assert all(ids.dtype == np.int64 for ids in money.nodes)
+    assert np.array_equal(money.blocks, np.searchsorted(p, np.arange(n_products + 1)))
 
 
 def trading(dense: np.ndarray) -> np.ndarray:
