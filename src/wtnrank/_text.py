@@ -38,12 +38,6 @@ def write_columns(path, header, columns) -> Path:
     return write_lines(path, [",".join(header), *map(",".join, zip(*cells))])
 
 
-def _plain(value):
-    if hasattr(value, "tolist"):   # a numpy array, or a numpy scalar json cannot write
-        return value.tolist()
-    raise TypeError(f"not JSON-serializable: {type(value)!r}")
-
-
 def write_json(path, payload: dict) -> Path:
     """Dump a manifest dict with sorted keys and a trailing newline."""
-    return write_lines(path, [json.dumps(payload, sort_keys=True, indent=2, default=_plain)])
+    return write_lines(path, [json.dumps(payload, sort_keys=True, indent=2)])

@@ -282,9 +282,9 @@ def cmd_sensitivity(config: RunConfig, money, operators, vectors=None) -> list[P
     """
     if config.sens_product is None:
         raise ValueError("sensitivity needs --sens-product")
-    volumes = money.product_volumes()
+    empty = np.diff(money.blocks) == 0   # the tensor holds no zero flow
     # an index out of range is left to sensitivity_richardson, which names it as such
-    if 0 <= config.sens_product < len(volumes) and volumes[config.sens_product] == 0.0:
+    if 0 <= config.sens_product < len(empty) and empty[config.sens_product]:
         raise ValueError(f"product {config.sens_product} has no trade volume in {money.year}")
     target = f"s{config.sens_product}"
     if config.sens_country is not None:
@@ -353,9 +353,9 @@ def cmd_dump(config: RunConfig, money, operators) -> list[Path]:
 def _pipeline_products(money) -> list[int]:
     """Default sensitivity targets: the usual fuel/machinery slices when
     they carry volume, otherwise the largest slice present."""
-    volumes = money.product_volumes()
-    chosen = [p for p in PIPELINE_PRODUCTS if p < money.n_products and volumes[p] > 0.0]
-    return chosen or [int(np.argmax(volumes))]
+    traded = np.diff(money.blocks) > 0   # the tensor holds no zero flow
+    chosen = [p for p in PIPELINE_PRODUCTS if p < money.n_products and traded[p]]
+    return chosen or [int(np.argmax(money.product_volumes()))]
 
 
 def cmd_pipeline(config: RunConfig, money, operators) -> list[Path]:

@@ -6,15 +6,16 @@ country codes are mapped onto their bloc (e.g. the 27 EU members collapsed
 onto ``EUU``), self-flows are dropped and every other row's key, value and
 line are kept for summing after the pass.
 
-The text is read in blocks of about 64K characters of whole lines. A block
-with no quote, NUL or lone carriage return, whose every line has the
-header's width, is split into columns with ``str.split``. csv splits every
-other block, an iterable of lines and, after a quote, the rest of the
-stream, and hands its rows on as columns, about a block's worth at a time.
-Either way one check takes the columns: each distinct year, flow, country
-and SITC cell is checked and mapped once, the flow, country and SITC cells
-only in rows of the year that are not mirror reports, and the first row
-with a rejected cell raises its ParseError with its line.
+The text is read in blocks of about 64K characters of whole lines. While a
+block has no quote, NUL or lone carriage return and every line has the
+header's width, it is split into columns with ``str.split``. One csv reader
+splits the first block that does not and the rest of the input after it,
+or every line after the header of an iterable of lines, and hands its rows
+on as columns, about a block's worth at a time. Either way one check takes
+the columns: each distinct year, flow, country and SITC cell is checked and
+mapped once, the flow, country and SITC cells only in rows of the year that
+are not mirror reports, and the first row with a rejected cell raises its
+ParseError with its line.
 
 Every value is read with ``float``, which rounds a decimal string
 correctly (Clinger, PLDI 1990), so a key with one row takes that float64,
@@ -121,10 +122,9 @@ class CountryRegistry:
 
 
 def _text_reader(source: IO[str] | Iterable[str] | str) -> tuple:
-    """The text of ``source`` (a string becomes a stream) and a csv.reader of it, a leading U+FEFF dropped."""
-    stream = io.StringIO(source, newline="") if isinstance(source, str) else source
-    lines = iter(stream)
-    return stream, csv.reader(chain((line.removeprefix("\ufeff") for line in islice(lines, 1)), lines))
+    """The lines of ``source`` (a string becomes a stream) and a csv.reader of them, a leading U+FEFF dropped."""
+    lines = iter(io.StringIO(source, newline="") if isinstance(source, str) else source)
+    return lines, csv.reader(chain((line.removeprefix("\ufeff") for line in islice(lines, 1)), lines))
 
 
 def _parse_value(raw: str, line: int) -> Decimal:
@@ -240,11 +240,6 @@ class MoneyMatrix:
         dense[self.product, self.importer, self.exporter] = self.value
         return dense
 
-    def transposed(self) -> "MoneyMatrix":
-        """Money matrix with every flow reversed (importer <-> exporter)."""
-        return MoneyMatrix(self.registry, self.year, self.product, self.exporter, self.importer, self.value,
-                           self.n_products)
-
     @classmethod
     def from_dense(
         cls,
@@ -269,13 +264,15 @@ def read_money_matrix(
 ) -> MoneyMatrix:
     """Read a header-bearing delimited trade file into the money tensor of ``year``.
 
-    ``source`` is the file's text: a string, a text stream (a file opened
-    with ``newline=""``, so that a quoted cell may hold a line break), or
-    another iterable of lines, one line per item as :func:`csv.reader`
-    takes them, which csv splits. The module docstring describes the
-    splitting, the checks and the sums. The result does not depend on the
-    row order, bit for bit. The registry holds the sorted canonical codes of
-    every row of the year, self-flows included.
+    ``source`` is the file's text: a string or a text stream (a file opened
+    with ``newline=""``, so that a quoted cell may hold a line break and a
+    lone carriage return ends a line), read in blocks until csv must split
+    one, or another iterable of lines, one line per item as
+    :func:`csv.reader` takes them, which csv splits whole.
+    The module docstring describes the splitting, the checks and the sums.
+    The result does not depend on the row order, bit for bit. The registry
+    holds the sorted canonical codes of every row of the year, self-flows
+    included.
 
     Raises ParseError (naming the file line that ends the row, the first
     such line in the file) for structural problems, such as a row the csv
@@ -291,29 +288,22 @@ def read_money_matrix(
     for member, bloc in aggregation.items():
         if bloc in aggregation:
             raise ValueError(f"aggregation chains not allowed: {member} -> {bloc} -> ...")
-    stream, reader = _text_reader(source)
+    lines, reader = _text_reader(source)
     rows = _Rows(_read_header(reader), year, aggregation)
+    line = reader.line_num   # lines consumed so far
     try:
-        if not hasattr(stream, "read"):
-            rows.take_rows(reader, 0)
-        else:
-            line = reader.line_num   # lines consumed so far
-            while block := stream.read(_BLOCK_CHARS):
-                block += stream.readline()   # so the block ends where a line does
-                columns = _plain_columns(block, rows.width)
-                if columns is not None:
-                    n = len(columns[0])
-                    rows.take(columns, np.arange(line + 1, line + 1 + n))
-                    del columns   # free the block's cells before the next block is read
-                    line += n
-                    continue
-                quoted = '"' in block   # a quoted cell may hold a line break past the block
-                lines = io.StringIO(block, newline="")
-                reader = csv.reader(chain(lines, stream) if quoted else lines)
-                rows.take_rows(reader, line)
-                if quoted:
-                    break
-                line += reader.line_num
+        while hasattr(lines, "read") and (block := lines.read(_BLOCK_CHARS)):   # a stream is its own lines
+            block += lines.readline()   # so the block ends where a line does
+            columns = _plain_columns(block, rows.width)
+            if columns is None:
+                lines = chain(io.StringIO(block, newline=""), lines)
+                break
+            n = len(columns[0])
+            rows.take(columns, np.arange(line + 1, line + 1 + n))
+            del columns   # free the block's cells before the next block is read
+            line += n
+        if not hasattr(lines, "read"):   # the lines of an iterable, or from the first block str.split refused
+            rows.take_rows(csv.reader(lines), line)
     except ParseError as exc:
         # a sum that overflowed on an earlier line was the first error in the file
         overflow = rows.totals()[2]

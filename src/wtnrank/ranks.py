@@ -18,7 +18,7 @@ import numpy as np
 from ._text import write_columns
 from .errors import EmptyNetworkError
 from .gmatrix import GoogleMatrix, NodeSpace
-from .ingest import CountryRegistry, MoneyMatrix
+from .ingest import MoneyMatrix
 
 #: Probability vectors are validated to sum to 1 within this.
 PROBABILITY_TOL = 1e-10

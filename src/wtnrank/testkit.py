@@ -84,6 +84,12 @@ def perturb_money(
                        np.where(hit, money.value * (1.0 + delta), money.value), money.n_products)
 
 
+def transposed(money: MoneyMatrix) -> MoneyMatrix:
+    """Money matrix with every flow reversed (importer <-> exporter)."""
+    return MoneyMatrix(money.registry, money.year, money.product, money.exporter, money.importer, money.value,
+                       money.n_products)
+
+
 def dense_google_from_money(
     money: MoneyMatrix,
     direction: str = "direct",

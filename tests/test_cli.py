@@ -272,6 +272,21 @@ class TestPipeline:
         # sensitivities and REGOMAX
         assert builds.count("direct") == builds.count("inverted") == 1
 
+    def test_product_volumes_summed_once_per_teleport(self, tmp_path, monkeypatch):
+        # products 3 and 7, the default sensitivity targets, carry volume
+        money = synthetic_money(SyntheticSpec(seed=21, n_countries=N_COUNTRIES, n_products=8, density=0.6))
+        trade = write_trade_file(money, tmp_path / "trade.csv")
+        calls, product_volumes = [], MoneyMatrix.product_volumes
+
+        def counting(money):
+            calls.append(money)
+            return product_volumes(money)
+
+        monkeypatch.setattr(MoneyMatrix, "product_volumes", counting)
+        assert run("pipeline", trade, tmp_path / "out") == 0
+        # one teleport per direction; whether a product is traded is read off the product runs
+        assert len(calls) == 2
+
     def test_blas_thread_count_does_not_change_bytes(self, tmp_path):
         # PageRank, its responses and REGOMAX rest on dense block solves of 110
         # rows, which OpenBLAS would factorize in another order on several

@@ -22,6 +22,7 @@ from wtnrank.testkit import (
     densify,
     synthetic_money,
     synthetic_registry,
+    transposed,
 )
 
 from conftest import money_from_dense
@@ -88,7 +89,7 @@ class TestBuildStochastic:
 
     def test_direction_duality(self, small_money):
         inverted = build_stochastic(small_money, "inverted")
-        direct_of_transposed = build_stochastic(small_money.transposed(), "direct")
+        direct_of_transposed = build_stochastic(transposed(small_money), "direct")
 
         def entries(S):
             order = np.lexsort((S.col, S.row))
@@ -104,7 +105,7 @@ class TestBuildStochastic:
         direct, inverted = (build_stochastic(small_money, d) for d in ("direct", "inverted"))
         assert direct.row is importer and direct.col is exporter
         assert inverted.row is exporter and inverted.col is importer
-        flipped = small_money.transposed()
+        flipped = transposed(small_money)
         assert build_stochastic(flipped, "direct").row is flipped.nodes[0] is not exporter
 
     def test_validate_passes_on_fixtures(self):

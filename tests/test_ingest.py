@@ -18,7 +18,7 @@ from wtnrank import (
 )
 from wtnrank import ingest
 from wtnrank.errors import NoRecordsError, ParseError, UnknownCountryError
-from wtnrank.testkit import SyntheticSpec, synthetic_money, synthetic_registry, write_trade_file
+from wtnrank.testkit import SyntheticSpec, synthetic_money, synthetic_registry, transposed, write_trade_file
 
 from conftest import flows
 
@@ -275,6 +275,26 @@ class TestBlocks:
         assert self.fields(load_money_matrix(path, 2018, {"C00": "C01"})) == expected
         assert len(calls) == 1   # the header's
 
+    def test_first_refused_block_hands_csv_the_rest(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(ingest, "_BLOCK_CHARS", 64)
+        expected = self.fields(read(self.ROWS))
+        # blank lines in the first block, a lone carriage return a few blocks on, then plain blocks
+        rows = self.ROWS[:1] + ["", ""] + self.ROWS[1:9] + ["\r".join(self.ROWS[9:11])] + self.ROWS[11:]
+        path = tmp_path / "trade.csv"
+        path.write_bytes("\n".join([HEADER] + rows).encode())
+        calls, split = [], csv.reader
+
+        def reader(*args, **kwargs):
+            calls.append(args)
+            return split(*args, **kwargs)
+
+        monkeypatch.setattr(ingest.csv, "reader", reader)
+        assert self.fields(load_money_matrix(path, 2018)) == expected
+        assert len(calls) == 2   # the header's, then one for the rest of the input
+        with pytest.raises(ParseError, match="negative value") as err:
+            read_money_matrix("\n".join([HEADER] + rows + ["2018,CHN,USA,7,-1"]), 2018)
+        assert err.value.line == len(rows) + 3   # the carriage return ends a line too
+
 
 class TestSitc:
     @pytest.mark.parametrize("code,product", [("71234", 7), ("0", 0), ("334", 3), ("9", 9)])
@@ -491,7 +511,7 @@ class TestMoneyMatrix:
         assert dense.sum() == 10.0
 
     def test_transposed_swaps_roles(self, small_money):
-        flipped = small_money.transposed()
+        flipped = transposed(small_money)
         assert np.array_equal(
             flipped.to_dense(), np.transpose(small_money.to_dense(), (0, 2, 1))
         )
@@ -505,19 +525,19 @@ class TestMoneyMatrix:
         for nodes in (importer, exporter):
             with pytest.raises(ValueError, match="read-only"):
                 nodes[0] = 0
-        flipped = small_money.transposed()   # its own entry order, so its own arrays
+        flipped = transposed(small_money)   # its own entry order, so its own arrays
         assert flipped.nodes[0] is not exporter and flipped.nodes[1] is not importer
         assert np.array_equal(np.sort(flipped.nodes[0]), np.sort(exporter))
 
     def test_holds_24_bytes_an_entry_read_only(self, small_money):
-        flipped = small_money.transposed()
+        flipped = transposed(small_money)
         for money in (small_money, flipped):
             assert set(vars(money)) == {"registry", "year", "nodes", "value", "blocks", "n_products"}
             held = [*money.nodes, money.value, money.blocks]
             assert sum(array.nbytes for array in held) == 24 * len(money.value) + money.blocks.nbytes
             for array in held:   # none is a view that keeps a larger array alive
                 assert array.base is None and not array.flags.writeable
-        # transposed() sorts its entries its own way, into arrays of its own
+        # transposed sorts its entries its own way, into arrays of its own
         assert not any(np.shares_memory(a, b) for a in flipped.nodes for b in small_money.nodes)
 
     def test_from_dense_exact(self):
