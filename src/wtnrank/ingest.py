@@ -4,7 +4,7 @@ Reads delimited trade files (``year,exporter,importer,sitc,value_usd``)
 into the per-product money tensor in one pass: each row is checked, its
 country codes are mapped onto their bloc (e.g. the 27 EU members collapsed
 onto ``EUU``), self-flows are dropped and every other row's key, value and
-line are kept for summing after the pass.
+value text (and line, once a sum could overflow) are kept for the sums.
 
 The text is read in blocks of about 64K characters of whole lines. While a
 block has no quote, NUL or lone carriage return and every line has the
@@ -19,8 +19,8 @@ ParseError with its line.
 
 Every value is read with ``float``, which rounds a decimal string
 correctly (Clinger, PLDI 1990), so a key with one row takes that float64,
-and a value it rounds to 0 counts as 0. After the pass, one stable argsort
-finds the keys with two or more rows; each is summed exactly, at
+and a value it rounds to 0 counts as 0. After the pass, a sorted copy of the
+keys finds those with two or more rows; each is summed exactly, at
 ``decimal.MAX_PREC``, from its rows' text in file order, and the sum is
 rounded to float64 once. Either way each flow is rounded once, into the one
 entry :class:`MoneyMatrix` holds for it. The country registry is the sorted
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -63,6 +64,8 @@ _INF = float("inf")
 # The smallest decimal that float() rounds to inf: halfway between the
 # largest float64 and 2**1024.
 _FLOAT_OVERFLOW = Decimal(2**1024 - 2**970)
+# A float total of the values below it leaves every exact sum below _FLOAT_OVERFLOW.
+_HALF_MAX = sys.float_info.max / 2
 # Bits of a provisional country id in a packed (product, importer, exporter)
 # int64 key, which allows 2**29 distinct codes; the product takes the bits
 # above both ids.
@@ -298,6 +301,7 @@ def read_money_matrix(
             if columns is None:
                 lines = chain(io.StringIO(block, newline=""), lines)
                 break
+            del block   # the cells hold what take needs of it
             n = len(columns[0])
             rows.take(columns, np.arange(line + 1, line + 1 + n))
             del columns   # free the block's cells before the next block is read
@@ -361,9 +365,11 @@ class _Rows:
 
     :meth:`take` is the one place a row is checked. Each row of the year
     that is not a mirror report or a self-flow appends its packed (product,
-    importer, exporter) key, its float value and its line to 8-byte row
-    buffers and its value text to a text buffer, which :meth:`totals` sums
-    to one entry per key and frees.
+    importer, exporter) key and float value to 8-byte row buffers and its
+    value text to a text buffer, which :meth:`totals` sums to one entry per
+    key and frees. Rows keep their line only from the block that takes the
+    kept values' float total to half the largest float64; no sum can
+    overflow before it, so the rows of a trade file keep none.
     """
 
     def __init__(self, header: list[str], year: int, aggregation: Mapping[str, str]):
@@ -381,7 +387,8 @@ class _Rows:
         self.ids: dict[str, int] = {}   # canonical code -> provisional id, in order of first use
         self.keys = array("q")
         self.values = array("d")
-        self.lines = array("q")
+        self.total = 0.0   # of the kept values, in float; no key's exact sum is larger, up to rounding
+        self.lines = array("q")   # of the last rows, from the block that takes the total to _HALF_MAX
         # UTF-8 value texts, each followed by a "," that no value text holds: row k's ends at the k-th ","
         self.texts = bytearray()
 
@@ -461,8 +468,12 @@ class _Rows:
             texts = list(compress(texts, flow.tolist()))
         texts.append("")   # so that each text is followed by a ","
         self.texts += ",".join(texts).encode()
-        for buffer, new in ((self.keys, keys), (self.values, values), (self.lines, lines)):
-            buffer.frombytes(new.tobytes())
+        self.keys.frombytes(keys.tobytes())
+        self.values.frombytes(values.tobytes())
+        with np.errstate(over="ignore"):
+            self.total += float(values.sum())
+        if self.total >= _HALF_MAX:
+            self.lines.frombytes(lines.tobytes())
         if rejected:
             for i, _, test in tests:
                 if i is not None:
@@ -496,50 +507,49 @@ class _Rows:
             raise error
 
     def totals(self) -> tuple[np.ndarray, np.ndarray, ParseError | None]:
-        """The distinct keys in ascending order, the float of each one's flow, and any sum overflow.
+        """The distinct keys in any order, the float of each one's flow, and any sum overflow.
 
         A key met once keeps its row's float. The rows of a key met more
         than once are summed exactly in Decimal from their text, in file
-        order, and the sum is rounded to float once. The overflow is the
-        ParseError of the first line at which a sum passes the float64
-        range, or None. It holds one stable permutation, the keys and values
-        gathered through it and a mark on each row that repeats the key before;
-        only the rows of repeated keys are indexed, and their texts found by
-        :func:`_text_ends` once the permutation is freed. It frees the row buffers.
+        order, and the sum is rounded to float once, into the key's first
+        row. The overflow is the ParseError of the first line at which a sum
+        passes the float64 range, or None. One sorted copy of the keys finds
+        the repeated ones and a ``searchsorted`` marks their rows; only those
+        rows are grouped by a stable argsort and have their texts found by
+        :func:`_text_ends`. It frees the text before the rows are compacted.
         """
-        # each key's rows stay in file order; each buffer is freed once gathered
-        order = np.argsort(np.frombuffer(self.keys, dtype=np.int64), kind="stable")
-        keys, self.keys = np.frombuffer(self.keys, dtype=np.int64)[order], None
-        values, self.values = np.frombuffer(self.values, dtype=np.float64)[order], None
-        repeat = np.zeros(len(keys), dtype=bool)
-        repeat[1:] = keys[1:] == keys[:-1]
-        at = np.flatnonzero(repeat)
-        heads = at[~repeat[at - 1]] - 1   # the first row of each repeated key
-        positions = np.sort(np.concatenate((heads, at)))   # the rows of repeated keys, key by key
-        bounds = np.append(np.searchsorted(positions, heads), len(positions)).tolist()
-        rows = order[positions]
-        del order
-        ascending = np.sort(rows)
-        stops = _text_ends(self.texts, ascending)[np.searchsorted(ascending, rows)]
+        keys, values = np.frombuffer(self.keys, dtype=np.int64), np.frombuffer(self.values, dtype=np.float64)
+        self.keys = self.values = None
+        ordered = np.sort(keys)
+        repeated = np.append(-1, ordered[1:][ordered[1:] == ordered[:-1]])   # a key per later row; -1 is none
+        del ordered
+        at = np.searchsorted(repeated, keys)
+        single = np.take(repeated, at, out=at, mode="clip") != keys
+        del at, repeated
+        rows = np.flatnonzero(~single)   # the rows of repeated keys, ascending
+        group = np.argsort(keys[rows], kind="stable")   # each key's rows stay in file order
+        rows, stops = rows[group], _text_ends(self.texts, rows)[group]
+        bounds = np.flatnonzero(np.diff(keys[rows], prepend=-1)).tolist() + [len(rows)]
         texts, overflow = self.texts, None
         with localcontext() as ctx:
             ctx.prec = _MONEY_PRECISION
-            for head, a, b in zip(heads.tolist(), bounds[:-1], bounds[1:]):
+            for a, b in zip(bounds[:-1], bounds[1:]):
                 parts = [Decimal(texts[texts.rfind(b",", 0, t) + 1 : t].decode().strip()) for t in stops[a:b].tolist()]
                 total = sum(parts, _ZERO)
-                values[head] = float(total)
+                values[rows[a]] = float(total)
                 if total >= _FLOAT_OVERFLOW:
                     # the running sum only grows; it is checked from the key's second row on
                     n = max(2, bisect_left(list(accumulate(parts, initial=_ZERO)), _FLOAT_OVERFLOW))
-                    line = self.lines[rows[a + n - 1]]
+                    line = self.lines[rows[a + n - 1] - len(keys) + len(self.lines)]   # self.lines holds the last rows
                     if overflow is None or line < overflow.line:
-                        codes, key = list(self.ids), int(keys[head])
+                        codes, key = list(self.ids), int(keys[rows[a]])
                         importer, exporter = codes[key >> _ID_BITS & _ID_MASK], codes[key & _ID_MASK]
                         flow = f"(product {key >> 2 * _ID_BITS}, importer {importer}, exporter {exporter})"
                         overflow = ParseError(line, f"sum of flow {flow} overflows float64")
-        self.lines = self.texts = None
-        if len(at):
-            keys, values = keys[~repeat], values[~repeat]
+        self.lines = self.texts = texts = None
+        if len(rows):
+            single[rows[bounds[:-1]]] = True   # a repeated key's first row holds its sum
+            keys, values = keys[single], values[single]
         return keys, values, overflow
 
 

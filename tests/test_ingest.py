@@ -249,6 +249,14 @@ class TestBlocks:
             read(["2018,CHN,USA,7,-1"] + rows)
         assert err.value.line == 2
 
+    def test_sum_overflow_after_many_blocks_names_its_line(self, monkeypatch):
+        # rows keep their line only from the block of the first 1e308, many blocks in
+        monkeypatch.setattr(ingest, "_BLOCK_CHARS", 64)
+        rows = self.ROWS + ["2018,CHN,USA,7,1e308"] + self.ROWS + ["2018,CHN,USA,7,1e308"] + self.ROWS
+        with pytest.raises(ParseError, match=r"sum of flow \(product 7, importer USA, exporter CHN\)") as err:
+            read(rows)
+        assert err.value.line == 2 * len(self.ROWS) + 3
+
     @pytest.mark.parametrize("size", [1, 64, 1 << 16])
     @pytest.mark.parametrize("first", ["2018", '"2018"'])   # a quoted cell hands the file to csv
     def test_sum_overflow_before_a_parse_error_in_the_same_block(self, monkeypatch, size, first):
@@ -478,12 +486,12 @@ class TestLoad:
         assert money.registry.codes == ("EUU", "USA")
         assert flows(money) == [(3, 1, 0, 15.0)]
 
-    # the traced peak above the value text is about 45 and 58 bytes a row. With the bloc it is in the
-    # sum pass: the key, value and line row buffers, one permutation and the keys and values gathered
-    # through it. Without it, it is in the reading pass: the row buffers and the cells of one text block,
-    # which weigh more a row in the smaller file; full-length per-key temporaries add 20-30
+    # the traced peak above the value text is about 33 and 47 bytes a row. With the bloc it is in the
+    # sum pass: the 16-byte key and value row buffers and one sorted copy of the keys. Without it, it
+    # is in the reading pass: the row buffers and the cells of one text block, which weigh more a row
+    # in the smaller file. A line buffer, a full-length permutation or the block's text adds 8 or more
     @pytest.mark.parametrize(
-        "n_countries,density,members,bound", [(120, 0.3, 20, 52.0), (60, 0.5, 0, 68.0)], ids=["bloc", "no-bloc"]
+        "n_countries,density,members,bound", [(120, 0.3, 20, 40.0), (60, 0.5, 0, 56.0)], ids=["bloc", "no-bloc"]
     )
     def test_peak_memory_per_row(self, tmp_path, n_countries, density, members, bound):
         money = synthetic_money(SyntheticSpec(seed=7, n_countries=n_countries, n_products=10, density=density))
@@ -499,6 +507,22 @@ class TestLoad:
             tracemalloc.stop()
         assert len(loaded.value) < len(rows) if members else len(loaded.value) == len(rows)
         assert (peak - text) / len(rows) < bound
+
+    def test_trade_file_keeps_no_line(self, monkeypatch, tmp_path):
+        # no sum can overflow until the kept values total half the largest float64
+        money = synthetic_money(SyntheticSpec(seed=7, n_countries=30, n_products=10, density=0.5))
+        path = write_trade_file(money, tmp_path / "trade.csv")
+        kept, totals = [], ingest._Rows.totals
+
+        def spy(rows):
+            kept.append(len(rows.lines))
+            return totals(rows)
+
+        monkeypatch.setattr(ingest._Rows, "totals", spy)
+        blocs = {code: "BLC" for code in money.registry.codes[:10]}
+        assert len(load_money_matrix(path, 2018, blocs).value) < len(money.value)
+        read(["2018,CHN,USA,7,1e308", "2018,USA,CHN,7,1e308"])
+        assert kept == [0, 2]   # the block that reaches the total keeps its lines
 
 
 class TestMoneyMatrix:

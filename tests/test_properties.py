@@ -224,6 +224,32 @@ def test_repeated_key_of_exact_float_expansions_is_rounded_once(values):
     assert flows(read_rows(rows, {})) == ingest_oracle(rows, {})[1]
 
 
+#: Values whose running sums pass the float64 range within two or three rows of a key, and small ones.
+huge_or_small = st.one_of(st.sampled_from(("1e308", "9e307", "6e307")), st.decimals(0, 10**6, places=2).map(str))
+
+
+@settings(max_examples=80)
+@given(st.lists(st.tuples(st.sampled_from(OTHERS + ("DEU",)), st.sampled_from(OTHERS), huge_or_small), max_size=40))
+def test_sum_overflow_names_the_first_line_a_running_sum_passes_float64(cells):
+    # rows keep their line only from the block whose values take the float total past half the range
+    rows = [(YEAR, *OTHERS, "3", "1.00", "x")] + [(YEAR, e, i, "7", value, "x") for e, i, value in cells]
+    sums, first = {}, None
+    with localcontext() as ctx:
+        ctx.prec = MAX_PREC
+        for line, (_, exporter, importer, _, value, _) in enumerate(rows, start=2):
+            if exporter != importer:
+                key = (importer, exporter)
+                sums[key] = sums.get(key, Decimal(0)) + Decimal(value)
+                if first is None and sums[key] >= ingest._FLOAT_OVERFLOW:
+                    first = line
+    for result in read_every_way(render(rows), {}):
+        if first is None:
+            assert isinstance(result, MoneyMatrix)
+        else:
+            assert type(result) is tuple and "overflows float64" in result[0]
+            assert result[1] == first
+
+
 #: Codes a random bloc map draws its members from, and its bloc codes.
 BLOC_MEMBERS = MEMBERS + ("ITA", "POL")
 BLOCS = ("BLA", "BLB", "BLC")
