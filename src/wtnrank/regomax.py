@@ -11,10 +11,10 @@ of the full PageRank, which the test suite uses as the exactness oracle.
 
 (1 - G_ss) is solved exactly, one way at every size: its link part
 I - alpha S_ss is block diagonal over products and is solved block by
-block as PageRank's is (``gmatrix._solve_links``), and the dangling and
-teleport terms are a rank-2 update applied with the Woodbury identity.
-No dense teleport block is formed, and the 2 x 2 Woodbury capacitance is
-conditioned in closed form, from its Frobenius norm and determinant.
+block as PageRank's is (``gmatrix._solve_links``), against |s| x (k + 2)
+columns, k the most kept nodes of a product. The dangling and teleport
+terms are a rank-2 update applied with the Woodbury identity, and its
+2 x 2 capacitance is conditioned and inverted in closed form.
 """
 
 from __future__ import annotations
@@ -100,15 +100,6 @@ class FriendsNetwork:
     mode: str
 
 
-def _dense_block(G: GoogleMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Densify G[rows, cols]: the links of S + dangling repair + teleport, in one buffer."""
-    block = _dense_links(G.S, rows, cols)
-    block[:, G.S.dangling[cols]] = 1.0 / G.size
-    block *= G.alpha
-    block += ((1.0 - G.alpha) * G.v.values[rows])[:, None]
-    return block
-
-
 def _cond2(C: np.ndarray) -> float:
     """2-norm condition number of a 2 x 2 matrix from ||C||_F and det C; inf when det C is 0.
 
@@ -123,39 +114,52 @@ def _cond2(C: np.ndarray) -> float:
 def reduced_google_matrix(G: GoogleMatrix, subset: NodeSubset) -> ReducedGoogleMatrix:
     """Compute G_R = G_rr + G_rs (1 - G_ss)^{-1} G_sr for the subset.
 
-    The inverse is never formed. With d_s the dangling indicator of the
-    complement, 1 - G_ss = A - U V^T where A = I - alpha S_ss is block
-    diagonal over products, U = [alpha/N 1, (1 - alpha) v_s] and
-    V = [d_s, 1]. Each product block of A is solved densely against
-    [G_sr, U], then a 2 x 2 Woodbury capacitance system adds the rank-2
-    correction, so the cost is one dense solve per product block of at
-    most n_countries nodes. Raises LinAlgError if (1 - G_ss) is singular;
-    column stochasticity of the result is asserted.
+    The inverse is never formed. With d the dangling indicator,
+    1 - G_ss = A - U V^T and G_sr = alpha S_sr + U W_r^T, where
+    A = I - alpha S_ss is block diagonal over products, V = [d_s, 1],
+    U = [alpha/N 1, (1 - alpha) v_s] and W_r = [d_r, 1]. A kept node's links
+    stay in its own product, so it takes a slot among that product's kept
+    nodes, and A is solved against one |s| x (k + 2) right-hand side, k the
+    most kept nodes of a product: [alpha S_sr by slot, U]. Raises LinAlgError
+    if (1 - G_ss) is singular; column stochasticity of the result is asserted.
     """
     if subset.size_total != G.size:
         raise ValueError("subset was built for a different node space")
+    S, alpha, n_countries = G.S, G.alpha, G.space.n_countries
     r_ids = np.asarray(subset.node_ids, dtype=np.int64)
     s_ids = subset.complement()
-    alpha = G.alpha
-    U = np.column_stack([np.full(len(s_ids), alpha / G.size), (1.0 - alpha) * G.v.values[s_ids]])
-    Z = _solve_links(G.S, alpha, np.hstack([_dense_block(G, s_ids, r_ids), U]), s_ids)
-    # (A - U V^T)^{-1} B = A^{-1} B + A^{-1} U C^{-1} V^T A^{-1} B with C = I - V^T A^{-1} U.
-    # A itself is never singular (alpha S_ss has column sums <= alpha < 1), so a
-    # singular (1 - G_ss) shows in C; past this condition number the rounding
-    # of C alone can exceed the column-sum tolerance.
-    VtZ = np.vstack([Z[G.S.dangling[s_ids]].sum(axis=0), Z.sum(axis=0)])
-    capacitance = np.eye(2) - VtZ[:, -2:]
+    product = r_ids // n_countries
+    same = product[:, None] == product
+    slot = np.tril(same, -1).sum(axis=1)   # the kept nodes of its product before it
+    k = int(slot.max()) + 1
+    at = np.full(G.size, -1)   # a kept node's row in G_R; -1 in the complement
+    at[r_ids] = np.arange(len(r_ids))
+    U = np.column_stack([np.full(G.size, alpha / G.size), (1.0 - alpha) * G.v.values])
+    rhs = np.hstack([np.zeros((len(s_ids), k)), U[s_ids]])
+    links = np.flatnonzero((at < 0)[S.row] & (at >= 0)[S.col])   # the links of S_sr
+    rhs[np.searchsorted(s_ids, S.row[links]), slot[at[S.col[links]]]] = alpha * S.value[links]
+    Z = _solve_links(S, alpha, rhs, s_ids)   # [B, Y] = A^{-1} [alpha S_sr, U]
+    bounds = np.searchsorted(s_ids, n_countries * np.arange(G.space.n_products + 1))
+    V = np.column_stack([S.dangling[s_ids], np.ones(len(s_ids))])
+    VtZ = np.array([V[lo:hi].T @ Z[lo:hi] for lo, hi in zip(bounds, bounds[1:])])   # per product block
+    K, VtB = VtZ[:, :, k:].sum(axis=0), VtZ[product, :, slot].T
+    # A is never singular (alpha S_ss has column sums <= alpha < 1), so a singular (1 - G_ss) shows in the
+    # Woodbury capacitance C = I - K; past this condition number C's rounding alone can exceed the tolerance.
+    (a, b), (c, d) = capacitance = np.eye(2) - K
     cond = _cond2(capacitance)
     if not cond * np.finfo(float).eps < REDUCED_SUM_TOL:
         raise np.linalg.LinAlgError(
             f"(1 - G_ss) is singular: Woodbury capacitance condition number {cond:.3g}"
         )
-    X = Z[:, -2:] @ np.linalg.solve(capacitance, VtZ[:, :-2])
-    X += Z[:, :-2]   # a + b is b + a, bit for bit
-    del Z
-    G_rr = _dense_block(G, r_ids, r_ids)
-    G_rs = _dense_block(G, r_ids, s_ids)
-    reduced = ReducedGoogleMatrix(G_rr + G_rs @ X, subset, G.direction)
+    # G_R = alpha (S_rr + S_rs B + S_rs Y M) + U_r (W_r^T + V^T B + K M), M = W_r^T + C^{-1} (V^T B + K W_r^T),
+    # with C^{-1} = adj C / det C: Z >= 0 leaves adj C non-negative, so no term rounds below 0 and a 0 stays 0
+    Wt = np.vstack([S.dangling[r_ids], np.ones(len(r_ids))])
+    M = Wt + np.array([[d, -b], [-c, a]]) @ (VtB + K @ Wt) / (a * d - b * c)
+    links = np.flatnonzero((at >= 0)[S.row] & (at < 0)[S.col])   # the links of S_rs
+    rows, cols = at[S.row[links]], np.searchsorted(s_ids, S.col[links])
+    SZ = np.column_stack([np.bincount(rows, S.value[links] * z[cols], len(r_ids)) for z in Z.T])   # S_rs Z
+    walks = _dense_links(S, r_ids, r_ids) + np.where(same, SZ[:, slot], 0.0) + SZ[:, k:] @ M
+    reduced = ReducedGoogleMatrix(alpha * walks + U[r_ids] @ (Wt + VtB + K @ M), subset, G.direction)
     reduced.validate()
     return reduced
 
@@ -165,19 +169,16 @@ def friends_network(GR: ReducedGoogleMatrix, k: int = 4, mode: str = "column") -
 
     Column mode (default) reads column j as the outgoing transitions of node
     j and emits edges j -> i; row mode treats rows as outgoing instead. Ties
-    break by ascending node index.
+    break by ascending node index, as in a stable sort of the negated weights.
     """
-    n = GR.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
+    if not 1 <= k <= GR.n - 1:
+        raise ValueError(f"k must lie in [1, {GR.n - 1}], got {k}")
     if mode not in FRIEND_MODES:
         raise ValueError(f"mode must be one of {FRIEND_MODES}")
-    edges = []
-    for source in range(n):
-        column = GR.matrix[:, source] if mode == "column" else GR.matrix[source, :]
-        targets = sorted((i for i in range(n) if i != source), key=lambda i: (-column[i], i))
-        for target in targets[:k]:
-            edges.append((source, target, float(column[target])))
+    weights = GR.matrix if mode == "column" else GR.matrix.T
+    keys = np.where(np.eye(GR.n, dtype=bool), np.inf, -weights)   # a node's own entry sorts last
+    targets = np.argsort(keys, axis=0, kind="stable")[:k].T.tolist()
+    edges = [(s, t, float(weights[t, s])) for s, row in enumerate(targets) for t in row]
     return FriendsNetwork(tuple(edges), k, mode)
 
 
@@ -193,8 +194,7 @@ def write_reduced_matrix(GR: ReducedGoogleMatrix, labels: Sequence[str], path) -
 
 def write_edge_list(net: FriendsNetwork, labels: Sequence[str], path) -> Path:
     """Write the friends network as a ``source,target,weight`` edge list."""
-    needed = 1 + max((max(s, t) for s, t, _ in net.edges), default=0)
-    if len(labels) < needed:
+    if len(labels) < 1 + max((max(s, t) for s, t, _ in net.edges), default=0):
         raise ValueError("edge list references a node without a label")
     sources = [labels[source] for source, _, _ in net.edges]
     targets = [labels[target] for _, target, _ in net.edges]

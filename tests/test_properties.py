@@ -14,7 +14,9 @@ dump, parsed back, rebuilds the same operator. The block solves of
 PageRank, CheiRank and their teleport responses match full dense solves,
 also with countries that trade nothing. The balance differences, from the
 closed form or from one re-solved product block, match differences of the
-perturbed, rebuilt tensor's dense oracles.
+perturbed, rebuilt tensor's dense oracles. The reduced Google matrix
+matches the literal dense block formula for subsets that keep all, none,
+one or some of a product's nodes, with idle nodes on both sides.
 """
 
 import tempfile
@@ -31,6 +33,7 @@ from hypothesis.extra.numpy import arrays
 from wtnrank import (
     MoneyMatrix,
     NodeSpace,
+    NodeSubset,
     PersonalizationVector,
     SensitivityConfig,
     StochasticMatrix,
@@ -40,6 +43,7 @@ from wtnrank import (
     build_stochastic,
     make_google,
     read_money_matrix,
+    reduced_google_matrix,
     sensitivity_richardson,
     trade_balance,
     volume_probabilities,
@@ -50,7 +54,14 @@ from wtnrank.analysis import _block_variant
 from wtnrank.errors import ParseError, WtnError
 from wtnrank.gmatrix import _dense_links
 from wtnrank.ranks import pagerank
-from wtnrank.testkit import dense_google_from_money, dense_pagerank_oracle, densify, perturb_money, synthetic_registry
+from wtnrank.testkit import (
+    dense_google_from_money,
+    dense_pagerank_oracle,
+    dense_regomax_oracle,
+    densify,
+    perturb_money,
+    synthetic_registry,
+)
 
 from conftest import COO_FIELDS, flows, money_from_dense
 
@@ -595,3 +606,47 @@ def test_iea_country_difference_matches_perturbed_shares(data, dense, side):
     error = np.abs(values - (balances[0] - balances[1]) / (2.0 * config.step))[trading(dense)]
     assert np.max(error, initial=0.0) <= IEA_DIFFERENCE_TOL
     assert reports == ()
+
+
+#: Largest deviation of the reduced matrix from the dense block formula's.
+REGOMAX_TOL = 1e-10
+
+
+@st.composite
+def regomax_cases(draw):
+    """A tensor and a shuffled subset: per product none, all, one or some of the countries kept.
+
+    The lone kept node and one node of the product kept nowhere trade nothing,
+    so both sides of the partition hold dangling columns in both directions.
+    The wholly kept product holds the largest flow, which keeps (1 - G_ss)
+    well conditioned: every column teleports a share of it to kept nodes.
+    """
+    n_products, n_countries = draw(st.integers(3, 5)), draw(st.integers(3, 6))
+    cell = st.one_of(st.just(0.0), st.floats(1e-3, 1e6))
+    dense = draw(arrays(np.float64, (n_products, n_countries, n_countries), elements=cell))
+    dense[:, np.arange(n_countries), np.arange(n_countries)] = 0.0
+    none, whole, lone, *rest = draw(st.permutations(range(n_products)))
+    chosen = {whole: range(n_countries), lone: [draw(st.integers(0, n_countries - 1))]}
+    for p in rest:
+        chosen[p] = draw(st.sets(st.integers(0, n_countries - 1), max_size=n_countries - 1))
+    idle = draw(st.integers(0, n_countries - 1))
+    for p, c in ((lone, chosen[lone][0]), (none, idle)):
+        dense[p, c, :] = dense[p, :, c] = 0.0
+    dense[whole, 0, 1] = 1e6
+    ids = [p * n_countries + c for p, countries in chosen.items() for c in countries]
+    return dense, NodeSubset(tuple(draw(st.permutations(ids))), n_products * n_countries)
+
+
+@settings(max_examples=40)
+@given(case=regomax_cases(), alpha=st.floats(0.05, 0.95))
+def test_reduced_matrix_matches_dense_block_formula(case, alpha):
+    dense, subset = case
+    money = money_from_dense(dense)
+    kept = np.zeros(subset.size_total, dtype=bool)
+    kept[list(subset.node_ids)] = True
+    for direction in ("direct", "inverted"):
+        for personalization in PERSONALIZATIONS:
+            G = build_google(money, direction, alpha, personalization)
+            assert G.S.dangling[kept].any() and G.S.dangling[~kept].any()
+            GR = reduced_google_matrix(G, subset)
+            assert np.max(np.abs(GR.matrix - dense_regomax_oracle(G, subset))) < REGOMAX_TOL
