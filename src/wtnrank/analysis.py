@@ -17,11 +17,14 @@ a direction whose links do not move, follow
   w the teleport vector of the scaled flows alone. Column normalisation
   cancels a scale of whole columns, so S~ stays as it is in both directions
   under a global target, and in the direct (inverted) one under an export
-  (import) target. PageRank is linear in v, so Q is the PageRank of S~ with
-  teleport w: one solve of block s.
+  (import) target. PageRank is linear in v, so Q is the PageRank of G with
+  w for v: one solve of block s.
 - GMA, the other direction of a country target c: the scaled flows are row c
-  of block s, so each delta scales that row by (1 + delta), renormalises
-  column j by its new sum 1 + delta S[c, j], and re-solves block s alone.
+  of block s. Each delta makes G with that row scaled by (1 + delta), column j
+  renormalised by its new sum 1 + delta S[c, j] and v(delta) for v.
+
+Each varied G is a GoogleMatrix: block s alone is solved again, as PageRank's
+blocks are, and its own ``apply`` measures the residual.
 
 :func:`balance_sensitivity` evaluates dB_c/d(delta) at h and
 :func:`sensitivity_richardson` at h, h/2 and h/4, sharing the work that
@@ -37,7 +40,7 @@ import numpy as np
 
 from ._text import write_columns
 from .errors import ConvergenceError
-from .gmatrix import DIRECTIONS, GoogleMatrix, _dense_links, _identity_minus, _teleport, build_google
+from .gmatrix import DIRECTIONS, GoogleMatrix, _solve_links, _teleport, build_google
 from .ingest import MoneyMatrix
 from .ranks import (
     DEFAULT_TOL,
@@ -220,32 +223,30 @@ def _differences(money: MoneyMatrix, config: SensitivityConfig, steps, operators
         operators = _google_pair(money, alpha, mode, operators)
         base = base or gma_country_probabilities(money, alpha, tol, mode, operators)[:2]
         # w: the teleport vector of the scaled flows alone, summed as their own tensor would sum them
-        volume = lambda ids, length: np.bincount(ids, weights=scaled, minlength=length)
-        node_volumes = lambda: [volume(ids[hit], money.n_products * n) for ids in money.nodes]
-        w = _teleport(volume(np.full(len(hit), config.product), money.n_products), node_volumes, n, mode)
+        w = _teleport(tuple(ids[hit] for ids in money.nodes), scaled, n, money.n_products, mode)
         block = np.arange(config.product * n, (config.product + 1) * n)
+        run = slice(*money.blocks[config.product : config.product + 2])   # the product's links
         # an exporter's flows are a row of the inverted links, an importer's one of the direct links
         moving = config.country and {"export": "inverted", "import": "direct"}[config.side]
 
-        def moved(G: GoogleMatrix, links: np.ndarray):
+        def moved(G: GoogleMatrix):
             def rank(delta: float):
                 # row c scales by 1 + delta, so column j's sum moves to 1 + delta S[c, j]
-                block_links = links.copy()
-                block_links[row] *= 1.0 + delta
-                block_links /= 1.0 + delta * links[row]
+                value = G.S.value.copy()
+                value[hit] *= 1.0 + delta
+                value[run] /= (1.0 + delta * np.bincount(G.S.col[hit], G.S.value[hit], G.size))[G.S.col[run]]
                 outside = 1.0 / (1.0 + delta * weight)   # v(delta) / v outside block s
-                v = (G.v.values + delta * weight * w) * outside
-                P, report = _block_variant(G, block, links, block_links, v, outside, tol)
+                v = replace(G.v, values=(G.v.values + delta * weight * w) * outside)
+                P, report = _block_variant(G, replace(G, S=replace(G.S, value=value), v=v), block, outside, tol)
                 return aggregate_country(P), (report,)
             return rank
 
         evaluators = []
         for direction, G, P in zip(DIRECTIONS, operators, base):
-            links = _dense_links(G.S, block, block)
             if direction == moving:
-                evaluators.append(moved(G, links))
+                evaluators.append(moved(G))
             else:
-                Q, report = _block_variant(G, block, links, links, w, 0.0, tol)
+                Q, report = _block_variant(G, replace(G, v=replace(G.v, values=w)), block, 0.0, tol)
                 evaluators.append(linear(P, aggregate_country(Q).values))
                 once += (report,)
 
@@ -260,25 +261,17 @@ def _differences(money: MoneyMatrix, config: SensitivityConfig, steps, operators
     return differences
 
 
-def _block_variant(G: GoogleMatrix, block, links, moved, teleport, outside: float, tol: float) -> tuple:
-    """(P, report) of G with ``moved`` for block ``block`` of S, ``links``, and ``teleport`` for v.
+def _block_variant(G: GoogleMatrix, varied: GoogleMatrix, block, outside: float, tol: float) -> tuple:
+    """(P, report) of ``varied``: G with other links in block ``block`` of S, or another v, or both.
 
-    Outside the block the teleport is ``outside`` times v, so the solves there
-    are G's z_v times ``outside`` and z_1; the block is solved again against
-    both. The residual is ``G.apply`` plus the block's and teleport's changes.
+    Outside the block varied has G's links and ``outside`` times G's v, so its solves
+    there are G's z_v times ``outside`` and z_1; the block is solved again against both.
     """
-    n, alpha = len(block), G.alpha
     z_v, z_1 = G._link_solves.T
     z, z1 = outside * z_v, z_1.copy()
-    rhs = np.column_stack([(1.0 - alpha) * teleport[block], np.full(n, alpha / G.size)])
-    z[block], z1[block] = np.linalg.solve(_identity_minus(moved.copy(), alpha), rhs).T
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        out = G.apply(x) + (1.0 - alpha) * x.sum() * (teleport - G.v.values)
-        out[block] += alpha * (moved - links) @ x[block]
-        return out
-
-    return _converged(_stationary(G, z, z1, tol, apply))
+    rhs = np.column_stack([(1.0 - G.alpha) * varied.v.values[block], np.full(len(block), G.alpha / G.size)])
+    z[block], z1[block] = _solve_links(varied.S, G.alpha, rhs, block).T
+    return _converged(_stationary(varied, z, z1, tol))
 
 
 def balance_sensitivity(money: MoneyMatrix, config: SensitivityConfig) -> SensitivityVector:

@@ -61,7 +61,7 @@ class NodeSpace:
         return product * self.n_countries + country
 
 
-@dataclass
+@dataclass(frozen=True)
 class StochasticMatrix:
     """Column-stochastic link matrix S with the dangling columns kept implicit.
 
@@ -90,6 +90,8 @@ class StochasticMatrix:
             self.row.shape == self.col.shape == self.value.shape == (self.blocks[-1],)
         ):
             raise ValueError(f"link arrays do not describe {self.space.n_products} product blocks")
+        self.value.setflags(write=False)
+        self.dangling.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -119,6 +121,7 @@ class PersonalizationVector:
     def __post_init__(self):
         if self.mode not in PERSONALIZATION_MODES:
             raise ValueError(f"mode must be one of {PERSONALIZATION_MODES}")
+        self.values.setflags(write=False)
 
     def validate(self, tol: float = COLUMN_SUM_TOL) -> None:
         if np.any(self.values < 0):
@@ -127,7 +130,7 @@ class PersonalizationVector:
             raise ValueError("personalization must sum to 1")
 
 
-@dataclass
+@dataclass(frozen=True)   # over read-only arrays, so _link_solves cannot go stale; replace() solves afresh
 class GoogleMatrix:
     """Damped operator alpha*S' + (1-alpha)*v 1^T, applied without densifying."""
 
@@ -246,21 +249,22 @@ def build_personalization(money: MoneyMatrix, mode: str = "uniform-by-product") 
     proportion to each country's traded volume (imports + exports) of that
     product. Zero-volume products contribute zero weight either way.
     """
-    values = _teleport(money.product_volumes(), money.node_volumes, money.n_countries, mode)
+    values = _teleport(money.nodes, money.value, money.n_countries, money.n_products, mode)
     return PersonalizationVector(values, mode)
 
 
-def _teleport(product_volume: np.ndarray, node_volumes, n_countries: int, mode: str) -> np.ndarray:
-    """:func:`build_personalization`'s values from V_p; volume-by-country calls ``node_volumes()``."""
+def _teleport(nodes: tuple, value: np.ndarray, n_countries: int, n_products: int, mode: str) -> np.ndarray:
+    """:func:`build_personalization`'s values from flows: their (importer, exporter) node ids and ``value``."""
     if mode not in PERSONALIZATION_MODES:
         raise ValueError(f"mode must be one of {PERSONALIZATION_MODES}")
+    product_volume = np.bincount(nodes[0] // n_countries, weights=value, minlength=n_products)
     total = product_volume.sum()
     if total == 0.0:
         raise EmptyNetworkError("money matrix has zero total volume")
     if mode == "uniform-by-product":
         return np.repeat(product_volume / (n_countries * total), n_countries)
-    imports, exports = node_volumes()
-    country_volume = (imports + exports).reshape(len(product_volume), n_countries)
+    imports, exports = (np.bincount(ids, weights=value, minlength=n_products * n_countries) for ids in nodes)
+    country_volume = (imports + exports).reshape(n_products, n_countries)
     block_volume = country_volume.sum(axis=1, keepdims=True)
     # within-product shares sum to 1 (a zero-volume block stays 0); the block carries V_p / V
     shares = country_volume / np.where(block_volume > 0, block_volume, 1.0)

@@ -81,23 +81,23 @@ def pagerank(G: GoogleMatrix, tol: float = DEFAULT_TOL) -> tuple[ProbabilityVect
     I - alpha S against (1 - alpha) v and (alpha/N) 1 (``G._link_solves``),
     Sherman-Morrison adds the rank-one term: P = z_v + z_1 (d.z_v) / (1 - d.z_1).
     The report holds iterations=1, the residual |G P - P|_1 measured with
-    one apply, and converged = residual < tol.
+    one ``G.apply``, and converged = residual < tol.
     """
-    return _stationary(G, *G._link_solves.T, tol, G.apply)
+    return _stationary(G, *G._link_solves.T, tol)
 
 
-def _stationary(G: GoogleMatrix, z: np.ndarray, z_1: np.ndarray, tol: float, apply) -> tuple:
-    """(P, report) from the solves z, z_1 of an operator with G's dangling columns and ``apply``.
+def _stationary(G: GoogleMatrix, z: np.ndarray, z_1: np.ndarray, tol: float) -> tuple:
+    """(P, report) of ``G``, perhaps a perturbed operator, from its own solves z, z_1.
 
     As in :func:`pagerank`: add the dangling columns' rank-one term, rescale
-    to sum 1, and measure the residual |apply(P) - P|_1 against ``tol``.
+    to sum 1, and measure the residual |G.apply(P) - P|_1 against ``tol``.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     dangling = G.S.dangling
     x = z + z_1 * (z[dangling].sum() / (1.0 - z_1[dangling].sum()))
     x /= x.sum()
-    residual = float(np.abs(apply(x) - x).sum())
+    residual = float(np.abs(G.apply(x) - x).sum())
     keys = tuple((code, p) for p in range(G.space.n_products) for code in G.registry.codes)
     vector = ProbabilityVector(x, _NODE_KINDS[G.direction], "node", keys, G.space)
     return vector, SolverReport(1, residual, residual < tol)

@@ -65,6 +65,9 @@ def subset_from_countries(
     countries: Sequence[str],
 ) -> tuple[NodeSubset, tuple[str, ...]]:
     """All products of the named countries, country-major, with node labels."""
+    repeated = sorted({code for code in countries if countries.count(code) > 1})
+    if repeated:
+        raise ValueError(f"subset names {', '.join(repeated)} more than once")
     space = G.space
     indexed = [(code, G.registry.index_of(code)) for code in countries]
     ids = tuple(space.node_id(c, p) for _, c in indexed for p in range(space.n_products))

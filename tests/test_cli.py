@@ -190,6 +190,10 @@ class TestRegomax:
         assert "DEU was merged into EUU by the aggregation map" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_repeated_subset_country_named(self, trade_file, tmp_path, capsys):
+        assert run("regomax", trade_file, tmp_path, "--subset", "C001,C001") == 1
+        assert "subset names C001 more than once" in capsys.readouterr().err
+
     def test_missing_subset_fails(self, trade_file, tmp_path):
         assert run("regomax", trade_file, tmp_path) == 1
 
@@ -242,7 +246,7 @@ class TestPipeline:
             cli, "gma_country_probabilities", counting("unperturbed", cli.gma_country_probabilities)
         )
         monkeypatch.setattr(analysis, "pagerank", counting("solves", analysis.pagerank))
-        # the operators' block passes; REGOMAX holds its own reference to the helper
+        # the operators' block passes; analysis and REGOMAX hold their own references to the helper
         monkeypatch.setattr(gmatrix, "_solve_links", counting("passes", gmatrix._solve_links))
         monkeypatch.setattr(analysis, "_block_variant", counting("blocks", analysis._block_variant))
         monkeypatch.setattr(cli, "sensitivity_richardson", counting("richardson", cli.sensitivity_richardson))
@@ -276,16 +280,18 @@ class TestPipeline:
         # products 3 and 7, the default sensitivity targets, carry volume
         money = synthetic_money(SyntheticSpec(seed=21, n_countries=N_COUNTRIES, n_products=8, density=0.6))
         trade = write_trade_file(money, tmp_path / "trade.csv")
-        calls, product_volumes = [], MoneyMatrix.product_volumes
+        calls, teleport = [], gmatrix._teleport
 
-        def counting(money):
-            calls.append(money)
-            return product_volumes(money)
+        def counting(*args):
+            calls.append(args[-1])
+            return teleport(*args)
 
-        monkeypatch.setattr(MoneyMatrix, "product_volumes", counting)
+        monkeypatch.setattr(gmatrix, "_teleport", counting)
+        monkeypatch.setattr(analysis, "_teleport", counting)
         assert run("pipeline", trade, tmp_path / "out") == 0
-        # one teleport per direction; whether a product is traded is read off the product runs
-        assert len(calls) == 2
+        # each teleport sums its flows' product volumes once: one v per direction and
+        # one w per GMA sensitivity product; whether a product is traded is read off the product runs
+        assert calls == ["uniform-by-product"] * 4
 
     def test_blas_thread_count_does_not_change_bytes(self, tmp_path):
         # PageRank, its responses and REGOMAX rest on dense block solves of 110

@@ -1,5 +1,7 @@
 """Stochastic-matrix construction, personalization, damped operator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from wtnrank import (
     build_personalization,
     build_stochastic,
     make_google,
+    pagerank,
     write_matrix_dump,
 )
 from wtnrank.errors import EmptyNetworkError
@@ -233,6 +236,32 @@ class TestApply:
         rng = np.random.default_rng(1)
         x = rng.random(G.size)
         assert np.abs(G.apply(x) - dense @ x).max() < 1e-14
+
+
+class TestFrozenOperators:
+    """A solved operator cannot change under its cached solves; a varied one is a new operator."""
+
+    @pytest.mark.parametrize("owner, name", [("G", "alpha"), ("G", "v"), ("S", "value"), ("S", "dangling")])
+    def test_fields_cannot_be_reassigned(self, small_money, owner, name):
+        G = build_google(small_money)
+        pagerank(G)
+        target = G if owner == "G" else G.S
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(target, name, getattr(target, name))
+
+    @pytest.mark.parametrize("owner, name", [("S", "value"), ("S", "dangling"), ("v", "values")])
+    def test_arrays_are_read_only(self, small_money, owner, name):
+        G = build_google(small_money)
+        array = getattr(getattr(G, owner), name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+
+    def test_replace_solves_afresh(self, small_money):
+        G = build_google(small_money)
+        pagerank(G)
+        P, report = pagerank(dataclasses.replace(G, alpha=0.85))
+        expected, _ = pagerank(build_google(small_money, alpha=0.85))
+        assert report.converged and np.array_equal(P.values, expected.values)
 
 
 class TestBlockSolves:

@@ -40,3 +40,16 @@ def test_only_testkit_imports_testkit():
         if any(target == "wtnrank.testkit" or target.startswith("wtnrank.testkit.") for _, target in imports(tree))
     ]
     assert importers == []
+
+
+def test_only_the_block_solver_calls_linalg_solve():
+    # one exact solve: PageRank, its perturbed operators and REGOMAX all go through gmatrix._solve_links;
+    # testkit's dense oracles share no code with it
+    callers = [
+        f"{module}.{getattr(top, 'name', '<module>')}"
+        for module, tree in SOURCES.items() if module != "testkit"
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "solve" and ast.unparse(node.value).endswith("linalg")
+    ]
+    assert callers == ["gmatrix._solve_links"]

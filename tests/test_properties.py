@@ -14,7 +14,8 @@ dump, parsed back, rebuilds the same operator. The block solves of
 PageRank, CheiRank and their teleport responses match full dense solves,
 also with countries that trade nothing. The balance differences, from the
 closed form or from one re-solved product block, match differences of the
-perturbed, rebuilt tensor's dense oracles. The reduced Google matrix
+perturbed, rebuilt tensor's dense oracles, and the operator a country
+target re-solves is the one that tensor builds. The reduced Google matrix
 matches the literal dense block formula for subsets that keep all, none,
 one or some of a product's nodes, with idle nodes on both sides.
 """
@@ -49,10 +50,9 @@ from wtnrank import (
     volume_probabilities,
     write_matrix_dump,
 )
-from wtnrank import ingest
+from wtnrank import analysis, ingest
 from wtnrank.analysis import _block_variant
 from wtnrank.errors import ParseError, WtnError
-from wtnrank.gmatrix import _dense_links
 from wtnrank.ranks import pagerank
 from wtnrank.testkit import (
     dense_google_from_money,
@@ -426,10 +426,10 @@ def test_block_solves_match_dense_solves(dense, alpha):
                 block = np.arange(product * money.n_countries, (product + 1) * money.n_countries)
                 u = np.zeros(G.size)
                 u[block] = G.v.values[block] / G.v.values[block].sum()
-                links = _dense_links(G.S, block, block)
-                Q, report = _block_variant(G, block, links, links, u, 0.0, 1e-12)
+                varied = make_google(G.S, PersonalizationVector(u, G.v.mode), alpha)
+                Q, report = _block_variant(G, varied, block, 0.0, 1e-12)
                 assert report.converged
-                oracle = dense_pagerank_oracle(make_google(G.S, PersonalizationVector(u, G.v.mode), alpha))
+                oracle = dense_pagerank_oracle(varied)
                 assert np.abs(Q.values - oracle).sum() < SOLVE_L1_TOL
                 assert np.all(Q.values >= 0.0)
 
@@ -587,6 +587,33 @@ def test_gma_country_difference_matches_rebuilt_oracle(dense, data, side, person
         )
         error = np.abs(result[key] - (up - down) / (2.0 * h))[trading(dense)]
         assert np.max(error, initial=0.0) <= GLOBAL_DIFFERENCE_TOL, (h, error)
+
+
+@settings(max_examples=60)
+@given(
+    dense=dense_tensors(),
+    data=st.data(),
+    side=st.sampled_from(("export", "import")),
+    personalization=st.sampled_from(PERSONALIZATIONS),
+    step=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_moved_operator_is_the_perturbed_tensors(dense, data, side, personalization, step):
+    money = money_from_dense(dense)
+    product = data.draw(st.integers(0, dense.shape[0] - 1))
+    c = data.draw(st.integers(0, dense.shape[1] - 1))
+    config = SensitivityConfig(product, f"C{c:03d}", step, side=side, personalization=personalization)
+    moving = {"export": "inverted", "import": "direct"}[side]
+    with mock.patch.object(analysis, "_block_variant", wraps=analysis._block_variant) as spy:
+        balance_sensitivity(money, config)
+    # the moving direction's operators at +h and at -h, when the country has flows to scale
+    varied = [call.args[1] for call in spy.call_args_list if call.args[0].direction == moving]
+    assert len(varied) == 2 * (dense[product][:, c] if side == "export" else dense[product][c]).any()
+    for G, delta in zip(varied, (step, -step)):
+        perturbed = perturb_money(money, product, delta, config.country, side)
+        expected = build_google(perturbed, moving, config.alpha, personalization)
+        np.testing.assert_allclose(G.S.value, expected.S.value, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(G.v.values, expected.v.values, rtol=1e-14, atol=0.0)
+        assert np.array_equal(G.S.dangling, expected.S.dangling) and G.alpha == expected.alpha
 
 
 @settings(max_examples=60)

@@ -268,6 +268,11 @@ class TestSubsetFromCountries:
         with pytest.raises(UnknownCountryError, match="ZZZ"):
             subset_from_countries(G, ["C000", "ZZZ"])
 
+    def test_repeated_country_named(self, small_money):
+        G = build_google(small_money)
+        with pytest.raises(ValueError, match="subset names C000, C002 more than once"):
+            subset_from_countries(G, ["C002", "C000", "C001", "C000", "C002"])
+
 
 class TestFriendsNetwork:
     def fixture(self):
