@@ -50,6 +50,7 @@ from .gmatrix import (
 from .ingest import load_money_matrix, read_aggregation_file
 from .ranks import (
     DEFAULT_TOL,
+    RANK_PLANE_AXES,
     build_rank_table,
     rank_plane_points,
     write_rank_table,
@@ -227,9 +228,6 @@ def _plane_svg(points, x_label: str, y_label: str, cutoff: int) -> list[str]:
     return lines
 
 
-_PLANE_AXES = {"google": ("K", "Kstar"), "volume": ("Khat", "Khatstar")}
-
-
 def cmd_rank(config: RunConfig, money, operators) -> list[Path]:
     """Rank table, top-k table and the two rank-plane scatters."""
     return _write_rank(config, money.year, build_rank_table(*_country_vectors(config, money, operators)))
@@ -240,9 +238,8 @@ def _write_rank(config: RunConfig, year: int, table) -> list[Path]:
         write_rank_table(table, config.out / f"rank_table_{year}.csv"),
         write_top_table(table, config.out / f"top_table_{year}.csv", config.top),
     ]
-    for kind in ("google", "volume"):
+    for kind, (x_label, y_label) in RANK_PLANE_AXES.items():
         points = rank_plane_points(table, kind, config.index_cutoff)
-        x_label, y_label = _PLANE_AXES[kind]
         indexes = np.array([point[1:] for point in points], dtype=np.int64).reshape(-1, 2)
         columns = ([point[0] for point in points], *indexes.T)
         written.append(write_columns(config.out / f"rank_plane_{kind}_{year}.csv", ("entity", x_label, y_label), columns))

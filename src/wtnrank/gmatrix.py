@@ -292,16 +292,15 @@ def build_google(
     return make_google(S, v, alpha)
 
 
-def write_matrix_dump(G: GoogleMatrix, path, sidecar=None) -> tuple[Path, Path]:
-    """Dump the link matrix as ``row,col,value`` triplets for cross-checking.
+def write_matrix_dump(G: GoogleMatrix, path) -> tuple[Path, Path]:
+    """Dump the link matrix as ``row,col,value`` triplets, and a ``.meta`` sidecar beside them.
 
-    The triplets cover the sparse part of S only; the sidecar file carries
+    The triplets cover the sparse part of S only; the sidecar carries
     everything else another implementation needs to rebuild G bit-for-bit:
     an ``alpha=`` line, the dangling column ids and the dense v vector.
     """
     path = Path(path)
-    if sidecar is None:
-        sidecar = path.with_suffix(".meta")
+    sidecar = path.with_suffix(".meta")
     S = G.S
     order = np.lexsort((S.col, S.row))
     write_columns(path, ("row", "col", "value"), (S.row[order], S.col[order], S.value[order]))
@@ -311,4 +310,4 @@ def write_matrix_dump(G: GoogleMatrix, path, sidecar=None) -> tuple[Path, Path]:
         "v=" + ",".join(map(repr, G.v.values.tolist())),
     ]
     write_lines(sidecar, meta)
-    return path, Path(sidecar)
+    return path, sidecar

@@ -172,9 +172,8 @@ class MoneyMatrix:
     its read-only int64 importer and exporter node ids ``nodes`` (p * n + c,
     which both link matrices share) and float64 ``value``, 24 bytes a flow.
     Product p's flows are ``blocks[p]:blocks[p + 1]``. The constructor takes
-    product, importer and exporter indexes and values in any order,
-    validates and sorts them and drops zero values. The diagonal (c == c')
-    is identically zero.
+    the pair (importer node ids, exporter node ids) and values in any order,
+    validates and sorts them and drops zero values. The diagonal (c == c') is zero.
     """
 
     registry: CountryRegistry
@@ -184,37 +183,35 @@ class MoneyMatrix:
     blocks: np.ndarray
     n_products: int
 
-    def __init__(self, registry, year, product, importer, exporter, value, n_products=N_PRODUCTS):
+    def __init__(self, registry, year, nodes, value, n_products=N_PRODUCTS):
         n = registry.n
-        product, importer, exporter = (np.asarray(a, dtype=np.int64) for a in (product, importer, exporter))
+        into, out = (np.asarray(a, dtype=np.int64) for a in nodes)
         value = np.asarray(value, dtype=np.float64)
-        if value.ndim != 1 or not product.shape == importer.shape == exporter.shape == value.shape:
-            raise ValueError("product, importer, exporter and value must be 1-D arrays of one length")
-        if np.any((product < 0) | (product >= n_products)):
-            raise ValueError(f"product index outside 0-{n_products - 1}")
-        if np.any((importer < 0) | (importer >= n) | (exporter < 0) | (exporter >= n)):
-            raise ValueError("country index outside registry range")
-        if np.any(importer == exporter):
+        if value.ndim != 1 or not into.shape == out.shape == value.shape:
+            raise ValueError("importer nodes, exporter nodes and value must be 1-D arrays of one length")
+        if np.any((into < 0) | (into >= n_products * n)):
+            raise ValueError(f"importer node's product index outside 0-{n_products - 1}")
+        exporter = out - (into - into % n)   # the exporter's country index in its importer's product
+        if np.any((exporter < 0) | (exporter >= n)):
+            raise ValueError("exporter node outside its importer's product: country index outside registry range")
+        if np.any(into == out):
             raise ValueError("diagonal entries (importer == exporter) must be zero")
         if not np.isfinite(value).all():
             raise ValueError("non-finite money entry (inf or nan)")
         if np.any(value < 0):
             raise ValueError("negative money entry")
-        into = product * n   # the importer nodes, then the key into * n + exporter, built in place
-        into += importer
-        key = into * n
-        key += exporter
+        key = into * n + exporter
+        del exporter
         order = np.argsort(key, kind="stable")
         key = key[order]
         if np.any(key[1:] == key[:-1]):
-            raise ValueError("duplicate money entry for one (product, importer, exporter)")
+            raise ValueError("duplicate money entry for one (importer node, exporter node)")
         del key
         keep = order[(value != 0)[order]]
         del order
-        into = into[keep]   # copies: the caller's arrays are never aliased
-        nodes = into, into + (exporter - importer)[keep]
+        nodes = into[keep], out[keep]   # copies: the caller's arrays are never aliased
         value = value[keep]
-        blocks = np.searchsorted(into, n * np.arange(n_products + 1))
+        blocks = np.searchsorted(nodes[0], n * np.arange(n_products + 1))
         for array in (*nodes, value, blocks):
             array.setflags(write=False)
         vars(self).update(registry=registry, year=year, nodes=nodes, value=value, blocks=blocks, n_products=n_products)
@@ -222,11 +219,6 @@ class MoneyMatrix:
     @property
     def n_countries(self) -> int:
         return self.registry.n
-
-    # the product, importer and exporter index of each entry, computed from the node ids
-    product = property(lambda self: self.nodes[0] // self.n_countries)
-    importer = property(lambda self: self.nodes[0] % self.n_countries)
-    exporter = property(lambda self: self.nodes[1] % self.n_countries)
 
     def product_volumes(self) -> np.ndarray:
         """Total traded volume of each product, shape (n_products,)."""
@@ -239,8 +231,9 @@ class MoneyMatrix:
 
     def to_dense(self) -> np.ndarray:
         """Float64 array of shape (n_products, n_countries, n_countries)."""
-        dense = np.zeros((self.n_products, self.registry.n, self.registry.n))
-        dense[self.product, self.importer, self.exporter] = self.value
+        n = self.n_countries
+        dense = np.zeros((self.n_products, n, n))
+        dense.reshape(self.n_products * n, n)[self.nodes[0], self.nodes[1] % n] = self.value   # row p * n + c
         return dense
 
     @classmethod
@@ -256,8 +249,9 @@ class MoneyMatrix:
             raise ValueError(f"expected shape (n_products, n, n), got {dense.shape}")
         if dense.shape[1] != registry.n:
             raise ValueError("country dimension does not match registry")
-        cells = np.nonzero(dense)
-        return cls(registry, year, *cells, dense[cells], n_products=dense.shape[0])
+        product, importer, exporter = cells = np.nonzero(dense)
+        into = product * registry.n + importer
+        return cls(registry, year, (into, into - importer + exporter), dense[cells], n_products=dense.shape[0])
 
 
 def read_money_matrix(
@@ -328,11 +322,10 @@ def read_money_matrix(
     if not len(keys):
         raise NoRecordsError(year)
     position = np.array([registry._index[code] for code in ids], dtype=np.int64)
-    product = keys >> 2 * _ID_BITS
-    importer = position[keys >> _ID_BITS & _ID_MASK]
-    exporter = position[keys & _ID_MASK]
-    del keys
-    return MoneyMatrix(registry, year, product, importer, exporter, value)
+    first = (keys >> 2 * _ID_BITS) * registry.n   # the node id of each flow's product's first country
+    nodes = first + position[keys >> _ID_BITS & _ID_MASK], first + position[keys & _ID_MASK]
+    del keys, first
+    return MoneyMatrix(registry, year, nodes, value)
 
 
 def _plain_columns(text: str, width: int) -> list[list[str]] | None:

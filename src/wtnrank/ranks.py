@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -98,9 +99,15 @@ def _stationary(G: GoogleMatrix, z: np.ndarray, z_1: np.ndarray, tol: float) -> 
     x = z + z_1 * (z[dangling].sum() / (1.0 - z_1[dangling].sum()))
     x /= x.sum()
     residual = float(np.abs(G.apply(x) - x).sum())
-    keys = tuple((code, p) for p in range(G.space.n_products) for code in G.registry.codes)
+    keys = _node_keys(G.registry.codes, G.space.n_products)
     vector = ProbabilityVector(x, _NODE_KINDS[G.direction], "node", keys, G.space)
     return vector, SolverReport(1, residual, residual < tol)
+
+
+@lru_cache(maxsize=8)
+def _node_keys(codes: tuple[str, ...], n_products: int) -> tuple:
+    """The (code, product) key of every node p * n + c, built once per registry and product count."""
+    return tuple((code, p) for p in range(n_products) for code in codes)
 
 
 def order_indexes(P: ProbabilityVector) -> RankOrder:
@@ -136,7 +143,7 @@ def volume_probabilities(money: MoneyMatrix) -> tuple[ProbabilityVector, Probabi
     if total == 0.0:
         raise EmptyNetworkError("money matrix has zero total volume")
     imports, exports = money.node_volumes()
-    keys = tuple((code, p) for p in range(money.n_products) for code in money.registry.codes)
+    keys = _node_keys(money.registry.codes, money.n_products)
     space = NodeSpace(money.n_countries, money.n_products)
     p_hat = ProbabilityVector(imports / total, "import_volume", "node", keys, space)
     p_hat_star = ProbabilityVector(exports / total, "export_volume", "node", keys, space)
@@ -173,7 +180,8 @@ RANK_TABLE_HEADER = "entity,P,Pstar,K,Kstar,Phat,Phatstar,Khat,Khatstar"
 #: Index columns of the top-k table, in display order.
 TOP_TABLE_COLUMNS = ("K", "Kstar", "Khat", "Khatstar")
 
-RANK_PLANE_KINDS = ("google", "volume")
+#: The index columns each rank plane pairs, x then y, by plane kind.
+RANK_PLANE_AXES = {"google": ("K", "Kstar"), "volume": ("Khat", "Khatstar")}
 
 
 def write_rank_table(table: RankTable, path) -> Path:
@@ -200,15 +208,15 @@ def rank_plane_points(
 ) -> list[tuple[str, int, int]]:
     """(entity, K, K*) scatter points with both indexes below the cutoff.
 
-    kind picks the plane: "google" pairs K with K*, "volume" pairs the
-    import/export indexes Khat with Khatstar. Points come back sorted by
-    (K, K*) so the scatter files are deterministic.
+    kind picks the plane's axes in RANK_PLANE_AXES: "google" pairs K with
+    K*, "volume" the import/export indexes Khat with Khatstar. Points come
+    back sorted by (K, K*) so the scatter files are deterministic.
     """
-    if kind not in RANK_PLANE_KINDS:
-        raise ValueError(f"kind must be one of {RANK_PLANE_KINDS}")
+    if kind not in RANK_PLANE_AXES:
+        raise ValueError(f"kind must be one of {tuple(RANK_PLANE_AXES)}")
     if cutoff < 2:
         raise ValueError("cutoff must leave room for rank 1")
-    kx, ky = (table.K, table.Kstar) if kind == "google" else (table.Khat, table.Khatstar)
+    kx, ky = (getattr(table, name) for name in RANK_PLANE_AXES[kind])
     points = [
         (table.codes[i], int(kx[i]), int(ky[i]))
         for i in range(len(table.codes))

@@ -77,17 +77,18 @@ def perturb_money(
         raise ValueError(f"delta must be finite with 1 + delta positive, got {delta}")
     if not 0 <= product < money.n_products or side not in ("export", "import"):
         raise ValueError(f"no product {product} or side {side!r} to perturb")
-    hit = money.product == product
+    flow_product, importer = np.divmod(money.nodes[0], money.n_countries)
+    hit = flow_product == product
     if country is not None:
-        hit &= (money.exporter if side == "export" else money.importer) == money.registry.index_of(country)
-    return MoneyMatrix(money.registry, money.year, money.product, money.importer, money.exporter,
+        flows = money.nodes[1] % money.n_countries if side == "export" else importer
+        hit &= flows == money.registry.index_of(country)
+    return MoneyMatrix(money.registry, money.year, money.nodes,
                        np.where(hit, money.value * (1.0 + delta), money.value), money.n_products)
 
 
 def transposed(money: MoneyMatrix) -> MoneyMatrix:
     """Money matrix with every flow reversed (importer <-> exporter)."""
-    return MoneyMatrix(money.registry, money.year, money.product, money.exporter, money.importer, money.value,
-                       money.n_products)
+    return MoneyMatrix(money.registry, money.year, money.nodes[::-1], money.value, money.n_products)
 
 
 def dense_google_from_money(
@@ -205,7 +206,7 @@ def write_trade_file(money: MoneyMatrix, path) -> Path:
     """
     lines = ["year,exporter,importer,sitc,value_usd"]
     codes = money.registry.codes
-    columns = (money.product, money.importer, money.exporter, money.value)
+    columns = (*np.divmod(money.nodes[0], money.n_countries), money.nodes[1] % money.n_countries, money.value)
     for p, importer, exporter, value in zip(*(column.tolist() for column in columns)):
         lines.append(f"{money.year},{codes[exporter]},{codes[importer]},{p},{Decimal(value)}")
     return write_lines(path, lines)

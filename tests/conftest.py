@@ -7,9 +7,6 @@ from hypothesis import settings
 from wtnrank import MoneyMatrix
 from wtnrank.testkit import SyntheticSpec, synthetic_money, synthetic_registry
 
-#: The indexes a MoneyMatrix computes from its node ids, in entry key order, and its values.
-COO_FIELDS = ("product", "importer", "exporter", "value")
-
 # Property tests draw the same examples on every run, with no time limit per
 # example: a slow machine must not turn a passing test into a failing one.
 settings.register_profile("deterministic", derandomize=True, deadline=None)
@@ -26,11 +23,9 @@ def small_money():
 def symmetric_money():
     """Two countries trading identical values both ways in every product."""
     registry = synthetic_registry(2)
-    product = [0, 0, 1, 1]
-    importer = [0, 1, 0, 1]
-    exporter = [1, 0, 1, 0]
+    nodes = [0, 1, 2, 3], [1, 0, 3, 2]   # node c of product p is p * 2 + c
     value = [100.0, 100.0, 110.0, 110.0]
-    return MoneyMatrix(registry, 2018, product, importer, exporter, value, 2)
+    return MoneyMatrix(registry, 2018, nodes, value, 2)
 
 
 def money_from_dense(dense: np.ndarray, year: int = 2018) -> MoneyMatrix:
@@ -40,9 +35,15 @@ def money_from_dense(dense: np.ndarray, year: int = 2018) -> MoneyMatrix:
     return MoneyMatrix.from_dense(dense, registry, year)
 
 
+def indexes(money: MoneyMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Product, importer and exporter index of every entry, in entry order, from the node ids."""
+    product, importer = np.divmod(money.nodes[0], money.n_countries)
+    return product, importer, money.nodes[1] % money.n_countries
+
+
 def flows(money: MoneyMatrix) -> list[tuple]:
     """(product, importer, exporter, value) of every entry, in entry order."""
-    return list(zip(*(getattr(money, name).tolist() for name in COO_FIELDS)))
+    return list(zip(*(column.tolist() for column in (*indexes(money), money.value))))
 
 
 def pytest_configure(config):

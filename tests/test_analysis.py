@@ -23,7 +23,7 @@ from wtnrank.errors import ConvergenceError
 from wtnrank.gmatrix import DIRECTIONS
 from wtnrank.testkit import SyntheticSpec, perturb_money, synthetic_money, synthetic_registry
 
-from conftest import flows, money_from_dense
+from conftest import flows, indexes, money_from_dense
 
 
 def country_vec(values, kind="pagerank"):
@@ -180,7 +180,7 @@ class TestSensitivity:
     @pytest.mark.parametrize("global_target", [True, False])
     def test_richardson_d_h_is_balance_sensitivity(self, small_money, source, side, global_target):
         # entries are sorted by product, so the first entry trades product 0 both ways
-        flows = small_money.exporter if side == "export" else small_money.importer
+        flows = indexes(small_money)[2 if side == "export" else 1]
         country = None if global_target else small_money.registry.codes[flows[0]]
         config = SensitivityConfig(product=0, country=country, source=source, side=side)
         result = sensitivity_richardson(small_money, config)
@@ -196,7 +196,7 @@ class TestSensitivity:
         # a country target solves the direct response once and re-solves the
         # inverted block at +h and at -h; entries are sorted by product, so
         # the first is an export of product 0
-        code = small_money.registry.codes[small_money.exporter[0]]
+        code = small_money.registry.codes[indexes(small_money)[2][0]]
         sens = balance_sensitivity(small_money, SensitivityConfig(product=0, country=code))
         assert len(sens.reports) == 3
         assert all(r.converged for r in sens.reports)

@@ -542,9 +542,10 @@ class TestMoneyMatrix:
 
     def test_nodes_are_read_only_and_computed_once(self, small_money):
         importer, exporter = small_money.nodes
-        base = small_money.product * small_money.n_countries
-        assert np.array_equal(importer, base + small_money.importer)
-        assert np.array_equal(exporter, base + small_money.exporter)
+        product, into, out = np.nonzero(small_money.to_dense())   # the cells in (product, importer, exporter) order
+        base = product * small_money.n_countries
+        assert np.array_equal(importer, base + into)
+        assert np.array_equal(exporter, base + out)
         assert small_money.nodes[0] is importer and small_money.nodes[1] is exporter
         for nodes in (importer, exporter):
             with pytest.raises(ValueError, match="read-only"):
@@ -573,8 +574,8 @@ class TestMoneyMatrix:
 
     def test_constructor_sorts_and_drops_zero_values(self):
         registry = synthetic_registry(3)
-        product, importer, exporter = [1, 0, 0, 1], [2, 1, 0, 0], [0, 0, 2, 1]
-        money = MoneyMatrix(registry, 2018, product, importer, exporter, [4.0, 0.0, 2.0, 3.0], 2)
+        nodes = [5, 1, 0, 3], [3, 0, 2, 4]   # node c of product p is p * 3 + c
+        money = MoneyMatrix(registry, 2018, nodes, [4.0, 0.0, 2.0, 3.0], 2)
         assert flows(money) == [(0, 0, 2, 2.0), (1, 0, 1, 3.0), (1, 2, 0, 4.0)]
         assert not money.value.flags.writeable
 
@@ -592,8 +593,22 @@ class TestMoneyMatrix:
         ],
     )
     def test_constructor_validation(self, product, importer, exporter, value, message):
+        # each case names its flows by product and country indexes; node c of product p is p * 3 + c
+        base = 3 * np.asarray(product)
         with pytest.raises(ValueError, match=message):
-            MoneyMatrix(synthetic_registry(3), 2018, product, importer, exporter, value, 2)
+            MoneyMatrix(synthetic_registry(3), 2018, (base + importer, base + exporter), value, 2)
+
+    @pytest.mark.parametrize(
+        "importer,exporter,message",
+        [
+            ([0], [4], "its importer's product"),   # product 1's country 1, from product 0's country 0
+            ([4], [0], "its importer's product"),
+            ([-1], [0], "importer node's product index outside 0-1"),
+        ],
+    )
+    def test_constructor_keeps_each_flow_in_one_product(self, importer, exporter, message):
+        with pytest.raises(ValueError, match=message):
+            MoneyMatrix(synthetic_registry(3), 2018, (importer, exporter), [1.0], 2)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_from_dense_rejects_non_finite(self, bad):

@@ -63,7 +63,7 @@ from wtnrank.testkit import (
     synthetic_registry,
 )
 
-from conftest import COO_FIELDS, flows, money_from_dense
+from conftest import flows, indexes, money_from_dense
 
 #: Same bound as test_testkit's check of build_google against this oracle.
 ORACLE_TOL = 1e-14
@@ -133,7 +133,7 @@ def render(rows) -> str:
 
 def money_fields(money) -> tuple:
     """Everything that identifies a tensor: registry codes, year and array bytes."""
-    arrays = (getattr(money, name) for name in COO_FIELDS)
+    arrays = (*money.nodes, money.value)
     return money.registry.codes, money.year, tuple((a.dtype.str, a.tobytes()) for a in arrays)
 
 
@@ -486,7 +486,7 @@ def test_both_directions_keep_the_tensor_order(dense):
     for S, volumes in ((direct, exports), (inverted, imports)):
         # block p holds exactly product p's entries, and row and col both lie in it
         product = np.repeat(np.arange(money.n_products), np.diff(S.blocks))
-        assert S.blocks[0] == 0 and np.array_equal(product, money.product)
+        assert S.blocks[0] == 0 and np.array_equal(product, indexes(money)[0])
         assert np.array_equal(S.row // money.n_countries, product)
         assert np.array_equal(S.col // money.n_countries, product)
         # each column is divided by its node's volume, added as node_volumes adds it
@@ -497,20 +497,32 @@ def test_both_directions_keep_the_tensor_order(dense):
 @settings(max_examples=100)
 @given(data=st.data(), n=st.integers(2, 5), n_products=st.integers(1, 3))
 def test_tensor_holds_the_sorted_non_zero_input(data, n, n_products):
-    cell = st.tuples(st.integers(0, n_products - 1), st.integers(0, n - 1), st.integers(0, n - 1))
-    cells = data.draw(st.lists(cell.filter(lambda c: c[1] != c[2]), unique=True, max_size=30))
+    # an importer node and the exporter's country index, which puts the exporter node in the importer's product
+    pair = st.tuples(st.integers(0, n_products * n - 1), st.integers(0, n - 1)).filter(lambda c: c[0] % n != c[1])
+    pairs = data.draw(st.lists(pair, unique=True, max_size=30))
     value = st.one_of(st.just(0.0), st.floats(0.0, 1e12), st.floats(5e-324, 1e-300))
-    values = np.array(data.draw(st.lists(value, min_size=len(cells), max_size=len(cells))), dtype=np.float64)
-    product, importer, exporter = np.array(cells, dtype=np.int64).reshape(-1, 3).T
-    money = MoneyMatrix(synthetic_registry(n), YEAR, product, importer, exporter, values, n_products)
+    values = np.array(data.draw(st.lists(value, min_size=len(pairs), max_size=len(pairs))), dtype=np.float64)
+    into, exporter = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    product, importer = np.divmod(into, n)
+    money = MoneyMatrix(synthetic_registry(n), YEAR, (into, product * n + exporter), values, n_products)
     order = np.lexsort((exporter, importer, product))
     order = order[values[order] != 0.0]
     p, i, e = product[order], importer[order], exporter[order]
-    for name, expected in zip(COO_FIELDS, (p, i, e, values[order])):
-        assert np.array_equal(getattr(money, name), expected), name
+    for name, actual, expected in zip(("product", "importer", "exporter", "value"), (*indexes(money), money.value),
+                                      (p, i, e, values[order])):
+        assert np.array_equal(actual, expected), name
     assert np.array_equal(money.nodes[0], p * n + i) and np.array_equal(money.nodes[1], p * n + e)
     assert all(ids.dtype == np.int64 for ids in money.nodes)
     assert np.array_equal(money.blocks, np.searchsorted(p, np.arange(n_products + 1)))
+
+
+@settings(max_examples=60)
+@given(dense=dense_tensors())
+def test_the_constructor_rebuilds_a_tensor_from_its_own_arrays(dense):
+    money = money_from_dense(dense)
+    again = MoneyMatrix(money.registry, money.year, money.nodes, money.value, money.n_products)
+    assert money_fields(again) == money_fields(money)
+    assert again.blocks.tobytes() == money.blocks.tobytes() and again.n_products == money.n_products
 
 
 def trading(dense: np.ndarray) -> np.ndarray:

@@ -94,6 +94,13 @@ class TestPagerank:
         Pstar, _ = pagerank(build_google(small_money, "inverted"))
         assert P.kind == "pagerank" and Pstar.kind == "cheirank"
 
+    def test_node_keys_are_built_once_per_tensor(self, small_money):
+        P, _ = pagerank(build_google(small_money, "direct"))
+        Pstar, _ = pagerank(build_google(small_money, "inverted", personalization="volume-by-country"))
+        p_hat, p_hat_star = volume_probabilities(small_money)
+        assert P.keys is Pstar.keys is p_hat.keys is p_hat_star.keys
+        assert P.keys == tuple((code, p) for p in range(2) for code in small_money.registry.codes)
+
 
 class TestOrderIndexes:
     def test_descending(self):
