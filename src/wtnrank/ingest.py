@@ -19,16 +19,20 @@ ParseError with its line.
 
 Every value is read with ``float``, which rounds a decimal string
 correctly (Clinger, PLDI 1990), so a key with one row takes that float64,
-and a value it rounds to 0 counts as 0. After the pass, a sorted copy of the
-keys finds those with two or more rows; each is summed exactly, at
-``decimal.MAX_PREC``, from its rows' text in file order, and the sum is
-rounded to float64 once. Either way each flow is rounded once, into the one
-entry :class:`MoneyMatrix` holds for it. The country registry is the sorted
-set of canonical codes of every row of the year.
+and a value it rounds to 0 counts as 0. Its text is kept too, two characters
+a byte: a text of digits, ".", "e", "E", "+" and "-" as it is, any other
+(one with a space, a "_" or a non-ASCII digit) as its exact ``Decimal``'s
+text. After the pass, a sorted copy of the keys finds those with two or more
+rows; each is summed exactly, at ``decimal.MAX_PREC``, from its rows' text
+in file order, and the sum is rounded to float64 once. Either way each flow
+is rounded once, into the one entry :class:`MoneyMatrix` holds for it. The
+country registry is the sorted set of canonical codes of every row of the
+year.
 """
 
 from __future__ import annotations
 
+import binascii
 import csv
 import io
 import sys
@@ -77,7 +81,12 @@ _UNWRITABLE = ',"<&'
 _BLOCK_CHARS = 1 << 16
 # Field that closes each line of a block str.split splits; a block holding it goes to csv.
 _MARK = "\x01"
-_COMMA = ord(",")
+# A value text's UTF-8 bytes as hex digits, for unhexlify to pack two a byte: 0-9 as they are,
+# ".eE+-" as a-d, the "," that closes each text as e and any other byte as x, which it rejects.
+# A block of an odd length ends in a pad f.
+_PACK = bytes(dict(zip(b"0123456789.eE+-,", b"0123456789abbcde")).get(c, ord("x")) for c in range(256))
+_UNPACK = bytes.maketrans(b"abcd", b".e+-")
+_PLAIN = frozenset("0123456789.eE+-")
 
 
 def sitc_to_product(code: str) -> int:
@@ -359,10 +368,11 @@ class _Rows:
     :meth:`take` is the one place a row is checked. Each row of the year
     that is not a mirror report or a self-flow appends its packed (product,
     importer, exporter) key and float value to 8-byte row buffers and its
-    value text to a text buffer, which :meth:`totals` sums to one entry per
-    key and frees. Rows keep their line only from the block that takes the
-    kept values' float total to half the largest float64; no sum can
-    overflow before it, so the rows of a trade file keep none.
+    value text, two characters a byte, to a text buffer, which
+    :meth:`totals` sums to one entry per key and frees. Rows keep their line
+    only from the block that takes the kept values' float total to half the
+    largest float64; no sum can overflow before it, so the rows of a trade
+    file keep none.
     """
 
     def __init__(self, header: list[str], year: int, aggregation: Mapping[str, str]):
@@ -382,7 +392,7 @@ class _Rows:
         self.values = array("d")
         self.total = 0.0   # of the kept values, in float; no key's exact sum is larger, up to rounding
         self.lines = array("q")   # of the last rows, from the block that takes the total to _HALF_MAX
-        # UTF-8 value texts, each followed by a "," that no value text holds: row k's ends at the k-th ","
+        # packed value texts, each closed by a "," (an e nibble) that no text holds: row k's ends at the k-th
         self.texts = bytearray()
 
     def take(self, columns, lines) -> None:
@@ -460,7 +470,7 @@ class _Rows:
             keys, values, lines = keys[flow], values[flow], lines[flow]
             texts = list(compress(texts, flow.tolist()))
         texts.append("")   # so that each text is followed by a ","
-        self.texts += ",".join(texts).encode()
+        self.texts += _packed(texts)
         self.keys.frombytes(keys.tobytes())
         self.values.frombytes(values.tobytes())
         with np.errstate(over="ignore"):
@@ -508,8 +518,10 @@ class _Rows:
         row. The overflow is the ParseError of the first line at which a sum
         passes the float64 range, or None. One sorted copy of the keys finds
         the repeated ones and a ``searchsorted`` marks their rows; only those
-        rows are grouped by a stable argsort and have their texts found by
-        :func:`_text_ends`. It frees the text before the rows are compacted.
+        rows are grouped by a stable argsort and have their texts' bytes found
+        by :func:`_text_ends`; ``hexlify`` and ``_UNPACK`` read each back, its
+        "," and pad nibbles deleted. It frees the text before the rows are
+        compacted.
         """
         keys, values = np.frombuffer(self.keys, dtype=np.int64), np.frombuffer(self.values, dtype=np.float64)
         self.keys = self.values = None
@@ -521,13 +533,18 @@ class _Rows:
         del at, repeated
         rows = np.flatnonzero(~single)   # the rows of repeated keys, ascending
         group = np.argsort(keys[rows], kind="stable")   # each key's rows stay in file order
-        rows, stops = rows[group], _text_ends(self.texts, rows)[group]
+        starts, stops = _text_ends(self.texts, rows)
+        rows = rows[group]   # one copy at a time
+        starts = starts[group]
+        stops = stops[group]
+        del group
         bounds = np.flatnonzero(np.diff(keys[rows], prepend=-1)).tolist() + [len(rows)]
         texts, overflow = self.texts, None
         with localcontext() as ctx:
             ctx.prec = _MONEY_PRECISION
             for a, b in zip(bounds[:-1], bounds[1:]):
-                parts = [Decimal(texts[texts.rfind(b",", 0, t) + 1 : t].decode().strip()) for t in stops[a:b].tolist()]
+                spans = zip(starts[a:b].tolist(), stops[a:b].tolist())
+                parts = [Decimal(binascii.hexlify(texts[i:j]).translate(_UNPACK, b"ef").decode()) for i, j in spans]
                 total = sum(parts, _ZERO)
                 values[rows[a]] = float(total)
                 if total >= _FLOAT_OVERFLOW:
@@ -546,16 +563,35 @@ class _Rows:
         return keys, values, overflow
 
 
-def _text_ends(texts: bytearray, rows: np.ndarray) -> np.ndarray:
-    """Where the texts of the ascending ``rows`` end: row k's at the k-th "," of ``texts``."""
-    ends, seen, found = np.empty(len(rows), dtype=np.int64), 0, 0   # ","s before the piece, rows found
+def _packed(texts: list[str]) -> bytes:
+    """The texts joined by ",", two characters a byte, each that holds another character as its Decimal's text."""
+    block = ",".join(texts).encode().translate(_PACK)
+    try:
+        return binascii.unhexlify(block + b"f" if len(block) % 2 else block)
+    except binascii.Error:   # a text holds another character, such as a space, "_" or a non-ASCII digit
+        return _packed([text if _PLAIN.issuperset(text) else str(Decimal(text)) for text in texts])
+
+
+def _text_ends(texts: bytearray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the packed texts of the ascending ``rows`` start and stop in ``texts``, in bytes.
+
+    Row k's text ends at the k-th e nibble, its ",", and starts after the one
+    before; its bytes may also hold those two e nibbles and a pad f, but no
+    other text's. One scan reads ``texts`` in pieces and keeps where the last
+    text of the piece before ends.
+    """
+    starts, stops = np.empty(len(rows), dtype=np.int64), np.empty(len(rows), dtype=np.int64)
+    ends, seen, found = np.zeros(1, dtype=np.int64), 0, 0   # ends[-1] is where the last text so far ends
     for start in range(0, len(texts) if len(rows) else 0, _BLOCK_CHARS):
         piece = np.frombuffer(texts, np.uint8, min(_BLOCK_CHARS, len(texts) - start), start)
-        commas = np.flatnonzero(piece == _COMMA)
-        stop = found + int(np.searchsorted(rows[found:], seen + len(commas)))
-        ends[found:stop] = commas[rows[found:stop] - seen] + start
-        seen, found = seen + len(commas), stop
-    return ends
+        # a "," in the high nibble of byte i ends its text's bytes at i, in the low one at i + 1; no pad is high
+        high, low = np.flatnonzero(piece >= 0xE0) + start, np.flatnonzero((piece & 15) == 14) + start + 1
+        ends = np.sort(np.concatenate((ends[-1:], high, low)))
+        stop = found + int(np.searchsorted(rows[found:], seen + len(ends) - 1))
+        at = rows[found:stop] - seen
+        starts[found:stop], stops[found:stop] = ends[at], ends[at + 1]
+        seen, found = seen + len(ends) - 1, stop
+    return starts, stops
 
 
 def _year_kept(cell: str, year: int, line: int) -> bool:

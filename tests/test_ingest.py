@@ -486,19 +486,31 @@ class TestLoad:
         assert money.registry.codes == ("EUU", "USA")
         assert flows(money) == [(3, 1, 0, 15.0)]
 
-    # the traced peak above the value text is about 33 and 47 bytes a row. With the bloc it is in the
-    # sum pass: the 16-byte key and value row buffers and one sorted copy of the keys. Without it, it
-    # is in the reading pass: the row buffers and the cells of one text block, which weigh more a row
-    # in the smaller file. A line buffer, a full-length permutation or the block's text adds 8 or more
+    # the traced peak above the value text is about 9 and 21 bytes a row, and above the packed text
+    # (half the characters) about 33 and 44; a UTF-8 text buffer gave 57 and 70. With the bloc it is
+    # in the sum pass: the 16-byte key and value row buffers and the grouped rows of repeated keys.
+    # Without it, it is in the reading pass: the row buffers and the cells of one text block, which
+    # weigh more a row in the smaller file. A line buffer, a full-length permutation or the block's
+    # text adds 8 or more
     @pytest.mark.parametrize(
-        "n_countries,density,members,bound", [(120, 0.3, 20, 40.0), (60, 0.5, 0, 56.0)], ids=["bloc", "no-bloc"]
+        "n_countries,density,members,bound,packed_bound",
+        [(120, 0.3, 20, 40.0, 42.0), (60, 0.5, 0, 56.0, 54.0)],
+        ids=["bloc", "no-bloc"],
     )
-    def test_peak_memory_per_row(self, tmp_path, n_countries, density, members, bound):
+    def test_peak_memory_per_row(self, monkeypatch, tmp_path, n_countries, density, members, bound, packed_bound):
         money = synthetic_money(SyntheticSpec(seed=7, n_countries=n_countries, n_products=10, density=density))
         path = write_trade_file(money, tmp_path / "trade.csv")
         rows = path.read_text().splitlines()[1:]
         text = sum(len(row.rsplit(",", 1)[1]) for row in rows)
+        blocks = -(-len(path.read_text()) // ingest._BLOCK_CHARS)   # the most blocks a read takes
         blocs = {code: "BLC" for code in money.registry.codes[:members]}
+        held, totals = [], ingest._Rows.totals
+
+        def spy(kept):
+            held.append(len(kept.texts))
+            return totals(kept)
+
+        monkeypatch.setattr(ingest._Rows, "totals", spy)
         tracemalloc.start()
         try:
             loaded = load_money_matrix(path, 2018, blocs)
@@ -507,6 +519,9 @@ class TestLoad:
             tracemalloc.stop()
         assert len(loaded.value) < len(rows) if members else len(loaded.value) == len(rows)
         assert (peak - text) / len(rows) < bound
+        assert (peak - text / 2) / len(rows) < packed_bound
+        # two characters a byte: each text, its "," and at most one pad a block
+        assert held == [held[0]] and held[0] <= (text + len(rows) + blocks) / 2 + 1
 
     def test_trade_file_keeps_no_line(self, monkeypatch, tmp_path):
         # no sum can overflow until the kept values total half the largest float64

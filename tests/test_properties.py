@@ -5,7 +5,9 @@ Random small row sets mix bloc members, duplicate keys, rows of another
 year and ``flow=m`` mirror reports; the ingest oracle sums their Decimals
 per canonical key straight from the generated rows. Each file is read at
 several block sizes, split by ``str.split`` and by csv, and every read
-must agree bit for bit and raise the same error at the same line. Random
+must agree bit for bit and raise the same error at the same line. Whole
+``pipeline`` runs with a bloc write the same bytes when every value is
+scaled by a power of two or the codes are renamed in their sort order. Random
 small tensors include dangling columns (a country that exports nothing of
 a product) and empty products. The production path builds S, v and the
 volume shares from the COO arrays and applies G to random vectors; the
@@ -20,6 +22,7 @@ matches the literal dense block formula for subsets that keep all, none,
 one or some of a product's nodes, with idle nodes on both sides.
 """
 
+import re
 import tempfile
 from decimal import MAX_PREC, Decimal, localcontext
 from pathlib import Path
@@ -32,6 +35,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wtnrank import (
+    CountryRegistry,
     MoneyMatrix,
     NodeSpace,
     NodeSubset,
@@ -50,17 +54,20 @@ from wtnrank import (
     volume_probabilities,
     write_matrix_dump,
 )
-from wtnrank import analysis, ingest
+from wtnrank import analysis, cli, ingest
 from wtnrank.analysis import _block_variant
 from wtnrank.errors import ParseError, WtnError
 from wtnrank.ranks import pagerank
 from wtnrank.testkit import (
+    SyntheticSpec,
     dense_google_from_money,
     dense_pagerank_oracle,
     dense_regomax_oracle,
     densify,
     perturb_money,
+    synthetic_money,
     synthetic_registry,
+    write_trade_file,
 )
 
 from conftest import flows, indexes, money_from_dense
@@ -87,13 +94,17 @@ OTHERS = ("CHN", "USA")
 
 #: Value cells in the text forms trade files use: 2-place decimals, the exact
 #: expansion of a float (as testkit.write_trade_file writes it), exponent
-#: notation, each possibly with a leading "+" or surrounding spaces.
+#: notation, and integers grouped by "_" or in Arabic-Indic digits, which
+#: ingest keeps as their Decimal's text, each possibly with a leading "+" or
+#: surrounding spaces.
 value_texts = st.tuples(
     st.one_of(
         st.decimals(0, 1, places=2).map(str),
         st.decimals(0, 10**6, places=2).map(str),
         st.floats(1e-3, 1e9).map(lambda x: str(Decimal(x))),
         st.builds("{}{}{}".format, st.integers(0, 10**6), st.sampled_from("eE"), st.integers(-8, 8)),
+        st.integers(0, 10**7).map("{:_}".format),
+        st.integers(0, 10**6).map(lambda n: str(n).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))),
     ),
     st.sampled_from(("{}", "+{}", " {} ", " +{}")),
 ).map(lambda pair: pair[1].format(pair[0]))
@@ -224,6 +235,10 @@ def test_ingest_matches_exact_oracle(generated):
     codes, entries = ingest_oracle(rows, aggregation)
     assert money.registry.codes == codes
     assert flows(money) == entries
+    # blocks of value text that end on an odd character count, and a key's rows in several blocks
+    for size in (7, 65):
+        with mock.patch.object(ingest, "_BLOCK_CHARS", size):
+            assert money_fields(read_money_matrix(render(rows), YEAR, aggregation)) == money_fields(money)
 
 
 @settings(max_examples=100)
@@ -326,6 +341,59 @@ def test_ingest_error_is_the_same_however_the_file_is_read(generated, data):
     assert all(type(result) is tuple for result in results)
     assert len(set(results)) == 1
     assert results[0][1] == k + 2
+
+
+#: The bloc code of the whole-run invariance tests; it sorts after every synthetic code.
+BLOC = "EUU"
+
+
+@st.composite
+def bloc_tensors(draw):
+    """(money, members): a seeded synthetic tensor and the codes a bloc map merges onto BLOC."""
+    n = draw(st.integers(4, 7))
+    money = synthetic_money(SyntheticSpec(seed=draw(st.integers(0, 2**16)), n_countries=n, n_products=10, density=0.6))
+    members = draw(st.lists(st.sampled_from(money.registry.codes), min_size=2, max_size=n - 2, unique=True))
+    return money, members
+
+
+def pipeline_files(money, members, power=0, names=None) -> dict[str, str]:
+    """The text of each file ``pipeline`` writes for ``money`` with ``members`` merged onto BLOC.
+
+    The trade file holds every value times ``2**power``, written exactly, and
+    every code c (BLOC too) as ``names[c]``; the files' codes are mapped back.
+    """
+    names = names or {code: code for code in (*money.registry.codes, BLOC)}
+    back = {new: old for old, new in names.items()}
+    codes = tuple(names[code] for code in money.registry.codes)
+    scaled = MoneyMatrix(CountryRegistry(codes, codes, {}), money.year, money.nodes, money.value * 2.0**power)
+    # a code is a whole field or the part of a node label before its "_"
+    pattern = re.compile(r"(?<![A-Za-z0-9])(%s)(?![A-Za-z0-9])" % "|".join(map(re.escape, back)))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_trade_file(scaled, tmp / "trade.csv")
+        (tmp / "blocs.csv").write_text("member_code,bloc_code\n" + "".join(f"{names[m]},{names[BLOC]}\n" for m in members))
+        argv = ["pipeline", "--input", tmp / "trade.csv", "--year", money.year, "--aggregate", tmp / "blocs.csv"]
+        assert cli.main([*map(str, argv), "--out", str(tmp / "out")]) == 0
+        return {path.name: pattern.sub(lambda m: back[m[0]], path.read_text()) for path in (tmp / "out").iterdir()}
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=bloc_tensors(), power=st.integers(-40, 40).filter(bool))
+def test_pipeline_ignores_a_power_of_two_scale(case, power):
+    # the bloc's keys are summed exactly, and 2**power commutes with every rounding in the normal range
+    assert pipeline_files(*case, power=power) == pipeline_files(*case)
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=bloc_tensors(), data=st.data())
+def test_pipeline_ignores_an_order_preserving_code_rename(case, data):
+    money, members = case
+    old = (*money.registry.codes, BLOC)
+    letters = st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=2, max_size=2)
+    # one length, so that node labels keep their order too
+    new = sorted(data.draw(st.lists(letters, min_size=len(old), max_size=len(old), unique=True)))
+    names = {code: "Q" + name for code, name in zip(old, new)}
+    assert pipeline_files(money, members, names=names) == pipeline_files(money, members)
 
 
 @st.composite
