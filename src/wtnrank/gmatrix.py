@@ -173,35 +173,22 @@ class GoogleMatrix:
         return _solve_links(self.S, self.alpha, np.column_stack([teleport, dangling]), np.arange(self.size))
 
 
-def _dense_links(S: StochasticMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """S[rows, cols] as a dense array, from the entries of the products cols span.
+def _block_system(S: StochasticMatrix, at: np.ndarray, run: slice, m: int, alpha: float) -> np.ndarray:
+    """I - alpha S over one product's m solved nodes, from that product's ``run`` of links alone.
 
-    Masks of the rows and columns asked for pick the entries; only kept ones
-    are gathered, through one flat index into the block, built in place.
+    ``at`` maps each solved node to its row in the block and the product's other nodes to -1.
     """
-    n_countries = S.space.n_countries
-    first, last = S.blocks[cols.min() // n_countries], S.blocks[cols.max() // n_countries + 1]
-    row_at = np.full(S.size, -1)
-    row_at[rows] = np.arange(len(rows))
-    col_at = np.full(S.size, -1)
-    col_at[cols] = np.arange(len(cols))
-    row, col = S.row[first:last], S.col[first:last]
-    keep = (row_at >= 0)[row] & (col_at >= 0)[col]
-    flat = row_at[row[keep]]
-    flat *= len(cols)
-    flat += col_at[col[keep]]
-    values = S.value[first:last][keep]
-    del keep, row_at, col_at
-    links = np.zeros((len(rows), len(cols)))
-    links.ravel()[flat] = values
-    return links
-
-
-def _identity_minus(links: np.ndarray, alpha: float) -> np.ndarray:
-    """Overwrite the square ``links`` with the bits of ``np.eye(n) - alpha * links`` and return it."""
-    np.subtract(0.0, np.multiply(links, alpha, out=links), out=links)   # 0 - x, so no -0.0
-    links.ravel()[:: len(links) + 1] += 1.0   # 1 + (-x) is 1 - x, bit for bit
-    return links
+    row, col = at[S.row[run]], at[S.col[run]]
+    keep = (row >= 0) & (col >= 0)
+    flat = row[keep]
+    flat *= m
+    flat += col[keep]
+    values = np.subtract(0.0, alpha * S.value[run][keep])   # 0 - x, so a zero link stays +0.0
+    del row, col, keep
+    system = np.zeros((m, m))
+    system.ravel()[flat] = values
+    system.ravel()[:: m + 1] += 1.0   # 1 + (-x) is 1 - x, bit for bit
+    return system
 
 
 def _solve_links(S: StochasticMatrix, alpha: float, rhs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -209,16 +196,18 @@ def _solve_links(S: StochasticMatrix, alpha: float, rhs: np.ndarray, nodes: np.n
 
     Overwrites the caller's float64 ``rhs`` with Z and returns it. S links
     nodes of one product only, and a product's entries are one ``blocks``
-    run, so each block's system matrix is built in the buffer its links are
-    densified into. Row i of ``rhs`` belongs to ``nodes[i]``; nodes ascend.
-    alpha S has column sums at most alpha < 1, so no block is singular.
+    run, so each block is assembled from its product's run of links and
+    freed before the next. Row i of ``rhs`` belongs to ``nodes[i]``; nodes
+    ascend. alpha S has column sums at most alpha < 1, so no block is singular.
     """
     # node = p * n_countries + c, so each product is one run of the ascending nodes
     bounds = np.searchsorted(nodes, S.space.n_countries * np.arange(S.space.n_products + 1))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    at = np.full(S.size, -1)   # a solved node's row in its block; block p reads product p's entries only
+    for p, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         if lo < hi:
-            block = nodes[lo:hi]
-            rhs[lo:hi] = np.linalg.solve(_identity_minus(_dense_links(S, block, block), alpha), rhs[lo:hi])
+            at[nodes[lo:hi]] = np.arange(hi - lo)
+            run = slice(S.blocks[p], S.blocks[p + 1])
+            rhs[lo:hi] = np.linalg.solve(_block_system(S, at, run, hi - lo, alpha), rhs[lo:hi])
     return rhs
 
 

@@ -538,7 +538,10 @@ class _Rows:
         starts = starts[group]
         stops = stops[group]
         del group
-        bounds = np.flatnonzero(np.diff(keys[rows], prepend=-1)).tolist() + [len(rows)]
+        grouped = keys[rows]
+        firsts = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1   # each key's first row, but the first key's
+        del grouped
+        bounds = [0, *firsts.tolist(), len(rows)] if len(rows) else []
         texts, overflow = self.texts, None
         with localcontext() as ctx:
             ctx.prec = _MONEY_PRECISION

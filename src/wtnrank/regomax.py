@@ -12,8 +12,9 @@ of the full PageRank, which the test suite uses as the exactness oracle.
 (1 - G_ss) is solved exactly, one way at every size: its link part
 I - alpha S_ss is block diagonal over products and is solved block by
 block as PageRank's is (``gmatrix._solve_links``), against |s| x (k + 2)
-columns, k the most kept nodes of a product. The dangling and teleport
-terms are a rank-2 update applied with the Woodbury identity, and its
+columns, k the most kept nodes of a product. S_rr, S_sr and S_rs are
+gathered through one map of each kept node's row in G_R. The dangling and
+teleport terms are a rank-2 update applied with the Woodbury identity; its
 2 x 2 capacitance is conditioned and inverted in closed form.
 """
 
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from ._text import write_columns
-from .gmatrix import GoogleMatrix, _dense_links, _solve_links
+from .gmatrix import GoogleMatrix, _solve_links
 
 #: Column-sum tolerance of the reduced matrix.
 REDUCED_SUM_TOL = 1e-10
@@ -161,7 +162,10 @@ def reduced_google_matrix(G: GoogleMatrix, subset: NodeSubset) -> ReducedGoogleM
     links = np.flatnonzero((at >= 0)[S.row] & (at < 0)[S.col])   # the links of S_rs
     rows, cols = at[S.row[links]], np.searchsorted(s_ids, S.col[links])
     SZ = np.column_stack([np.bincount(rows, S.value[links] * z[cols], len(r_ids)) for z in Z.T])   # S_rs Z
-    walks = _dense_links(S, r_ids, r_ids) + np.where(same, SZ[:, slot], 0.0) + SZ[:, k:] @ M
+    links = np.flatnonzero((at >= 0)[S.row] & (at >= 0)[S.col])   # the links of S_rr
+    S_rr = np.zeros((len(r_ids), len(r_ids)))
+    S_rr[at[S.row[links]], at[S.col[links]]] = S.value[links]
+    walks = S_rr + np.where(same, SZ[:, slot], 0.0) + SZ[:, k:] @ M
     reduced = ReducedGoogleMatrix(alpha * walks + U[r_ids] @ (Wt + VtB + K @ M), subset, G.direction)
     reduced.validate()
     return reduced

@@ -18,7 +18,7 @@ from wtnrank import (
     write_matrix_dump,
 )
 from wtnrank.errors import EmptyNetworkError
-from wtnrank.gmatrix import _dense_links, _identity_minus, _solve_links
+from wtnrank.gmatrix import _solve_links
 from wtnrank.testkit import (
     SyntheticSpec,
     dense_links,
@@ -266,16 +266,31 @@ class TestFrozenOperators:
 
 class TestBlockSolves:
     @pytest.mark.parametrize("alpha", [0.5, 0.15, 0.85, 1.0 / 3.0])
-    def test_identity_minus_has_the_bits_of_eye_minus_scaled_links(self, alpha):
+    def test_identity_minus_has_the_bits_of_eye_minus_scaled_links(self, alpha, monkeypatch):
+        # each block handed to np.linalg.solve, against the dense links: zero links on and off the
+        # diagonal, a dangling column (C003 exports nothing of product 0) and C001 left out of the solve
         rng = np.random.default_rng(3)
-        links = rng.random((9, 9)) * (rng.random((9, 9)) < 0.5)   # zeros on and off the diagonal
-        links[:, 4] = 0.0
-        links[2, 2] = 0.7
-        expected = np.eye(9) - alpha * links
-        built = _identity_minus(links.copy(), alpha)
-        assert np.array_equal(built.view(np.int64), expected.view(np.int64))
-        assert np.array_equal(np.signbit(built), np.signbit(expected))
-        assert not np.signbit(built[(links == 0) & ~np.eye(9, dtype=bool)]).any()   # +0.0, not -0.0
+        dense = rng.random((2, 6, 6)) * (rng.random((2, 6, 6)) < 0.6)
+        dense[:, np.arange(6), np.arange(6)] = 0.0
+        dense[0, :, 3] = 0.0
+        S = build_stochastic(money_from_dense(dense))
+        assert S.dangling[3]
+        nodes = np.flatnonzero(np.arange(S.size) % 6 != 1)
+        blocks, solve = [], np.linalg.solve
+
+        def recording(a, b):
+            blocks.append(a)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        _solve_links(S, alpha, np.ones((len(nodes), 1)), nodes)
+        assert len(blocks) == 2
+        for built, block in zip(blocks, np.split(nodes, 2)):
+            links = dense_links(S)[np.ix_(block, block)]
+            expected = np.eye(len(block)) - alpha * links
+            assert np.array_equal(built.view(np.int64), expected.view(np.int64))
+            assert np.array_equal(np.signbit(built), np.signbit(expected))
+            assert not np.signbit(built[links == 0]).any()   # +0.0, not -0.0
 
     def test_solve_links_overwrites_the_right_hand_side(self, small_money):
         G = build_google(small_money)
@@ -285,7 +300,7 @@ class TestBlockSolves:
         expected = rhs.copy()
         for p in range(small_money.n_products):
             rows = slice(p * (n - 1), (p + 1) * (n - 1))
-            links = _dense_links(G.S, nodes[rows], nodes[rows])
+            links = dense_links(G.S)[np.ix_(nodes[rows], nodes[rows])]
             expected[rows] = np.linalg.solve(np.eye(n - 1) - G.alpha * links, expected[rows])
         assert _solve_links(G.S, G.alpha, rhs, nodes) is rhs
         assert np.array_equal(rhs, expected)

@@ -7,7 +7,9 @@ per canonical key straight from the generated rows. Each file is read at
 several block sizes, split by ``str.split`` and by csv, and every read
 must agree bit for bit and raise the same error at the same line. Whole
 ``pipeline`` runs with a bloc write the same bytes when every value is
-scaled by a power of two or the codes are renamed in their sort order. Random
+scaled by a power of two, the codes are renamed in their sort order, mirror
+reports and rows of another year are added, or the file is pre-aggregated
+onto the bloc with exact sums. Random
 small tensors include dangling columns (a country that exports nothing of
 a product) and empty products. The production path builds S, v and the
 volume shares from the COO arrays and applies G to random vectors; the
@@ -356,11 +358,13 @@ def bloc_tensors(draw):
     return money, members
 
 
-def pipeline_files(money, members, power=0, names=None) -> dict[str, str]:
+def pipeline_files(money, members, power=0, names=None, edit=list) -> dict[str, str]:
     """The text of each file ``pipeline`` writes for ``money`` with ``members`` merged onto BLOC.
 
     The trade file holds every value times ``2**power``, written exactly, and
     every code c (BLOC too) as ``names[c]``; the files' codes are mapped back.
+    ``edit`` maps the file's lines to the lines the run reads. With no
+    ``members`` the run is given no ``--aggregate``.
     """
     names = names or {code: code for code in (*money.registry.codes, BLOC)}
     back = {new: old for old, new in names.items()}
@@ -370,9 +374,13 @@ def pipeline_files(money, members, power=0, names=None) -> dict[str, str]:
     pattern = re.compile(r"(?<![A-Za-z0-9])(%s)(?![A-Za-z0-9])" % "|".join(map(re.escape, back)))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        write_trade_file(scaled, tmp / "trade.csv")
-        (tmp / "blocs.csv").write_text("member_code,bloc_code\n" + "".join(f"{names[m]},{names[BLOC]}\n" for m in members))
-        argv = ["pipeline", "--input", tmp / "trade.csv", "--year", money.year, "--aggregate", tmp / "blocs.csv"]
+        path = write_trade_file(scaled, tmp / "trade.csv")
+        path.write_text("".join(f"{line}\n" for line in edit(path.read_text().splitlines())))
+        argv = ["pipeline", "--input", path, "--year", money.year]
+        if members:
+            blocs = "".join(f"{names[m]},{names[BLOC]}\n" for m in members)
+            (tmp / "blocs.csv").write_text(f"member_code,bloc_code\n{blocs}")
+            argv += ["--aggregate", tmp / "blocs.csv"]
         assert cli.main([*map(str, argv), "--out", str(tmp / "out")]) == 0
         return {path.name: pattern.sub(lambda m: back[m[0]], path.read_text()) for path in (tmp / "out").iterdir()}
 
@@ -394,6 +402,49 @@ def test_pipeline_ignores_an_order_preserving_code_rename(case, data):
     new = sorted(data.draw(st.lists(letters, min_size=len(old), max_size=len(old), unique=True)))
     names = {code: "Q" + name for code, name in zip(old, new)}
     assert pipeline_files(money, members, names=names) == pipeline_files(money, members)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    case=bloc_tensors(),
+    flows=st.tuples(st.sampled_from(sorted(ingest._EXPORT_FLOWS)), st.sampled_from(sorted(ingest._IMPORT_FLOWS))),
+    other_year=st.integers(1962, 2030).filter(lambda year: year != YEAR),
+    order=st.randoms(use_true_random=False),
+)
+def test_pipeline_ignores_mirror_reports_and_other_years(case, flows, other_year, order):
+    # every flow also reported by its importer, at a 10 % higher value, and every row again under another year
+    export, mirror = flows
+
+    def edit(lines):
+        rows = [f"{row},{export}" for row in lines[1:]]
+        for row in lines[1:]:
+            head, _, value = row.rpartition(",")
+            rows.append(f"{head},{float(value) * 1.1!r},{mirror}")
+        rows += [f"{other_year}{row[row.index(','):]}" for row in rows]
+        order.shuffle(rows)
+        return [f"{lines[0]},flow", *rows]
+
+    assert pipeline_files(*case, edit=edit) == pipeline_files(*case)
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=bloc_tensors())
+def test_pipeline_reads_a_pre_aggregated_file_as_aggregate(case):
+    # each (product, importer, exporter) of the bloc summed exactly; the bloc's own flows dropped
+    money, members = case
+
+    def onto_bloc(lines):
+        sums = {}
+        with localcontext() as ctx:
+            ctx.prec = MAX_PREC
+            for row in lines[1:]:
+                year, exporter, importer, product, value = row.split(",")
+                key = (year, *(BLOC if code in members else code for code in (exporter, importer)), product)
+                if key[1] != key[2]:
+                    sums[key] = sums.get(key, Decimal(0)) + Decimal(value)
+        return [lines[0], *(",".join((*key, str(total))) for key, total in sums.items())]
+
+    assert pipeline_files(money, (), edit=onto_bloc) == pipeline_files(money, members)
 
 
 @st.composite

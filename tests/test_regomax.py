@@ -213,8 +213,9 @@ class TestReduction:
     def test_peak_memory_in_dense_blocks(self, direction):
         # the traced rise above the inputs, in units of one dense product block of
         # the complement plus the |s| x (k + 2) right-hand side, k = 4 kept nodes
-        # a product. It measures about 1.9: the link masks that densify S_rr
-        # after the solve set it, just above the solve's LAPACK copy of a block.
+        # a product. It measures about 1.80: assembling a complement block sets
+        # it (the block, its flat index and its scaled links), just above the
+        # S_rr gather after the solve (1.77).
         money = synthetic_money(SyntheticSpec(seed=7, n_countries=120, n_products=10, density=0.3))
         G = build_google(money, direction)
         subset, _ = subset_from_countries(G, money.registry.codes[:4])
