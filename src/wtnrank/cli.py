@@ -43,7 +43,6 @@ from .errors import WtnError
 from .gmatrix import (
     DIRECTIONS,
     PERSONALIZATION_MODES,
-    GoogleMatrix,
     build_google,
     write_matrix_dump,
 )
@@ -158,18 +157,16 @@ def _load_money(config: RunConfig):
     return load_money_matrix(config.input, config.year, aggregation)
 
 
-def _operators(config: RunConfig, money) -> tuple[GoogleMatrix, GoogleMatrix]:
-    """The Google matrices of ``money``, one per entry of DIRECTIONS."""
-    return tuple(
-        build_google(money, direction, config.alpha, config.personalization)
-        for direction in DIRECTIONS
-    )
+def _operators(config: RunConfig, money):
+    """The Google matrices of ``money``, one per entry of DIRECTIONS, each built when the caller reaches it."""
+    for direction in DIRECTIONS:
+        yield build_google(money, direction, config.alpha, config.personalization)
 
 
 def _country_vectors(config: RunConfig, money, operators) -> tuple:
     """PageRank, CheiRank, import and export country vectors, in that order."""
     p_c, pstar_c, _ = gma_country_probabilities(
-        money, config.alpha, config.tol, config.personalization, operators
+        money, config.alpha, config.tol, config.personalization, tuple(operators)
     )
     return (p_c, pstar_c, *iea_country_probabilities(money))
 
@@ -299,6 +296,7 @@ def cmd_sensitivity(config: RunConfig, money, operators, vectors=None) -> list[P
         "sources": {},
     }
     bases = (vectors[:2], vectors[2:]) if vectors else (None, None)
+    operators = tuple(operators)   # both sources read both directions
     for source, base in zip(SOURCES, bases):
         sens_config = SensitivityConfig(
             product=config.sens_product,
@@ -329,21 +327,22 @@ def cmd_regomax(config: RunConfig, money, operators) -> list[Path]:
         raise ValueError("regomax needs --subset with at least one country code")
     year = money.year
     written = []
-    for direction, G in zip(DIRECTIONS, operators):
+    for G in operators:
         subset, labels = subset_from_countries(G, config.subset)
         reduced = reduced_google_matrix(G, subset)
         net = friends_network(reduced, config.k, config.friends_by)
-        written.append(write_reduced_matrix(reduced, labels, config.out / f"gr_{direction}_{year}.csv"))
-        written.append(write_edge_list(net, labels, config.out / f"friends_{direction}_{year}.csv"))
+        written.append(write_reduced_matrix(reduced, labels, config.out / f"gr_{G.direction}_{year}.csv"))
+        written.append(write_edge_list(net, labels, config.out / f"friends_{G.direction}_{year}.csv"))
+        del G   # freed before the next direction's operator is built
     return written
 
 
 def cmd_dump(config: RunConfig, money, operators) -> list[Path]:
     """Raw stochastic-matrix triplets plus sidecars, both directions."""
     written = []
-    for direction, G in zip(DIRECTIONS, operators):
-        path, sidecar = write_matrix_dump(G, config.out / f"gmatrix_{direction}_{config.year}.csv")
-        written += [path, sidecar]
+    for G in operators:
+        written += write_matrix_dump(G, config.out / f"gmatrix_{G.direction}_{config.year}.csv")
+        del G   # freed before the next direction's operator is built
     return written
 
 
@@ -359,8 +358,9 @@ def cmd_pipeline(config: RunConfig, money, operators) -> list[Path]:
     """Everything for one year: ranks, balance, sensitivities, REGOMAX.
 
     Ranks, balance, the sensitivities and the default REGOMAX subset share
-    one set of country vectors.
+    one set of country vectors and one operator per direction.
     """
+    operators = tuple(operators)
     vectors = _country_vectors(config, money, operators)
     table = build_rank_table(*vectors)
     written = _write_rank(config, money.year, table)
@@ -374,7 +374,9 @@ def cmd_pipeline(config: RunConfig, money, operators) -> list[Path]:
 
 
 #: Each command takes the run's config, its money tensor and the unperturbed
-#: operators of :func:`_operators`, which every command uses.
+#: operators of :func:`_operators`, built as the command reaches them:
+#: ``regomax`` and ``dump`` hold one direction's operator at a time, the
+#: others take both as a tuple.
 _COMMANDS = {
     "rank": cmd_rank,
     "balance": cmd_balance,

@@ -161,7 +161,9 @@ class GoogleMatrix:
             raise ValueError(f"vector length {x.shape} does not match N={self.size}")
         # each row meets its columns in ascending order, so it adds its terms as a CSC matvec does
         S = self.S
-        out = self.alpha * np.bincount(S.row, weights=S.value * x[S.col], minlength=self.size)
+        terms = x[S.col]
+        terms *= S.value   # in place: one link-long temporary
+        out = self.alpha * np.bincount(S.row, weights=terms, minlength=self.size)
         out += self.alpha * x[S.dangling].sum() / self.size
         out += (1.0 - self.alpha) * x.sum() * self.v.values
         return out
@@ -226,7 +228,8 @@ def build_stochastic(money: MoneyMatrix, direction: str = "direct") -> Stochasti
     row, col = money.nodes if direction == "direct" else money.nodes[::-1]
     sums = np.bincount(col, weights=money.value, minlength=space.size)
     dangling = sums == 0.0
-    value = money.value / np.where(dangling, 1.0, sums)[col]
+    value = np.where(dangling, 1.0, sums)[col]
+    np.divide(money.value, value, out=value)   # each flow over its column's sum, in place
     return StochasticMatrix(money.blocks, row, col, value, dangling, space, money.registry, direction)
 
 

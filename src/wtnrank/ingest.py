@@ -77,7 +77,7 @@ _ID_BITS = 29
 _ID_MASK = (1 << _ID_BITS) - 1
 # Characters a canonical country code may not hold, besides non-printable ones.
 _UNWRITABLE = ',"<&'
-# Characters of text read at a time, up to the end of the line; also bytes of value text scanned at a time.
+# Characters of text read at a time, up to the end of the line; a quarter is the value text bytes scanned at a time.
 _BLOCK_CHARS = 1 << 16
 # Field that closes each line of a block str.split splits; a block holding it goes to csv.
 _MARK = "\x01"
@@ -585,11 +585,21 @@ def _text_ends(texts: bytearray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     starts, stops = np.empty(len(rows), dtype=np.int64), np.empty(len(rows), dtype=np.int64)
     ends, seen, found = np.zeros(1, dtype=np.int64), 0, 0   # ends[-1] is where the last text so far ends
-    for start in range(0, len(texts) if len(rows) else 0, _BLOCK_CHARS):
-        piece = np.frombuffer(texts, np.uint8, min(_BLOCK_CHARS, len(texts) - start), start)
-        # a "," in the high nibble of byte i ends its text's bytes at i, in the low one at i + 1; no pad is high
-        high, low = np.flatnonzero(piece >= 0xE0) + start, np.flatnonzero((piece & 15) == 14) + start + 1
-        ends = np.sort(np.concatenate((ends[-1:], high, low)))
+    size = max(_BLOCK_CHARS // 4, 1)   # so that a piece's masks stay below the peak of the rest of totals
+    for start in range(0, len(texts) if len(rows) else 0, size):
+        piece = np.frombuffer(texts, np.uint8, min(size, len(texts) - start), start)
+        # a "," in the high nibble of byte i ends its text's bytes at i, in the low one at i + 1; no pad is
+        # high, and no byte holds two, as no text is empty, so the ends ascend with the bytes
+        low = (piece & 15) == 14
+        comma = piece >= 0xE0
+        comma |= low
+        hits = np.flatnonzero(comma)
+        del comma
+        hits += low[hits]
+        del low
+        hits += start
+        ends = np.concatenate((ends[-1:], hits))
+        del hits
         stop = found + int(np.searchsorted(rows[found:], seen + len(ends) - 1))
         at = rows[found:stop] - seen
         starts[found:stop], stops[found:stop] = ends[at], ends[at + 1]

@@ -140,8 +140,12 @@ def reduced_google_matrix(G: GoogleMatrix, subset: NodeSubset) -> ReducedGoogleM
     at[r_ids] = np.arange(len(r_ids))
     U = np.column_stack([np.full(G.size, alpha / G.size), (1.0 - alpha) * G.v.values])
     rhs = np.hstack([np.zeros((len(s_ids), k)), U[s_ids]])
-    links = np.flatnonzero((at < 0)[S.row] & (at >= 0)[S.col])   # the links of S_sr
-    rhs[np.searchsorted(s_ids, S.row[links]), slot[at[S.col[links]]]] = alpha * S.value[links]
+    kept = at >= 0
+    row_kept, col_kept = kept[S.row], kept[S.col]
+    # the links of S_sr, S_rs and S_rr; the link-long masks go before the solve
+    sr, rs, rr = (np.flatnonzero(m) for m in (col_kept & ~row_kept, row_kept & ~col_kept, row_kept & col_kept))
+    del row_kept, col_kept
+    rhs[np.searchsorted(s_ids, S.row[sr]), slot[at[S.col[sr]]]] = alpha * S.value[sr]
     Z = _solve_links(S, alpha, rhs, s_ids)   # [B, Y] = A^{-1} [alpha S_sr, U]
     bounds = np.searchsorted(s_ids, n_countries * np.arange(G.space.n_products + 1))
     V = np.column_stack([S.dangling[s_ids], np.ones(len(s_ids))])
@@ -159,12 +163,10 @@ def reduced_google_matrix(G: GoogleMatrix, subset: NodeSubset) -> ReducedGoogleM
     # with C^{-1} = adj C / det C: Z >= 0 leaves adj C non-negative, so no term rounds below 0 and a 0 stays 0
     Wt = np.vstack([S.dangling[r_ids], np.ones(len(r_ids))])
     M = Wt + np.array([[d, -b], [-c, a]]) @ (VtB + K @ Wt) / (a * d - b * c)
-    links = np.flatnonzero((at >= 0)[S.row] & (at < 0)[S.col])   # the links of S_rs
-    rows, cols = at[S.row[links]], np.searchsorted(s_ids, S.col[links])
-    SZ = np.column_stack([np.bincount(rows, S.value[links] * z[cols], len(r_ids)) for z in Z.T])   # S_rs Z
-    links = np.flatnonzero((at >= 0)[S.row] & (at >= 0)[S.col])   # the links of S_rr
+    rows, cols = at[S.row[rs]], np.searchsorted(s_ids, S.col[rs])
+    SZ = np.column_stack([np.bincount(rows, S.value[rs] * z[cols], len(r_ids)) for z in Z.T])   # S_rs Z
     S_rr = np.zeros((len(r_ids), len(r_ids)))
-    S_rr[at[S.row[links]], at[S.col[links]]] = S.value[links]
+    S_rr[at[S.row[rr]], at[S.col[rr]]] = S.value[rr]
     walks = S_rr + np.where(same, SZ[:, slot], 0.0) + SZ[:, k:] @ M
     reduced = ReducedGoogleMatrix(alpha * walks + U[r_ids] @ (Wt + VtB + K @ M), subset, G.direction)
     reduced.validate()

@@ -1,9 +1,11 @@
 """End-to-end command-line runs against a synthetic trade file."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -206,6 +208,25 @@ class TestDump:
             meta = (tmp_path / f"gmatrix_{direction}_{YEAR}.meta").read_text().splitlines()
             assert meta[0] == "alpha=0.5"
             assert meta[2].startswith("v=")
+
+
+class TestOperatorLifetime:
+    @pytest.mark.parametrize("command,extra", [("regomax", ("--subset", "C001,C002")), ("dump", ())])
+    def test_one_direction_at_a_time_holds_one_operator(self, trade_file, tmp_path, monkeypatch, command, extra):
+        directions, built, alive, build_google = [], [], [], cli.build_google
+
+        def tracking(money, direction, *args):
+            gc.collect()
+            alive.append([ref() is not None for ref in built])   # the earlier operators this build meets
+            directions.append(direction)
+            G = build_google(money, direction, *args)
+            built.append(weakref.ref(G))
+            return G
+
+        monkeypatch.setattr(cli, "build_google", tracking)
+        assert run(command, trade_file, tmp_path, *extra) == 0
+        assert directions == ["direct", "inverted"]
+        assert alive == [[], [False]]   # the direct operator is freed before the inverted one is built
 
 
 class TestPipeline:

@@ -9,9 +9,11 @@ must agree bit for bit and raise the same error at the same line. Whole
 ``pipeline`` runs with a bloc write the same bytes when every value is
 scaled by a power of two, the codes are renamed in their sort order, mirror
 reports and rows of another year are added, or the file is pre-aggregated
-onto the bloc with exact sums. Random
-small tensors include dangling columns (a country that exports nothing of
-a product) and empty products. The production path builds S, v and the
+onto the bloc with exact sums. Under any renaming of the codes,
+probabilities, balances and G_R agree within 1e-14, and rank orders
+wherever probabilities are more than 1e-12 apart. Random small tensors
+include dangling columns (a country that exports nothing of a product) and
+empty products. The production path builds S, v and the
 volume shares from the COO arrays and applies G to random vectors; the
 oracles recompute them from the dense tensor with no shared code. A matrix
 dump, parsed back, rebuilds the same operator. The block solves of
@@ -37,7 +39,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wtnrank import (
-    CountryRegistry,
     MoneyMatrix,
     NodeSpace,
     NodeSubset,
@@ -59,6 +60,7 @@ from wtnrank import (
 from wtnrank import analysis, cli, ingest
 from wtnrank.analysis import _block_variant
 from wtnrank.errors import ParseError, WtnError
+from wtnrank.gmatrix import DIRECTIONS
 from wtnrank.ranks import pagerank
 from wtnrank.testkit import (
     SyntheticSpec,
@@ -368,21 +370,23 @@ def pipeline_files(money, members, power=0, names=None, edit=list) -> dict[str, 
     """
     names = names or {code: code for code in (*money.registry.codes, BLOC)}
     back = {new: old for old, new in names.items()}
-    codes = tuple(names[code] for code in money.registry.codes)
-    scaled = MoneyMatrix(CountryRegistry(codes, codes, {}), money.year, money.nodes, money.value * 2.0**power)
+    scaled = MoneyMatrix(money.registry, money.year, money.nodes, money.value * 2.0**power)
     # a code is a whole field or the part of a node label before its "_"
-    pattern = re.compile(r"(?<![A-Za-z0-9])(%s)(?![A-Za-z0-9])" % "|".join(map(re.escape, back)))
+    forward, backward = (
+        re.compile(r"(?<![A-Za-z0-9])(%s)(?![A-Za-z0-9])" % "|".join(map(re.escape, codes))) for codes in (names, back)
+    )
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         path = write_trade_file(scaled, tmp / "trade.csv")
-        path.write_text("".join(f"{line}\n" for line in edit(path.read_text().splitlines())))
+        lines = [forward.sub(lambda m: names[m[0]], line) for line in path.read_text().splitlines()]
+        path.write_text("".join(f"{line}\n" for line in edit(lines)))
         argv = ["pipeline", "--input", path, "--year", money.year]
         if members:
             blocs = "".join(f"{names[m]},{names[BLOC]}\n" for m in members)
             (tmp / "blocs.csv").write_text(f"member_code,bloc_code\n{blocs}")
             argv += ["--aggregate", tmp / "blocs.csv"]
         assert cli.main([*map(str, argv), "--out", str(tmp / "out")]) == 0
-        return {path.name: pattern.sub(lambda m: back[m[0]], path.read_text()) for path in (tmp / "out").iterdir()}
+        return {path.name: backward.sub(lambda m: back[m[0]], path.read_text()) for path in (tmp / "out").iterdir()}
 
 
 @settings(max_examples=8, deadline=None)
@@ -402,6 +406,60 @@ def test_pipeline_ignores_an_order_preserving_code_rename(case, data):
     new = sorted(data.draw(st.lists(letters, min_size=len(old), max_size=len(old), unique=True)))
     names = {code: "Q" + name for code, name in zip(old, new)}
     assert pipeline_files(money, members, names=names) == pipeline_files(money, members)
+
+
+def keyed_rows(text: str) -> tuple[list[str], dict[str, np.ndarray]]:
+    """A CSV artifact's header past its first field, and each row's other fields as floats by its first."""
+    header, *rows = (line.split(",") for line in text.splitlines())
+    return header[1:], {row[0]: np.array(row[1:], dtype=float) for row in rows}
+
+
+def reduced_by_label(text: str) -> tuple[list[str], np.ndarray]:
+    """A G_R artifact's node labels in sorted order, and its matrix with rows and columns in that order."""
+    labels, *rows = (line.split(",") for line in text.splitlines())
+    order = np.argsort(labels)
+    return sorted(labels), np.array(rows, dtype=float)[np.ix_(order, order)]
+
+
+#: How far a value may move when only the order of the nodes, and so of each sum, changes.
+RENAME_TOL = 1e-14
+#: Probabilities closer than this may swap ranks under a rename.
+RANK_GAP = 1e-12
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=bloc_tensors(), data=st.data())
+def test_pipeline_under_any_code_rename_moves_values_by_rounding_only(case, data):
+    # a rename that breaks the sort order renumbers the nodes, so sums change order and last bits move
+    money, members = case
+    old = (*money.registry.codes, BLOC)
+    letters = st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=2, max_size=2)
+    new = data.draw(
+        st.lists(letters, min_size=len(old), max_size=len(old), unique=True).filter(lambda new: new != sorted(new))
+    )
+    renamed = pipeline_files(money, members, names={code: "Q" + name for code, name in zip(old, new)})
+    original = pipeline_files(money, members)
+    assert renamed.keys() == original.keys()
+    for name in (f"balance_{YEAR}.csv", f"rank_table_{YEAR}.csv"):
+        (header, base), (new_header, other) = keyed_rows(original[name]), keyed_rows(renamed[name])
+        assert new_header == header and other.keys() == base.keys()
+        base, other = (np.array([table[code] for code in sorted(base)]) for table in (base, other))
+        values = [i for i, column in enumerate(header) if not column.startswith("K")]
+        np.testing.assert_allclose(other[:, values], base[:, values], rtol=0, atol=RENAME_TOL)
+    # the rank table, read last: each index keeps its order wherever probabilities are RANK_GAP apart
+    for probability in ("P", "Pstar", "Phat", "Phatstar"):
+        p, rank = header.index(probability), header.index(probability.replace("P", "K"))
+        apart = np.abs(base[:, p, None] - base[:, p]) > RANK_GAP
+        before, after = (np.sign(table[:, rank, None] - table[:, rank]) for table in (base, other))
+        assert (before == after)[apart].all(), probability
+    # REGOMAX keeps the top of PageRank, which only a tie within RANK_GAP may change
+    tied = np.diff(np.sort(base[:, header.index("P")])).min() <= RANK_GAP
+    for direction in DIRECTIONS:
+        labels, matrix = reduced_by_label(original[f"gr_{direction}_{YEAR}.csv"])
+        new_labels, new_matrix = reduced_by_label(renamed[f"gr_{direction}_{YEAR}.csv"])
+        assert new_labels == labels or tied
+        if new_labels == labels:
+            np.testing.assert_allclose(new_matrix, matrix, rtol=0, atol=RENAME_TOL)
 
 
 @settings(max_examples=8, deadline=None)
