@@ -34,7 +34,6 @@ from .analysis import (
 )
 from .gmatrix import (
     GoogleMatrix,
-    NodeSpace,
     PersonalizationVector,
     StochasticMatrix,
     build_google,
@@ -84,7 +83,6 @@ __all__ = [
     "FriendsNetwork",
     "GoogleMatrix",
     "MoneyMatrix",
-    "NodeSpace",
     "NodeSubset",
     "PersonalizationVector",
     "ProbabilityVector",

@@ -118,7 +118,7 @@ def trade_balance(P: ProbabilityVector, Pstar: ProbabilityVector, source: str) -
     """Elementwise (P* - P)/(P* + P) over countries; 0/0 yields NaN and continues."""
     if P.level != "country" or Pstar.level != "country":
         raise ValueError("trade balance needs country-level vectors")
-    if P.keys != Pstar.keys:
+    if P.codes != Pstar.codes:
         raise ValueError("balance inputs must share the same countries")
     if source not in SOURCES:
         raise ValueError(f"source must be one of {SOURCES}")
@@ -127,7 +127,7 @@ def trade_balance(P: ProbabilityVector, Pstar: ProbabilityVector, source: str) -
     denom = Pstar.values + P.values
     with np.errstate(invalid="ignore", divide="ignore"):
         values = np.where(denom > 0.0, (Pstar.values - P.values) / denom, np.nan)
-    return BalanceVector(tuple(P.keys), values, source)
+    return BalanceVector(tuple(P.codes), values, source)
 
 
 def _converged(solved: tuple) -> tuple:

@@ -1,9 +1,10 @@
 """Google-matrix construction over (country, product) nodes.
 
-Trade links connect nodes of the same product only: the node space is laid
-out product-major (node = p * n_countries + c) and the stochastic matrix is
-block diagonal over products. Cross-product coupling enters only through the
-personalization vector and the dangling-node repair. The damped operator
+Trade links connect nodes of the same product only: nodes are the money
+tensor's, laid out product-major (node = p * n_countries + c), and the
+stochastic matrix is block diagonal over products. Cross-product coupling
+enters only through the personalization vector and the dangling-node repair.
+The damped operator
 
     G = alpha * S' + (1 - alpha) * v 1^T
 
@@ -39,29 +40,6 @@ COLUMN_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class NodeSpace:
-    """Bijection node id <-> (country c, product p) with id = p * n_countries + c."""
-
-    n_countries: int
-    n_products: int
-
-    def __post_init__(self):
-        if self.n_countries < 1 or self.n_products < 1:
-            raise ValueError("node space needs at least one country and one product")
-
-    @property
-    def size(self) -> int:
-        return self.n_countries * self.n_products
-
-    def node_id(self, country: int, product: int) -> int:
-        if not 0 <= country < self.n_countries:
-            raise ValueError(f"country index {country} out of range")
-        if not 0 <= product < self.n_products:
-            raise ValueError(f"product index {product} out of range")
-        return product * self.n_countries + country
-
-
-@dataclass(frozen=True)
 class StochasticMatrix:
     """Column-stochastic link matrix S with the dangling columns kept implicit.
 
@@ -79,23 +57,20 @@ class StochasticMatrix:
     col: np.ndarray
     value: np.ndarray
     dangling: np.ndarray
-    space: NodeSpace
     registry: CountryRegistry
     direction: str
 
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
-        if self.blocks.shape != (self.space.n_products + 1,) or not (
-            self.row.shape == self.col.shape == self.value.shape == (self.blocks[-1],)
-        ):
-            raise ValueError(f"link arrays do not describe {self.space.n_products} product blocks")
+        if not self.row.shape == self.col.shape == self.value.shape == (self.blocks[-1],):
+            raise ValueError("link arrays must be blocks[-1] long")
         self.value.setflags(write=False)
         self.dangling.setflags(write=False)
 
     @property
     def size(self) -> int:
-        return self.space.size
+        return self.registry.n * (len(self.blocks) - 1)
 
     def column_sums(self) -> np.ndarray:
         return np.bincount(self.col, weights=self.value, minlength=self.size)
@@ -145,10 +120,6 @@ class GoogleMatrix:
     @property
     def size(self) -> int:
         return self.S.size
-
-    @property
-    def space(self) -> NodeSpace:
-        return self.S.space
 
     @property
     def registry(self) -> CountryRegistry:
@@ -203,7 +174,7 @@ def _solve_links(S: StochasticMatrix, alpha: float, rhs: np.ndarray, nodes: np.n
     ascend. alpha S has column sums at most alpha < 1, so no block is singular.
     """
     # node = p * n_countries + c, so each product is one run of the ascending nodes
-    bounds = np.searchsorted(nodes, S.space.n_countries * np.arange(S.space.n_products + 1))
+    bounds = np.searchsorted(nodes, S.registry.n * np.arange(len(S.blocks)))
     at = np.full(S.size, -1)   # a solved node's row in its block; block p reads product p's entries only
     for p, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         if lo < hi:
@@ -224,13 +195,12 @@ def build_stochastic(money: MoneyMatrix, direction: str = "direct") -> Stochasti
         raise ValueError(f"direction must be one of {DIRECTIONS}")
     if not money.value.size:
         raise EmptyNetworkError("money matrix has no flows; no network to build")
-    space = NodeSpace(money.n_countries, money.n_products)
     row, col = money.nodes if direction == "direct" else money.nodes[::-1]
-    sums = np.bincount(col, weights=money.value, minlength=space.size)
+    sums = np.bincount(col, weights=money.value, minlength=money.n_countries * money.n_products)
     dangling = sums == 0.0
     value = np.where(dangling, 1.0, sums)[col]
     np.divide(money.value, value, out=value)   # each flow over its column's sum, in place
-    return StochasticMatrix(money.blocks, row, col, value, dangling, space, money.registry, direction)
+    return StochasticMatrix(money.blocks, row, col, value, dangling, money.registry, direction)
 
 
 def build_personalization(money: MoneyMatrix, mode: str = "uniform-by-product") -> PersonalizationVector:
@@ -268,7 +238,7 @@ def make_google(S: StochasticMatrix, v: PersonalizationVector, alpha: float = 0.
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"damping alpha must lie in (0, 1), got {alpha}")
     if v.values.shape != (S.size,):
-        raise ValueError("personalization length does not match node space")
+        raise ValueError("personalization length does not match the node count")
     return GoogleMatrix(S, v, alpha)
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import binascii
 import csv
 import io
+import math
 import sys
 from array import array
 from bisect import bisect_left
@@ -183,6 +184,9 @@ class MoneyMatrix:
     Product p's flows are ``blocks[p]:blocks[p + 1]``. The constructor takes
     the pair (importer node ids, exporter node ids) and values in any order,
     validates and sorts them and drops zero values. The diagonal (c == c') is zero.
+    The total T must leave 2 n T finite, which bounds every float64 intermediate:
+    a column sum (<= T), a node's volume (<= 2T), the uniform teleport's n T, and
+    each of these once the sensitivities scale a slice by 1 + h < 2 (``analysis._differences``).
     """
 
     registry: CountryRegistry
@@ -209,6 +213,11 @@ class MoneyMatrix:
             raise ValueError("non-finite money entry (inf or nan)")
         if np.any(value < 0):
             raise ValueError("negative money entry")
+        with np.errstate(over="ignore"):   # an inf total is reported below, not warned about
+            total = float(value.sum())
+        if not math.isfinite(2 * n * total):
+            raise ValueError(f"total flow {total:.6g} over {n} countries is past the float64 headroom "
+                             f"{np.finfo(float).max / (2 * n):.6g} (largest float / 2n); scale the values down")
         key = into * n + exporter
         del exporter
         order = np.argsort(key, kind="stable")

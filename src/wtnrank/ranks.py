@@ -3,14 +3,14 @@
 PageRank is the stationary vector of the direct GoogleMatrix; CheiRank is
 the same computation on the inverted one. Rank indexes K order entities by
 descending probability with a deterministic tie-break (country code, then
-product index).
+product index). Node-level vectors carry the registry's codes; entry
+p * n + c is country c's node of product p.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from ._text import write_columns
 from .errors import EmptyNetworkError
-from .gmatrix import GoogleMatrix, NodeSpace
+from .gmatrix import GoogleMatrix
 from .ingest import MoneyMatrix
 
 #: Probability vectors are validated to sum to 1 within this.
@@ -45,20 +45,21 @@ class SolverReport:
 class ProbabilityVector:
     """Normalized distribution over nodes, countries or products.
 
-    ``keys`` hold the deterministic tie-break/display key of every entry:
-    (code, product) tuples at node level, codes at country level, product
-    indexes at product level. ``space`` is set for node-level vectors only.
+    ``codes`` name the entries for display and tie-breaks: one country code
+    per entry at country level, one product index per entry at product
+    level. At node level they are the registry's country codes, and entry
+    p * len(codes) + c is the node of country ``codes[c]`` and product p.
     """
 
     values: np.ndarray
     kind: str
     level: str
-    keys: tuple
-    space: NodeSpace | None = None
+    codes: tuple
 
     def __post_init__(self):
-        if len(self.keys) != len(self.values):
-            raise ValueError("one key per entry required")
+        n = len(self.codes)
+        if not n or len(self.values) % n or (self.level != "node" and len(self.values) != n):
+            raise ValueError(f"{len(self.values)} {self.level}-level values do not fit {n} codes")
 
     def validate(self, tol: float = PROBABILITY_TOL) -> None:
         if np.any(self.values < 0):
@@ -99,20 +100,14 @@ def _stationary(G: GoogleMatrix, z: np.ndarray, z_1: np.ndarray, tol: float) -> 
     x = z + z_1 * (z[dangling].sum() / (1.0 - z_1[dangling].sum()))
     x /= x.sum()
     residual = float(np.abs(G.apply(x) - x).sum())
-    keys = _node_keys(G.registry.codes, G.space.n_products)
-    vector = ProbabilityVector(x, _NODE_KINDS[G.direction], "node", keys, G.space)
+    vector = ProbabilityVector(x, _NODE_KINDS[G.direction], "node", G.registry.codes)
     return vector, SolverReport(1, residual, residual < tol)
 
 
-@lru_cache(maxsize=8)
-def _node_keys(codes: tuple[str, ...], n_products: int) -> tuple:
-    """The (code, product) key of every node p * n + c, built once per registry and product count."""
-    return tuple((code, p) for p in range(n_products) for code in codes)
-
-
 def order_indexes(P: ProbabilityVector) -> RankOrder:
-    """Rank entities by descending probability; ties break by ascending key."""
-    order = sorted(range(len(P.values)), key=lambda i: (-P.values[i], P.keys[i]))
+    """Rank entities by descending probability; ties break by code, then (at node level) product."""
+    n = len(P.codes)   # entry i is code i % n of product i // n, which is 0 above node level
+    order = sorted(range(len(P.values)), key=lambda i: (-P.values[i], P.codes[i % n], i // n))
     order = np.asarray(order, dtype=np.int64)
     rank_of = np.empty(len(order), dtype=np.int64)
     rank_of[order] = np.arange(1, len(order) + 1)
@@ -121,20 +116,18 @@ def order_indexes(P: ProbabilityVector) -> RankOrder:
 
 def aggregate_country(P: ProbabilityVector) -> ProbabilityVector:
     """Sum a node-level vector over products: P_c = sum_p P_(c,p)."""
-    if P.level != "node" or P.space is None:
+    if P.level != "node":
         raise ValueError("country aggregation needs a node-level vector")
-    table = P.values.reshape(P.space.n_products, P.space.n_countries)
-    codes = tuple(key[0] for key in P.keys[: P.space.n_countries])
-    return ProbabilityVector(table.sum(axis=0), P.kind, "country", codes)
+    table = P.values.reshape(-1, len(P.codes))
+    return ProbabilityVector(table.sum(axis=0), P.kind, "country", P.codes)
 
 
 def aggregate_product(P: ProbabilityVector) -> ProbabilityVector:
     """Sum a node-level vector over countries: P_p = sum_c P_(c,p)."""
-    if P.level != "node" or P.space is None:
+    if P.level != "node":
         raise ValueError("product aggregation needs a node-level vector")
-    table = P.values.reshape(P.space.n_products, P.space.n_countries)
-    keys = tuple(range(P.space.n_products))
-    return ProbabilityVector(table.sum(axis=1), P.kind, "product", keys)
+    table = P.values.reshape(-1, len(P.codes))
+    return ProbabilityVector(table.sum(axis=1), P.kind, "product", tuple(range(len(table))))
 
 
 def volume_probabilities(money: MoneyMatrix) -> tuple[ProbabilityVector, ProbabilityVector]:
@@ -143,10 +136,8 @@ def volume_probabilities(money: MoneyMatrix) -> tuple[ProbabilityVector, Probabi
     if total == 0.0:
         raise EmptyNetworkError("money matrix has zero total volume")
     imports, exports = money.node_volumes()
-    keys = _node_keys(money.registry.codes, money.n_products)
-    space = NodeSpace(money.n_countries, money.n_products)
-    p_hat = ProbabilityVector(imports / total, "import_volume", "node", keys, space)
-    p_hat_star = ProbabilityVector(exports / total, "export_volume", "node", keys, space)
+    p_hat = ProbabilityVector(imports / total, "import_volume", "node", money.registry.codes)
+    p_hat_star = ProbabilityVector(exports / total, "export_volume", "node", money.registry.codes)
     return p_hat, p_hat_star
 
 
@@ -233,10 +224,10 @@ def build_rank_table(
     export_c: ProbabilityVector,
 ) -> RankTable:
     """Combine the four country-level vectors into one indexed table."""
-    codes = pagerank_c.keys
+    codes = pagerank_c.codes
     for vec in (cheirank_c, import_c, export_c):
-        if vec.keys != codes:
-            raise ValueError("rank table inputs must share the same country keys")
+        if vec.codes != codes:
+            raise ValueError("rank table inputs must share the same country codes")
     return RankTable(
         codes=tuple(codes),
         P=pagerank_c.values,

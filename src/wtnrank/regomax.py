@@ -65,15 +65,15 @@ def subset_from_countries(
     G: GoogleMatrix,
     countries: Sequence[str],
 ) -> tuple[NodeSubset, tuple[str, ...]]:
-    """All products of the named countries, country-major, with node labels."""
+    """Node ids p * n + c of all products of the named countries, country-major, with labels ``code_p``."""
     repeated = sorted({code for code in countries if countries.count(code) > 1})
     if repeated:
         raise ValueError(f"subset names {', '.join(repeated)} more than once")
-    space = G.space
+    n, n_products = G.registry.n, G.size // G.registry.n
     indexed = [(code, G.registry.index_of(code)) for code in countries]
-    ids = tuple(space.node_id(c, p) for _, c in indexed for p in range(space.n_products))
-    labels = tuple(f"{code}_{p}" for code, _ in indexed for p in range(space.n_products))
-    return NodeSubset(ids, space.size), labels
+    ids = tuple(p * n + c for _, c in indexed for p in range(n_products))
+    labels = tuple(f"{code}_{p}" for code, _ in indexed for p in range(n_products))
+    return NodeSubset(ids, G.size), labels
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def reduced_google_matrix(G: GoogleMatrix, subset: NodeSubset) -> ReducedGoogleM
     """
     if subset.size_total != G.size:
         raise ValueError("subset was built for a different node space")
-    S, alpha, n_countries = G.S, G.alpha, G.space.n_countries
+    S, alpha, n_countries = G.S, G.alpha, G.registry.n
     r_ids = np.asarray(subset.node_ids, dtype=np.int64)
     s_ids = subset.complement()
     product = r_ids // n_countries
@@ -147,7 +147,7 @@ def reduced_google_matrix(G: GoogleMatrix, subset: NodeSubset) -> ReducedGoogleM
     del row_kept, col_kept
     rhs[np.searchsorted(s_ids, S.row[sr]), slot[at[S.col[sr]]]] = alpha * S.value[sr]
     Z = _solve_links(S, alpha, rhs, s_ids)   # [B, Y] = A^{-1} [alpha S_sr, U]
-    bounds = np.searchsorted(s_ids, n_countries * np.arange(G.space.n_products + 1))
+    bounds = np.searchsorted(s_ids, n_countries * np.arange(len(S.blocks)))
     V = np.column_stack([S.dangling[s_ids], np.ones(len(s_ids))])
     VtZ = np.array([V[lo:hi].T @ Z[lo:hi] for lo, hi in zip(bounds, bounds[1:])])   # per product block
     K, VtB = VtZ[:, :, k:].sum(axis=0), VtZ[product, :, slot].T

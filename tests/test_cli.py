@@ -641,6 +641,23 @@ class TestFailureModes:
         assert f"wtnrank: error: line {line}:" in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("dump", ()), ("rank", ()), ("balance", ()), ("sensitivity", ("--sens-product", "0")),
+         ("regomax", ("--subset", "A,B")), ("pipeline", ("--subset", "A,B"))],
+    )
+    @pytest.mark.parametrize("flows", [("A,B,0,1e308",), ("A,B,0,1e308", "A,C,0,1e308")], ids=["one", "one-exporter"])
+    def test_total_past_float64_headroom_fails(self, tmp_path, capsys, command, extra, flows):
+        # 3 countries: the uniform teleport divides by 3 T, which one 1e308 flow already takes past float64
+        trade_file = tmp_path / "trade.csv"
+        rows = [f"{YEAR},{flow}" for flow in (*flows, "B,C,1,5", "C,A,0,7")]
+        trade_file.write_text("\n".join(["year,exporter,importer,sitc,value_usd", *rows]) + "\n")
+        out = tmp_path / "out"
+        assert run(command, trade_file, out, *extra) == 1
+        total = "1e+308" if len(flows) == 1 else "inf"
+        assert f"total flow {total} over 3 countries is past the float64 headroom" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_failed_pipeline_leaves_no_artifacts(self, trade_file, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()

@@ -7,7 +7,6 @@ import pytest
 
 from wtnrank import (
     MoneyMatrix,
-    NodeSpace,
     PersonalizationVector,
     StochasticMatrix,
     build_google,
@@ -33,15 +32,13 @@ from conftest import money_from_dense
 
 def uniform_google(n_countries=3, n_products=2, alpha=0.5):
     """All-dangling S: the implied G is exactly uniform 1/N."""
-    space = NodeSpace(n_countries, n_products)
-    n = space.size
+    n = n_countries * n_products
     S = StochasticMatrix(
         np.zeros(n_products + 1, dtype=np.int64),
         np.zeros(0, dtype=np.int64),
         np.zeros(0, dtype=np.int64),
         np.zeros(0),
         np.ones(n, dtype=bool),
-        space,
         synthetic_registry(n_countries),
         "direct",
     )
@@ -131,10 +128,30 @@ class TestBuildStochastic:
         col, row = np.nonzero(columns)
         S = StochasticMatrix(
             np.array([0, len(row)]), row, col, columns[col, row], np.array(dangling),
-            NodeSpace(2, 1), synthetic_registry(2), "direct",
+            synthetic_registry(2), "direct",
         )
         with pytest.raises(ValueError, match=message):
             S.validate()
+
+    def test_size_is_countries_times_product_blocks(self, small_money):
+        S = build_stochastic(small_money, "direct")
+        assert S.size == S.registry.n * (len(S.blocks) - 1) == small_money.n_countries * small_money.n_products
+        with pytest.raises(ValueError, match="blocks\\[-1\\] long"):
+            dataclasses.replace(S, blocks=S.blocks[:-1])
+
+    def test_total_inside_the_float64_headroom_builds_finite_operators(self):
+        # one exporter's two flows make a column sum and a node volume of T; the uniform teleport forms n T
+        n = 3
+        dense = np.zeros((2, n, n))
+        dense[0, 1, 0] = dense[0, 2, 0] = 0.999 * np.finfo(float).max / (2 * n) / 2
+        money = money_from_dense(dense)
+        for direction in ("direct", "inverted"):
+            for mode in ("uniform-by-product", "volume-by-country"):
+                G = build_google(money, direction, personalization=mode)
+                P, report = pagerank(G)
+                assert np.isfinite(G.v.values).all() and report.converged and np.isfinite(P.values).all()
+        with pytest.raises(ValueError, match=f"total flow .* over {n} countries is past the float64 headroom"):
+            money_from_dense(2.0 * dense)
 
 
 class TestPersonalization:
@@ -304,20 +321,6 @@ class TestBlockSolves:
             expected[rows] = np.linalg.solve(np.eye(n - 1) - G.alpha * links, expected[rows])
         assert _solve_links(G.S, G.alpha, rhs, nodes) is rhs
         assert np.array_equal(rhs, expected)
-
-
-class TestNodeSpace:
-    def test_layout(self):
-        space = NodeSpace(3, 2)
-        assert space.size == 6
-        assert space.node_id(2, 1) == 5
-        assert divmod(5, space.n_countries) == (1, 2)   # (product, country)
-
-    def test_roundtrip(self):
-        space = NodeSpace(4, 3)
-        for node in range(space.size):
-            product, country = divmod(node, space.n_countries)
-            assert space.node_id(country, product) == node
 
 
 class TestMatrixDump:

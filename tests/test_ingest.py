@@ -536,7 +536,8 @@ class TestLoad:
         monkeypatch.setattr(ingest._Rows, "totals", spy)
         blocs = {code: "BLC" for code in money.registry.codes[:10]}
         assert len(load_money_matrix(path, 2018, blocs).value) < len(money.value)
-        read(["2018,CHN,USA,7,1e308", "2018,USA,CHN,7,1e308"])
+        with pytest.raises(ValueError, match="total flow inf over 2 countries"):   # no sum overflows; the total does
+            read(["2018,CHN,USA,7,1e308", "2018,USA,CHN,7,1e308"])
         assert kept == [0, 2]   # the block that reaches the total keeps its lines
 
 
@@ -605,6 +606,8 @@ class TestMoneyMatrix:
             ([0], [0], [1], [np.nan], "non-finite"),
             ([0, 0], [0, 0], [1, 1], [1.0, 2.0], "duplicate"),
             ([0, 1], [0], [1], [1.0], "one length"),
+            ([0], [0], [1], [1e308], "total flow 1e\\+308 over 3 countries .* scale the values down"),
+            ([0, 0], [0, 0], [1, 2], [1e308, 1e308], "total flow inf over 3 countries"),
         ],
     )
     def test_constructor_validation(self, product, importer, exporter, value, message):

@@ -1,6 +1,7 @@
 """Static checks of the package's imports, read from each module's source with ``ast``."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,20 @@ def test_every_imported_name_is_read(module):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     unread = {name for name, _ in imports(tree)} - read - UNREAD.get(module, set())
     assert not unread, f"{module} imports {sorted(unread)} without reading them"
+
+
+def test_every_public_name_resolves():
+    # a name left in __all__ after its object is gone breaks ``from wtnrank import *``
+    missing = [name for name in wtnrank.__all__ if not hasattr(wtnrank, name)]
+    assert not missing, f"__all__ names {missing}, which wtnrank does not define"
+
+
+def test_readme_library_block_imports_public_names():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library\n+```python\n(.*?)```", readme, re.S).group(1)
+    names = {alias.name for node in ast.walk(ast.parse(block))
+             if isinstance(node, ast.ImportFrom) and node.module == "wtnrank" for alias in node.names}
+    assert names and names <= set(wtnrank.__all__), sorted(names - set(wtnrank.__all__))
 
 
 def test_only_testkit_imports_testkit():

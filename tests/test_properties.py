@@ -26,6 +26,9 @@ matches the literal dense block formula for subsets that keep all, none,
 one or some of a product's nodes, with idle nodes on both sides.
 """
 
+import contextlib
+import io
+import math
 import re
 import tempfile
 from decimal import MAX_PREC, Decimal, localcontext
@@ -40,7 +43,6 @@ from hypothesis.extra.numpy import arrays
 
 from wtnrank import (
     MoneyMatrix,
-    NodeSpace,
     NodeSubset,
     PersonalizationVector,
     SensitivityConfig,
@@ -152,20 +154,23 @@ def money_fields(money) -> tuple:
     return money.registry.codes, money.year, tuple((a.dtype.str, a.tobytes()) for a in arrays)
 
 
-def read_every_way(text: str, aggregation) -> list:
-    """Read ``text`` at the default block size and at 1 and 64 characters, then split by csv.
+def every_way(text: str) -> tuple:
+    """(block size, text) pairs: ``text`` at the default block size and at 1 and 64 characters, then split by csv.
 
     csv splits the whole file at the default block size and at 1 character,
-    which takes its rows one at a time. Returns each read's tensor, or its
-    ParseError as (message, line).
+    which takes its rows one at a time.
     """
     header, first, rest = text.split("\n", 2)
     cell, tail = first.split(",", 1)
     # a quoted cell in the first block hands the whole file to csv
     quoted = f'{header}\n"{cell}",{tail}\n{rest}'
+    return (ingest._BLOCK_CHARS, text), (1, text), (64, text), (ingest._BLOCK_CHARS, quoted), (1, quoted)
+
+
+def read_every_way(text: str, aggregation) -> list:
+    """Each read of ``text`` that :func:`every_way` names: its tensor, or its ParseError as (message, line)."""
     results = []
-    sizes = ((ingest._BLOCK_CHARS, text), (1, text), (64, text), (ingest._BLOCK_CHARS, quoted), (1, quoted))
-    for size, source in sizes:
+    for size, source in every_way(text):
         with mock.patch.object(ingest, "_BLOCK_CHARS", size):
             try:
                 results.append(read_money_matrix(source, YEAR, aggregation))
@@ -272,6 +277,13 @@ def test_sum_overflow_names_the_first_line_a_running_sum_passes_float64(cells):
                 sums[key] = sums.get(key, Decimal(0)) + Decimal(value)
                 if first is None and sums[key] >= ingest._FLOAT_OVERFLOW:
                     first = line
+    if first is None and any(e != i and Decimal(value) > 10**6 for e, i, value in cells):
+        # no sum overflows, but every huge value is past the total's float64 headroom, largest float / 2n
+        for size, source in every_way(render(rows)):
+            with mock.patch.object(ingest, "_BLOCK_CHARS", size):
+                with pytest.raises(ValueError, match="past the float64 headroom"):
+                    read_money_matrix(source, YEAR, {})
+        return
     for result in read_every_way(render(rows), {}):
         if first is None:
             assert isinstance(result, MoneyMatrix)
@@ -370,22 +382,26 @@ def pipeline_files(money, members, power=0, names=None, edit=list) -> dict[str, 
     """
     names = names or {code: code for code in (*money.registry.codes, BLOC)}
     back = {new: old for old, new in names.items()}
-    scaled = MoneyMatrix(money.registry, money.year, money.nodes, money.value * 2.0**power)
     # a code is a whole field or the part of a node label before its "_"
     forward, backward = (
         re.compile(r"(?<![A-Za-z0-9])(%s)(?![A-Za-z0-9])" % "|".join(map(re.escape, codes))) for codes in (names, back)
     )
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        path = write_trade_file(scaled, tmp / "trade.csv")
+        path = write_trade_file(money, tmp / "trade.csv")
         lines = [forward.sub(lambda m: names[m[0]], line) for line in path.read_text().splitlines()]
+        # scaled in the text, exactly, so that only the run judges a total near the top of the range
+        lines[1:] = [f"{row},{Decimal(float(value) * 2.0**power)}" for row, _, value in (l.rpartition(",") for l in lines[1:])]
         path.write_text("".join(f"{line}\n" for line in edit(lines)))
         argv = ["pipeline", "--input", path, "--year", money.year]
         if members:
             blocs = "".join(f"{names[m]},{names[BLOC]}\n" for m in members)
             (tmp / "blocs.csv").write_text(f"member_code,bloc_code\n{blocs}")
             argv += ["--aggregate", tmp / "blocs.csv"]
-        assert cli.main([*map(str, argv), "--out", str(tmp / "out")]) == 0
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main([*map(str, argv), "--out", str(tmp / "out")])
+        if code:
+            raise RuntimeError(f"pipeline exited {code}: {err.getvalue()}")
         return {path.name: backward.sub(lambda m: back[m[0]], path.read_text()) for path in (tmp / "out").iterdir()}
 
 
@@ -394,6 +410,22 @@ def pipeline_files(money, members, power=0, names=None, edit=list) -> dict[str, 
 def test_pipeline_ignores_a_power_of_two_scale(case, power):
     # the bloc's keys are summed exactly, and 2**power commutes with every rounding in the normal range
     assert pipeline_files(*case, power=power) == pipeline_files(*case)
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=bloc_tensors(), margin=st.sampled_from((-2, -1, 1, 2)), merge=st.booleans())
+def test_pipeline_near_the_float64_headroom_keeps_its_bytes_or_names_its_total(case, margin, merge):
+    # 2**power takes 2 n T of the unmerged tensor past the largest float when margin > 0, and keeps it below otherwise;
+    # a merged tensor has fewer countries and no larger a total, so its run may pass where the unmerged one fails
+    money, members = case
+    members = members if merge else []
+    power = margin + math.floor(math.log2(np.finfo(float).max / (2 * money.n_countries) / money.value.sum()))
+    try:
+        files = pipeline_files(money, members, power=power)
+    except RuntimeError as exc:
+        assert margin > 0 and "wtnrank: error: total flow" in str(exc) and "past the float64 headroom" in str(exc)
+    else:
+        assert (margin < 0 or members) and files == pipeline_files(money, members)
 
 
 @settings(max_examples=8, deadline=None)
@@ -611,14 +643,14 @@ def test_block_solves_match_dense_solves(dense, alpha):
                 assert np.all(Q.values >= 0.0)
 
 
-def read_dump(path: Path, sidecar: Path, space: NodeSpace, direction: str) -> tuple:
+def read_dump(path: Path, sidecar: Path, n_countries: int, n_products: int, direction: str) -> tuple:
     """blocks, row, col, value, dangling, v and alpha parsed back from a matrix dump.
 
     The triplets are put back in the money tensor's (product, importer,
     exporter) order; the importer is the row of a direct link and the column
     of an inverted one.
     """
-    n = space.size
+    n = n_countries * n_products
     lines = path.read_text().splitlines()
     assert lines[0] == "row,col,value"
     triplets = [line.split(",") for line in lines[1:]]
@@ -627,7 +659,7 @@ def read_dump(path: Path, sidecar: Path, space: NodeSpace, direction: str) -> tu
     value = np.array([float(x) for _, _, x in triplets])
     order = np.lexsort((col, row) if direction == "direct" else (row, col))
     row, col, value = row[order], col[order], value[order]
-    blocks = np.searchsorted(row // space.n_countries, np.arange(space.n_products + 1))
+    blocks = np.searchsorted(row // n_countries, np.arange(n_products + 1))
     meta = dict(line.split("=", 1) for line in sidecar.read_text().splitlines())
     dangling = np.zeros(n, dtype=bool)
     dangling[[int(i) for i in meta["dangling"].split(",") if i]] = True
@@ -641,13 +673,13 @@ def test_dump_rebuilds_the_operator(dense, alpha, direction):
     G = build_google(money_from_dense(dense), direction, alpha)
     with tempfile.TemporaryDirectory() as tmp:
         blocks, row, col, value, dangling, v, dumped_alpha = read_dump(
-            *write_matrix_dump(G, Path(tmp) / "gm.csv"), G.space, direction
+            *write_matrix_dump(G, Path(tmp) / "gm.csv"), G.registry.n, len(dense), direction
         )
     arrays = {"blocks": blocks, "row": row, "col": col, "value": value, "dangling": dangling}
     for name, array in arrays.items():
         assert np.array_equal(getattr(G.S, name), array), name
     assert np.array_equal(G.v.values, v) and dumped_alpha == G.alpha
-    S = StochasticMatrix(blocks, row, col, value, dangling, G.space, G.registry, direction)
+    S = StochasticMatrix(blocks, row, col, value, dangling, G.registry, direction)
     rebuilt = make_google(S, PersonalizationVector(v, G.v.mode), dumped_alpha)
     x = np.random.default_rng(0).random(G.size)
     assert rebuilt.apply(x).tobytes() == G.apply(x).tobytes()

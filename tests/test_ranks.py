@@ -98,8 +98,7 @@ class TestPagerank:
         P, _ = pagerank(build_google(small_money, "direct"))
         Pstar, _ = pagerank(build_google(small_money, "inverted", personalization="volume-by-country"))
         p_hat, p_hat_star = volume_probabilities(small_money)
-        assert P.keys is Pstar.keys is p_hat.keys is p_hat_star.keys
-        assert P.keys == tuple((code, p) for p in range(2) for code in small_money.registry.codes)
+        assert P.codes is Pstar.codes is p_hat.codes is p_hat_star.codes is small_money.registry.codes
 
 
 class TestOrderIndexes:
@@ -115,6 +114,27 @@ class TestOrderIndexes:
         order = order_indexes(P)
         assert list(order.order) == [1, 0, 2]  # CHN before FRA on equal probability
         assert list(order.rank_of) == [2, 1, 3]
+
+    def test_node_ties_break_by_code_then_product(self):
+        # entry p * 3 + c is codes[c]'s node of product p; the codes are not in sorted order
+        values = np.array([0.1, 0.1, 0.2, 0.1, 0.1, 0.2, 0.05, 0.1, 0.05])
+        P = ProbabilityVector(values, "pagerank", "node", ("FRA", "CHN", "USA"))
+        order = order_indexes(P)
+        # 0.2: USA_0 (2), USA_1 (5); 0.1: CHN_0 (1), CHN_1 (4), CHN_2 (7), FRA_0 (0), FRA_1 (3); 0.05: FRA_2, USA_2
+        assert list(order.order) == [2, 5, 1, 4, 7, 0, 3, 6, 8]
+
+    @pytest.mark.parametrize(
+        "level, length, fits",
+        [("country", 3, True), ("country", 6, False), ("product", 2, False), ("product", 3, True),
+         ("node", 6, True), ("node", 3, True), ("node", 4, False)],
+    )
+    def test_length_must_fit_the_codes(self, level, length, fits):
+        values, codes = np.full(length, 1.0 / length), ("C", "A", "B")
+        if fits:
+            assert len(ProbabilityVector(values, "pagerank", level, codes).values) == length
+        else:
+            with pytest.raises(ValueError, match=f"{length} {level}-level values do not fit 3 codes"):
+                ProbabilityVector(values, "pagerank", level, codes)
 
     def test_permutation(self, small_money):
         P, _ = pagerank(build_google(small_money))
@@ -137,12 +157,7 @@ class TestAggregation:
         assert np.allclose(aggregate_product(P).values, 1.0 / 2.0, atol=1e-15, rtol=0)
 
     def test_hand_sums(self):
-        space_keys = (("C000", 0), ("C001", 0), ("C000", 1), ("C001", 1))
-        from wtnrank import NodeSpace
-
-        P = ProbabilityVector(
-            np.array([0.1, 0.2, 0.3, 0.4]), "pagerank", "node", space_keys, NodeSpace(2, 2)
-        )
+        P = ProbabilityVector(np.array([0.1, 0.2, 0.3, 0.4]), "pagerank", "node", ("C000", "C001"))
         assert np.allclose(aggregate_country(P).values, [0.4, 0.6], atol=1e-15, rtol=0)
         assert np.allclose(aggregate_product(P).values, [0.3, 0.7], atol=1e-15, rtol=0)
 
@@ -238,7 +253,7 @@ class TestRankTable:
     def test_mismatched_keys_rejected(self, small_money):
         p_c, pstar_c, _ = gma_country_probabilities(small_money)
         shuffled = ProbabilityVector(
-            pstar_c.values, pstar_c.kind, "country", tuple(reversed(pstar_c.keys))
+            pstar_c.values, pstar_c.kind, "country", tuple(reversed(pstar_c.codes))
         )
         with pytest.raises(ValueError):
             build_rank_table(p_c, shuffled, p_c, p_c)

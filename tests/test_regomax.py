@@ -259,7 +259,7 @@ class TestSubsetFromCountries:
     def test_country_major_ids_and_labels(self, small_money):
         G = build_google(small_money)
         subset, labels = subset_from_countries(G, ["C003", "C000"])
-        n_c = G.space.n_countries
+        n_c = G.registry.n
         # node_id = p * n_countries + c, listed product-by-product per country
         assert subset.node_ids == (3, n_c + 3, 0, n_c + 0)
         assert labels == ("C003_0", "C003_1", "C000_0", "C000_1")
