@@ -3,8 +3,10 @@
 Reads delimited trade files (``year,exporter,importer,sitc,value_usd``)
 into the per-product money tensor in one pass: each row is checked, its
 country codes are mapped onto their bloc (e.g. the 27 EU members collapsed
-onto ``EUU``), self-flows are dropped and every other row's key, value and
-value text (and line, once a sum could overflow) are kept for the sums.
+onto ``EUU``), self-flows are dropped and every other row's 4-byte (product,
+importer, exporter) key, value and value text (and line, once a sum could
+overflow) are kept for the sums. The key gives each country 14 bits, so a
+read takes at most 16,384 distinct canonical codes.
 
 The text is read in blocks of about 64K characters of whole lines. While a
 block has no quote, NUL or lone carriage return and every line has the
@@ -23,8 +25,9 @@ and a value it rounds to 0 counts as 0. Its text is kept too, two characters
 a byte: a text of digits, ".", "e", "E", "+" and "-" as it is, any other
 (one with a space, a "_" or a non-ASCII digit) as its exact ``Decimal``'s
 text. After the pass, a sorted copy of the keys finds those with two or more
-rows; each is summed exactly, at ``decimal.MAX_PREC``, from its rows' text
-in file order, and the sum is rounded to float64 once. Either way each flow
+rows, which are indexed with 4-byte integers; each is summed exactly, at
+``decimal.MAX_PREC``, from its rows' text in file order, and the sum is
+rounded to float64 once. Either way each flow
 is rounded once, into the one entry :class:`MoneyMatrix` holds for it. The
 country registry is the sorted set of canonical codes of every row of the
 year.
@@ -71,11 +74,14 @@ _INF = float("inf")
 _FLOAT_OVERFLOW = Decimal(2**1024 - 2**970)
 # A float total of the values below it leaves every exact sum below _FLOAT_OVERFLOW.
 _HALF_MAX = sys.float_info.max / 2
-# Bits of a provisional country id in a packed (product, importer, exporter)
-# int64 key, which allows 2**29 distinct codes; the product takes the bits
-# above both ids.
-_ID_BITS = 29
+# Bits of a provisional country id in a packed 4-byte (product, importer, exporter) key of
+# 4 + 14 + 14 bits: a read takes at most 2**14 = 16,384 distinct canonical codes, and no
+# key reaches _NO_KEY, as no product passes 9.
+_ID_BITS = 14
 _ID_MASK = (1 << _ID_BITS) - 1
+_NO_KEY = np.uint32(2**32 - 1)
+# Row counts and packed text lengths below it are indexed with 4-byte integers.
+_INT32_LIMIT = 2**31
 # Characters a canonical country code may not hold, besides non-printable ones.
 _UNWRITABLE = ',"<&'
 # Characters of text read at a time, up to the end of the line; a quarter is the value text bytes scanned at a time.
@@ -204,7 +210,9 @@ class MoneyMatrix:
             raise ValueError("importer nodes, exporter nodes and value must be 1-D arrays of one length")
         if np.any((into < 0) | (into >= n_products * n)):
             raise ValueError(f"importer node's product index outside 0-{n_products - 1}")
-        exporter = out - (into - into % n)   # the exporter's country index in its importer's product
+        exporter = into % n
+        exporter -= into
+        exporter += out   # the exporter's country index in its importer's product
         if np.any((exporter < 0) | (exporter >= n)):
             raise ValueError("exporter node outside its importer's product: country index outside registry range")
         if np.any(into == out):
@@ -218,17 +226,20 @@ class MoneyMatrix:
         if not math.isfinite(2 * n * total):
             raise ValueError(f"total flow {total:.6g} over {n} countries is past the float64 headroom "
                              f"{np.finfo(float).max / (2 * n):.6g} (largest float / 2n); scale the values down")
-        key = into * n + exporter
+        key = into * n
+        key += exporter
         del exporter
         order = np.argsort(key, kind="stable")
-        key = key[order]
-        if np.any(key[1:] == key[:-1]):
-            raise ValueError("duplicate money entry for one (importer node, exporter node)")
         del key
-        keep = order[(value != 0)[order]]
+        order = order.astype(np.int32 if len(order) < _INT32_LIMIT else np.int64, copy=False)
+        nodes = into[order], out[order]   # copies: the caller's arrays are never aliased
+        value = value[order]
         del order
-        nodes = into[keep], out[keep]   # copies: the caller's arrays are never aliased
-        value = value[keep]
+        if np.any((nodes[0][1:] == nodes[0][:-1]) & (nodes[1][1:] == nodes[1][:-1])):
+            raise ValueError("duplicate money entry for one (importer node, exporter node)")
+        kept = value != 0
+        if not kept.all():
+            nodes, value = (nodes[0][kept], nodes[1][kept]), value[kept]
         blocks = np.searchsorted(nodes[0], n * np.arange(n_products + 1))
         for array in (*nodes, value, blocks):
             array.setflags(write=False)
@@ -340,9 +351,10 @@ def read_money_matrix(
     if not len(keys):
         raise NoRecordsError(year)
     position = np.array([registry._index[code] for code in ids], dtype=np.int64)
-    first = (keys >> 2 * _ID_BITS) * registry.n   # the node id of each flow's product's first country
-    nodes = first + position[keys >> _ID_BITS & _ID_MASK], first + position[keys & _ID_MASK]
-    del keys, first
+    nodes = position[keys >> _ID_BITS & _ID_MASK], position[keys & _ID_MASK]
+    for node in nodes:
+        node += (keys >> 2 * _ID_BITS) * registry.n   # the node id of the flow's product's first country
+    del keys
     return MoneyMatrix(registry, year, nodes, value)
 
 
@@ -375,9 +387,9 @@ class _Rows:
     """The flows of one read, row by row in file order, and the cells checked so far.
 
     :meth:`take` is the one place a row is checked. Each row of the year
-    that is not a mirror report or a self-flow appends its packed (product,
-    importer, exporter) key and float value to 8-byte row buffers and its
-    value text, two characters a byte, to a text buffer, which
+    that is not a mirror report or a self-flow appends its packed 4-byte
+    (product, importer, exporter) key and float64 value to row buffers, 12
+    bytes a row, and its value text, two characters a byte, to a text buffer, which
     :meth:`totals` sums to one entry per key and frees. Rows keep their line
     only from the block that takes the kept values' float total to half the
     largest float64; no sum can overflow before it, so the rows of a trade
@@ -397,7 +409,7 @@ class _Rows:
         self.countries: dict[str, int] = {}
         self.products: dict[str, int] = {}
         self.ids: dict[str, int] = {}   # canonical code -> provisional id, in order of first use
-        self.keys = array("q")
+        self.keys = bytearray()   # the packed 4-byte keys
         self.values = array("d")
         self.total = 0.0   # of the kept values, in float; no key's exact sum is larger, up to rounding
         self.lines = array("q")   # of the last rows, from the block that takes the total to _HALF_MAX
@@ -429,24 +441,29 @@ class _Rows:
         def reject(k):
             rejected[lines[k]] = [column[k] for column in columns]
 
-        def checked(i, cache, test):
-            """The distinct cells of column ``i``, caching each new one's ``test`` unless it fails."""
-            distinct = set(columns[i])
-            for cell in distinct.difference(cache):
-                try:
-                    cache[cell] = test(cell, 0)
-                except ParseError:
-                    reject(columns[i].index(cell))
+        def checked(cache, test, *cells):
+            """The distinct cells of the columns ``cells``, caching each new one's ``test`` unless it fails.
+
+            New cells are tested in the order the rows first use them, so country ids follow the file.
+            """
+            distinct = set().union(*cells)
+            new = distinct.difference(cache)
+            if new:
+                for cell in [cell for cell in dict.fromkeys(chain.from_iterable(zip(*cells))) if cell in new]:
+                    try:
+                        cache[cell] = test(cell, 0)
+                    except ParseError:
+                        reject(next(k for k, row in enumerate(zip(*cells)) if cell in row))
             return distinct
 
         for i, cache, test in tests[:2]:
-            if i is not None and not all(map(cache.get, checked(i, cache, test))):
+            if i is not None and not all(map(cache.get, checked(cache, test, columns[i]))):
                 # keep the rows of the year, then their export rows; a rejected row is dropped too
                 kept = list(map(cache.get, columns[i]))
                 columns = [list(compress(column, kept)) for column in columns]
                 lines = lines[np.array(kept, dtype=bool)]
-        for check in tests[2:5]:
-            checked(*check)
+        checked(self.countries, country, columns[i_exporter], columns[i_importer])
+        checked(self.products, _product_bits, columns[i_sitc])
         texts = list(columns[i_value])
         try:
             values = np.fromiter(map(float, texts), np.float64, len(texts))
@@ -471,7 +488,7 @@ class _Rows:
             texts = list(compress(texts, kept.tolist()))
             values, lines = values[kept], lines[kept]
         exporter, importer, product = (
-            np.fromiter(map(cache.__getitem__, columns[i]), np.int64, len(lines)) for i, cache, _ in tests[2:5]
+            np.fromiter(map(cache.__getitem__, columns[i]), np.uint32, len(lines)) for i, cache, _ in tests[2:5]
         )
         keys = product | importer << _ID_BITS | exporter
         flow = exporter != importer
@@ -480,7 +497,7 @@ class _Rows:
             texts = list(compress(texts, flow.tolist()))
         texts.append("")   # so that each text is followed by a ","
         self.texts += _packed(texts)
-        self.keys.frombytes(keys.tobytes())
+        self.keys += keys.tobytes()
         self.values.frombytes(values.tobytes())
         with np.errstate(over="ignore"):
             self.total += float(values.sum())
@@ -525,24 +542,29 @@ class _Rows:
         than once are summed exactly in Decimal from their text, in file
         order, and the sum is rounded to float once, into the key's first
         row. The overflow is the ParseError of the first line at which a sum
-        passes the float64 range, or None. One sorted copy of the keys finds
-        the repeated ones and a ``searchsorted`` marks their rows; only those
-        rows are grouped by a stable argsort and have their texts' bytes found
-        by :func:`_text_ends`; ``hexlify`` and ``_UNPACK`` read each back, its
+        passes the float64 range, or None. One sorted copy of the 4-byte keys
+        finds the repeated ones and a ``searchsorted`` marks their rows, a
+        piece at a time. Only those rows, as 4-byte indices while the rows
+        and the text bytes number below 2**31 (8-byte ones past that), have
+        their texts' bytes found by :func:`_text_ends` and are grouped by a
+        stable argsort; ``hexlify`` and ``_UNPACK`` read each text back, its
         "," and pad nibbles deleted. It frees the text before the rows are
         compacted.
         """
-        keys, values = np.frombuffer(self.keys, dtype=np.int64), np.frombuffer(self.values, dtype=np.float64)
+        keys, values = np.frombuffer(self.keys, dtype=np.uint32), np.frombuffer(self.values, dtype=np.float64)
         self.keys = self.values = None
         ordered = np.sort(keys)
-        repeated = np.append(-1, ordered[1:][ordered[1:] == ordered[:-1]])   # a key per later row; -1 is none
+        repeated = np.append(ordered[1:][ordered[1:] == ordered[:-1]], _NO_KEY)   # a key per later row, then none
         del ordered
-        at = np.searchsorted(repeated, keys)
-        single = np.take(repeated, at, out=at, mode="clip") != keys
-        del at, repeated
-        rows = np.flatnonzero(~single)   # the rows of repeated keys, ascending
-        group = np.argsort(keys[rows], kind="stable")   # each key's rows stay in file order
+        single, size = np.empty(len(keys), dtype=bool), max(_BLOCK_CHARS // 4, 1)   # no full-length int64 index
+        for start in range(0, len(keys), size):
+            piece = keys[start:start + size]
+            single[start:start + size] = repeated[np.searchsorted(repeated, piece)] != piece
+        del repeated
+        index = np.int32 if max(len(keys), len(self.texts)) < _INT32_LIMIT else np.int64
+        rows = np.flatnonzero(~single).astype(index)   # the rows of repeated keys, ascending
         starts, stops = _text_ends(self.texts, rows)
+        group = np.argsort(keys[rows], kind="stable")   # each key's rows stay in file order
         rows = rows[group]   # one copy at a time
         starts = starts[group]
         stops = stops[group]
@@ -562,7 +584,7 @@ class _Rows:
                 if total >= _FLOAT_OVERFLOW:
                     # the running sum only grows; it is checked from the key's second row on
                     n = max(2, bisect_left(list(accumulate(parts, initial=_ZERO)), _FLOAT_OVERFLOW))
-                    line = self.lines[rows[a + n - 1] - len(keys) + len(self.lines)]   # self.lines holds the last rows
+                    line = self.lines[int(rows[a + n - 1]) - len(keys) + len(self.lines)]   # self.lines holds the last rows
                     if overflow is None or line < overflow.line:
                         codes, key = list(self.ids), int(keys[rows[a]])
                         importer, exporter = codes[key >> _ID_BITS & _ID_MASK], codes[key & _ID_MASK]
@@ -585,14 +607,14 @@ def _packed(texts: list[str]) -> bytes:
 
 
 def _text_ends(texts: bytearray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where the packed texts of the ascending ``rows`` start and stop in ``texts``, in bytes.
+    """Where the packed texts of the ascending ``rows`` start and stop in ``texts``, in bytes, of ``rows``' dtype.
 
     Row k's text ends at the k-th e nibble, its ",", and starts after the one
     before; its bytes may also hold those two e nibbles and a pad f, but no
     other text's. One scan reads ``texts`` in pieces and keeps where the last
     text of the piece before ends.
     """
-    starts, stops = np.empty(len(rows), dtype=np.int64), np.empty(len(rows), dtype=np.int64)
+    starts, stops = np.empty(len(rows), dtype=rows.dtype), np.empty(len(rows), dtype=rows.dtype)
     ends, seen, found = np.zeros(1, dtype=np.int64), 0, 0   # ends[-1] is where the last text so far ends
     size = max(_BLOCK_CHARS // 4, 1)   # so that a piece's masks stay below the peak of the rest of totals
     for start in range(0, len(texts) if len(rows) else 0, size):
@@ -640,6 +662,8 @@ def _country_id(cell: str, line: int, aggregation: Mapping[str, str], ids: dict[
         raise ParseError(
             line, f"country code {canonical!r} holds a non-printable character, ',', '\"', '<' or '&'"
         )
+    if canonical not in ids and len(ids) > _ID_MASK:
+        raise ParseError(line, f"country code {canonical!r} is past the {len(ids):,} distinct country codes a read takes")
     return ids.setdefault(canonical, len(ids))
 
 

@@ -20,6 +20,7 @@ from wtnrank import ingest
 from wtnrank.errors import NoRecordsError, ParseError, UnknownCountryError
 from wtnrank.testkit import SyntheticSpec, synthetic_money, synthetic_registry, transposed, write_trade_file
 
+from comtrade_shape import comtrade_flows, write_comtrade_file
 from conftest import flows
 
 HEADER = "year,exporter,importer,sitc,value_usd"
@@ -486,24 +487,31 @@ class TestLoad:
         assert money.registry.codes == ("EUU", "USA")
         assert flows(money) == [(3, 1, 0, 15.0)]
 
-    # the traced peak above the value text is about 9 and 21 bytes a row, and above the packed text
-    # (half the characters) about 33 and 44; a UTF-8 text buffer gave 57 and 70. With the bloc it is
-    # in the sum pass: the 16-byte key and value row buffers and the grouped rows of repeated keys.
-    # Without it, it is in the reading pass: the row buffers and the cells of one text block, which
-    # weigh more a row in the smaller file. A line buffer, a full-length permutation or the block's
-    # text adds 8 or more
+    # the traced peak above the value text is about 1, 16 and 24 bytes a row, and above the packed text (half
+    # the characters) about 24, 39 and 26; a UTF-8 text buffer gave 57 and 70 for the first two. With the bloc and
+    # without it, the peak is in the reading pass: the 12-byte key and value row buffers, the packed text and the
+    # cells of one text block, which weigh more a row in the smaller file. In the COMTRADE-shaped file, whose texts
+    # are short integers and whose keys nearly all repeat, it is in the sum pass: the row buffers, the sorted
+    # 4-byte keys and the 4-byte indices, text starts and stops of the repeated rows. Each bound is its peak plus
+    # 4 bytes a row. A line buffer, a full-length int64 permutation or the block's text adds 8 or more
     @pytest.mark.parametrize(
         "n_countries,density,members,bound,packed_bound",
-        [(120, 0.3, 20, 40.0, 42.0), (60, 0.5, 0, 56.0, 54.0)],
-        ids=["bloc", "no-bloc"],
+        [(120, 0.3, 20, 5.0, 28.0), (60, 0.5, 0, 20.0, 43.5), (40, None, 0, 28.0, 30.5)],
+        ids=["bloc", "no-bloc", "comtrade"],
     )
     def test_peak_memory_per_row(self, monkeypatch, tmp_path, n_countries, density, members, bound, packed_bound):
-        money = synthetic_money(SyntheticSpec(seed=7, n_countries=n_countries, n_products=10, density=density))
-        path = write_trade_file(money, tmp_path / "trade.csv")
+        if density is None:   # mirror reports, integer texts and three-digit SITC codes, 1-15 rows a flow
+            path = write_comtrade_file(tmp_path / "trade.csv", 1, n_countries)
+            codes, *_, totals = comtrade_flows(1, n_countries)
+            flow_count = len(totals)
+        else:
+            money = synthetic_money(SyntheticSpec(seed=7, n_countries=n_countries, n_products=10, density=density))
+            path = write_trade_file(money, tmp_path / "trade.csv")
+            codes, flow_count = money.registry.codes, len(money.value)
         rows = path.read_text().splitlines()[1:]
-        text = sum(len(row.rsplit(",", 1)[1]) for row in rows)
+        text = sum(len(row.split(",")[4]) for row in rows)
         blocks = -(-len(path.read_text()) // ingest._BLOCK_CHARS)   # the most blocks a read takes
-        blocs = {code: "BLC" for code in money.registry.codes[:members]}
+        blocs = {code: "BLC" for code in codes[:members]}
         held, totals = [], ingest._Rows.totals
 
         def spy(kept):
@@ -517,11 +525,17 @@ class TestLoad:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(loaded.value) < len(rows) if members else len(loaded.value) == len(rows)
+        assert len(loaded.value) < flow_count if members else len(loaded.value) == flow_count
         assert (peak - text) / len(rows) < bound
         assert (peak - text / 2) / len(rows) < packed_bound
         # two characters a byte: each text, its "," and at most one pad a block
         assert held == [held[0]] and held[0] <= (text + len(rows) + blocks) / 2 + 1
+
+    def test_comtrade_shaped_file_reads_as_its_integer_flows(self, tmp_path):
+        codes, *columns = comtrade_flows(1, 20)
+        money = load_money_matrix(write_comtrade_file(tmp_path / "trade.csv", 1, 20), 2018)
+        assert money.registry.codes == codes
+        assert flows(money) == sorted(zip(*(column.tolist() for column in columns[:3]), columns[3].astype(float).tolist()))
 
     def test_trade_file_keeps_no_line(self, monkeypatch, tmp_path):
         # no sum can overflow until the kept values total half the largest float64

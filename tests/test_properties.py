@@ -359,6 +359,18 @@ def test_ingest_error_is_the_same_however_the_file_is_read(generated, data):
     assert results[0][1] == k + 2
 
 
+def test_a_read_takes_16384_country_codes_and_names_the_line_of_one_more():
+    # the 4-byte key gives a country 14 bits; the code past them is the first error, before a later bad row
+    codes = [f"K{i:05d}" for i in range(2**14 + 1)]
+    rows = [(YEAR, codes[i], codes[i + 1], "7", "1", "x") for i in range(0, 2**14, 2)]
+    assert read_rows(rows, {}).registry.codes == tuple(codes[:-1])
+    more = rows + [(YEAR, codes[0], codes[-1], "7", "1", "x"), (YEAR, codes[0], codes[1], "X1", "1", "x")]
+    results = read_every_way(render(more), {})
+    assert len(set(results)) == 1
+    message, line = results[0]
+    assert line == len(rows) + 2 and "'K16384' is past the 16,384 distinct country codes" in message
+
+
 #: The bloc code of the whole-run invariance tests; it sorts after every synthetic code.
 BLOC = "EUU"
 
@@ -769,6 +781,19 @@ def oracle_balance(money, source: str, personalization: str) -> np.ndarray:
         return (Pstar - P) / (Pstar + P)
 
 
+def perturbed(money, product, delta, country=None, side="export"):
+    """``perturb_money`` of ``money`` first scaled down by a power of two, when its total passes 1.
+
+    A common scale moves no balance and no dB/ddelta, and a power of two
+    scales each value exactly, so the oracle can perturb a tensor whose
+    scaled total would pass the float64 headroom that ``MoneyMatrix`` keeps.
+    """
+    exponent = math.frexp(float(money.value.sum()))[1]
+    if exponent > 0:
+        money = MoneyMatrix(money.registry, money.year, money.nodes, np.ldexp(money.value, -exponent), money.n_products)
+    return perturb_money(money, product, delta, country, side)
+
+
 @settings(max_examples=40)
 @given(
     dense=dense_tensors(),
@@ -783,7 +808,7 @@ def test_global_difference_matches_rebuilt_oracle(dense, data, source, personali
     result = sensitivity_richardson(money, config)
     for key, h in (("d_h", config.step), ("d_h2", config.step / 2), ("d_h4", config.step / 4)):
         values = result[key]
-        up, down = (oracle_balance(perturb_money(money, product, d), source, personalization) for d in (h, -h))
+        up, down = (oracle_balance(perturbed(money, product, d), source, personalization) for d in (h, -h))
         error = np.abs(values - (up - down) / (2.0 * h))[trading(dense)]
         assert np.max(error, initial=0.0) <= GLOBAL_DIFFERENCE_TOL, (h, error)
 
@@ -803,7 +828,7 @@ def test_gma_country_difference_matches_rebuilt_oracle(dense, data, side, person
     result = sensitivity_richardson(money, config)
     for key, h in (("d_h", config.step), ("d_h2", config.step / 2), ("d_h4", config.step / 4)):
         up, down = (
-            oracle_balance(perturb_money(money, product, d, country, side), "gma", personalization)
+            oracle_balance(perturbed(money, product, d, country, side), "gma", personalization)
             for d in (h, -h)
         )
         error = np.abs(result[key] - (up - down) / (2.0 * h))[trading(dense)]
@@ -848,12 +873,29 @@ def test_iea_country_difference_matches_perturbed_shares(data, dense, side):
     values, reports = sens.values, sens.reports
     balances = []
     for delta in (config.step, -config.step):
-        perturbed = perturb_money(money, product, delta, config.country, side)
-        P, Pstar = (aggregate_country(x) for x in volume_probabilities(perturbed))
+        P, Pstar = (aggregate_country(x) for x in volume_probabilities(perturbed(money, product, delta, country, side)))
         balances.append(trade_balance(P, Pstar, "iea").values)
     error = np.abs(values - (balances[0] - balances[1]) / (2.0 * config.step))[trading(dense)]
     assert np.max(error, initial=0.0) <= IEA_DIFFERENCE_TOL
     assert reports == ()
+
+
+@pytest.mark.parametrize("source", ("gma", "iea"))
+@pytest.mark.parametrize("country", (None, "C001"))
+def test_oracle_referees_a_step_near_the_float64_headroom(country, source):
+    # product 0 holds 7/8 of the total and C001's exports 3/4 of it: at 0.9 of the headroom, 1 + 0.5 takes it past
+    dense = np.zeros((2, 3, 3))
+    dense[0, 0, 1], dense[0, 2, 1], dense[0, 1, 2] = 4.0, 2.0, 1.0
+    dense[1, 0, 2] = 1.0
+    dense *= 0.9 * np.finfo(float).max / (2 * 3) / dense.sum()
+    money = money_from_dense(dense)
+    config = SensitivityConfig(product=0, country=country, step=0.5, source=source)
+    with pytest.raises(ValueError, match="past the float64 headroom"):
+        perturb_money(money, 0, config.step, country)
+    sens = balance_sensitivity(money, config)
+    up, down = (oracle_balance(perturbed(money, 0, d, country), source, config.personalization) for d in (0.5, -0.5))
+    error = np.abs(sens.values - (up - down) / (2.0 * config.step))[trading(dense)]
+    assert np.max(error, initial=0.0) <= GLOBAL_DIFFERENCE_TOL, error
 
 
 #: Largest deviation of the reduced matrix from the dense block formula's.
