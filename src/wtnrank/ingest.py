@@ -27,10 +27,9 @@ a byte: a text of digits, ".", "e", "E", "+" and "-" as it is, any other
 text. After the pass, a sorted copy of the keys finds those with two or more
 rows, which are indexed with 4-byte integers; each is summed exactly, at
 ``decimal.MAX_PREC``, from its rows' text in file order, and the sum is
-rounded to float64 once. Either way each flow
-is rounded once, into the one entry :class:`MoneyMatrix` holds for it. The
-country registry is the sorted set of canonical codes of every row of the
-year.
+rounded to float64 once. Either way each flow is rounded once, into the one
+entry :class:`MoneyMatrix` holds for it. The country registry is the sorted
+set of canonical codes of every row of the year.
 """
 
 from __future__ import annotations
@@ -84,7 +83,8 @@ _NO_KEY = np.uint32(2**32 - 1)
 _INT32_LIMIT = 2**31
 # Characters a canonical country code may not hold, besides non-printable ones.
 _UNWRITABLE = ',"<&'
-# Characters of text read at a time, up to the end of the line; a quarter is the value text bytes scanned at a time.
+# Characters of text read at a time, up to the end of the line; a quarter is the keys marked, or the value text
+# bytes scanned, at a time.
 _BLOCK_CHARS = 1 << 16
 # Field that closes each line of a block str.split splits; a block holding it goes to csv.
 _MARK = "\x01"
@@ -389,8 +389,8 @@ class _Rows:
     :meth:`take` is the one place a row is checked. Each row of the year
     that is not a mirror report or a self-flow appends its packed 4-byte
     (product, importer, exporter) key and float64 value to row buffers, 12
-    bytes a row, and its value text, two characters a byte, to a text buffer, which
-    :meth:`totals` sums to one entry per key and frees. Rows keep their line
+    bytes a row, and its value text, two characters a byte, to a text
+    buffer, which :meth:`totals` sums to one entry per key and frees. Rows keep their line
     only from the block that takes the kept values' float total to half the
     largest float64; no sum can overflow before it, so the rows of a trade
     file keep none.
