@@ -39,7 +39,6 @@ from .gmatrix import (
     build_google,
     build_personalization,
     build_stochastic,
-    make_google,
     write_matrix_dump,
 )
 from .ingest import (
@@ -105,7 +104,6 @@ __all__ = [
     "iea_balance",
     "iea_country_probabilities",
     "load_money_matrix",
-    "make_google",
     "order_indexes",
     "pagerank",
     "rank_plane_points",

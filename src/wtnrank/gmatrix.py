@@ -107,11 +107,21 @@ class PersonalizationVector:
 
 @dataclass(frozen=True)   # over read-only arrays, so _link_solves cannot go stale; replace() solves afresh
 class GoogleMatrix:
-    """Damped operator alpha*S' + (1-alpha)*v 1^T, applied without densifying."""
+    """Damped operator alpha*S' + (1-alpha)*v 1^T, applied without densifying.
+
+    alpha must lie strictly inside (0, 1) and v must hold one entry per node
+    of S; the constructor, and so every ``replace()``, checks both.
+    """
 
     S: StochasticMatrix
     v: PersonalizationVector
     alpha: float
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"damping alpha must lie in (0, 1), got {self.alpha}")
+        if self.v.values.shape != (self.S.size,):
+            raise ValueError("personalization length does not match the node count")
 
     @property
     def direction(self) -> str:
@@ -233,15 +243,6 @@ def _teleport(nodes: tuple, value: np.ndarray, n_countries: int, n_products: int
     return ((product_volume / total)[:, None] * shares).ravel()
 
 
-def make_google(S: StochasticMatrix, v: PersonalizationVector, alpha: float = 0.5) -> GoogleMatrix:
-    """Assemble the damped operator; alpha must lie strictly inside (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"damping alpha must lie in (0, 1), got {alpha}")
-    if v.values.shape != (S.size,):
-        raise ValueError("personalization length does not match the node count")
-    return GoogleMatrix(S, v, alpha)
-
-
 def build_google(
     money: MoneyMatrix,
     direction: str = "direct",
@@ -251,7 +252,7 @@ def build_google(
     """Money tensor -> GoogleMatrix in one step (shared v formula per direction)."""
     S = build_stochastic(money, direction)
     v = build_personalization(money, personalization)
-    return make_google(S, v, alpha)
+    return GoogleMatrix(S, v, alpha)
 
 
 def write_matrix_dump(G: GoogleMatrix, path) -> tuple[Path, Path]:

@@ -25,11 +25,13 @@ and a value it rounds to 0 counts as 0. Its text is kept too, two characters
 a byte: a text of digits, ".", "e", "E", "+" and "-" as it is, any other
 (one with a space, a "_" or a non-ASCII digit) as its exact ``Decimal``'s
 text. After the pass, a sorted copy of the keys finds those with two or more
-rows, which are indexed with 4-byte integers; each is summed exactly, at
-``decimal.MAX_PREC``, from its rows' text in file order, and the sum is
-rounded to float64 once. Either way each flow is rounded once, into the one
-entry :class:`MoneyMatrix` holds for it. The country registry is the sorted
-set of canonical codes of every row of the year.
+rows and counts each one's rows. Their texts are read back in file order, a
+block at a time, and each is summed exactly, at ``decimal.MAX_PREC``: the
+pass holds one running ``Decimal`` per such key whose rows have not all been
+read, and rounds it to float64 once, at the key's last row. Either way each
+flow is rounded once, into the one entry :class:`MoneyMatrix` holds for it.
+The country registry is the sorted set of canonical codes of every row of
+the year.
 """
 
 from __future__ import annotations
@@ -40,10 +42,9 @@ import io
 import math
 import sys
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from decimal import MAX_PREC, Decimal, InvalidOperation, localcontext
-from itertools import accumulate, chain, compress, islice
+from itertools import chain, compress, islice
 from typing import IO, Iterable, Mapping
 
 import numpy as np
@@ -79,20 +80,19 @@ _HALF_MAX = sys.float_info.max / 2
 _ID_BITS = 14
 _ID_MASK = (1 << _ID_BITS) - 1
 _NO_KEY = np.uint32(2**32 - 1)
-# Row counts and packed text lengths below it are indexed with 4-byte integers.
+# MoneyMatrix sorts fewer entries than this with a 4-byte permutation.
 _INT32_LIMIT = 2**31
 # Characters a canonical country code may not hold, besides non-printable ones.
 _UNWRITABLE = ',"<&'
-# Characters of text read at a time, up to the end of the line; a quarter is the keys marked, or the value text
-# bytes scanned, at a time.
+# Characters of text read at a time, up to the end of the line; a quarter is the keys marked at a time.
 _BLOCK_CHARS = 1 << 16
 # Field that closes each line of a block str.split splits; a block holding it goes to csv.
 _MARK = "\x01"
 # A value text's UTF-8 bytes as hex digits, for unhexlify to pack two a byte: 0-9 as they are,
 # ".eE+-" as a-d, the "," that closes each text as e and any other byte as x, which it rejects.
-# A block of an odd length ends in a pad f.
+# A block of an odd length ends in a pad f. _UNPACK maps a-e back to ".e+-,".
 _PACK = bytes(dict(zip(b"0123456789.eE+-,", b"0123456789abbcde")).get(c, ord("x")) for c in range(256))
-_UNPACK = bytes.maketrans(b"abcd", b".e+-")
+_UNPACK = bytes.maketrans(b"abcde", b".e+-,")
 _PLAIN = frozenset("0123456789.eE+-")
 
 
@@ -331,10 +331,10 @@ def read_money_matrix(
             line += n
         if not hasattr(lines, "read"):   # the lines of an iterable, or from the first block str.split refused
             rows.take_rows(csv.reader(lines), line)
-    except ParseError as exc:
-        # a sum that overflowed on an earlier line was the first error in the file
+    except ParseError:
+        # the rows kept before a parse error come before its line, so a sum they overflow is the first error
         overflow = rows.totals()[2]
-        if overflow is not None and overflow.line < exc.line:
+        if overflow is not None:
             raise overflow from None
         raise
     keys, value, overflow = rows.totals()   # frees the row buffers
@@ -390,10 +390,11 @@ class _Rows:
     that is not a mirror report or a self-flow appends its packed 4-byte
     (product, importer, exporter) key and float64 value to row buffers, 12
     bytes a row, and its value text, two characters a byte, to a text
-    buffer, which :meth:`totals` sums to one entry per key and frees. Rows keep their line
-    only from the block that takes the kept values' float total to half the
-    largest float64; no sum can overflow before it, so the rows of a trade
-    file keep none.
+    buffer; ``starts`` records where each taken block's rows and text bytes
+    start. :meth:`totals` sums them to one entry per key and frees them.
+    Rows keep their line only from the block that takes the kept values'
+    float total to half the largest float64; no sum can overflow before it,
+    so the rows of a trade file keep none.
     """
 
     def __init__(self, header: list[str], year: int, aggregation: Mapping[str, str]):
@@ -415,6 +416,7 @@ class _Rows:
         self.lines = array("q")   # of the last rows, from the block that takes the total to _HALF_MAX
         # packed value texts, each closed by a "," (an e nibble) that no text holds: row k's ends at the k-th
         self.texts = bytearray()
+        self.starts: list[tuple[int, int]] = []   # each taken block's first row and first text byte
 
     def take(self, columns, lines) -> None:
         """Check and keep rows given as columns of cells, one sequence per header column.
@@ -496,6 +498,7 @@ class _Rows:
             keys, values, lines = keys[flow], values[flow], lines[flow]
             texts = list(compress(texts, flow.tolist()))
         texts.append("")   # so that each text is followed by a ","
+        self.starts.append((len(self.values), len(self.texts)))
         self.texts += _packed(texts)
         self.keys += keys.tobytes()
         self.values.frombytes(values.tobytes())
@@ -538,21 +541,22 @@ class _Rows:
     def totals(self) -> tuple[np.ndarray, np.ndarray, ParseError | None]:
         """The distinct keys in any order, the float of each one's flow, and any sum overflow.
 
-        A key met once keeps its row's float. The rows of a key met more
-        than once are summed exactly in Decimal from their text, in file
-        order, and the sum is rounded to float once, into the key's first
-        row. The overflow is the ParseError of the first line at which a sum
-        passes the float64 range, or None. One sorted copy of the 4-byte keys
-        finds the repeated ones and a ``searchsorted`` marks their rows, a
-        piece at a time. Only those rows, as 4-byte indices while the rows
-        and the text bytes number below 2**31 (8-byte ones past that), have
-        their texts' bytes found by :func:`_text_ends` and are grouped by a
-        stable argsort; ``hexlify`` and ``_UNPACK`` read each text back, its
-        "," and pad nibbles deleted. It frees the text before the rows are
-        compacted.
+        A key met once keeps its row's float. One sorted copy of the 4-byte
+        keys finds the keys met more than once and how many rows each has,
+        and a ``searchsorted`` marks their rows, a piece at a time. Those
+        rows are read back in file order, one taken block at a time: a block
+        that holds one is ``hexlify``-ed once and split at its "," nibbles,
+        and each row adds its text's Decimal to its key's running sum. At
+        the key's last row the exact sum is rounded to float once, into that
+        row, and dropped, so the pass holds one running Decimal per repeated
+        key whose rows have not all been read. The overflow is the
+        ParseError of the first line at which a running sum passes the
+        float64 range, or None; with one, the keys and floats are returned
+        unsummed. It frees the text before the rows are compacted.
         """
         keys, values = np.frombuffer(self.keys, dtype=np.uint32), np.frombuffer(self.values, dtype=np.float64)
-        self.keys = self.values = None
+        starts, texts, lines = self.starts + [(len(keys), len(self.texts))], self.texts, self.lines
+        self.keys = self.values = self.starts = self.texts = self.lines = None
         ordered = np.sort(keys)
         repeated = np.append(ordered[1:][ordered[1:] == ordered[:-1]], _NO_KEY)   # a key per later row, then none
         del ordered
@@ -560,41 +564,37 @@ class _Rows:
         for start in range(0, len(keys), size):
             piece = keys[start:start + size]
             single[start:start + size] = repeated[np.searchsorted(repeated, piece)] != piece
-        del repeated
-        index = np.int32 if max(len(keys), len(self.texts)) < _INT32_LIMIT else np.int64
-        rows = np.flatnonzero(~single).astype(index)   # the rows of repeated keys, ascending
-        starts, stops = _text_ends(self.texts, rows)
-        group = np.argsort(keys[rows], kind="stable")   # each key's rows stay in file order
-        rows = rows[group]   # one copy at a time
-        starts = starts[group]
-        stops = stops[group]
-        del group
-        grouped = keys[rows]
-        firsts = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1   # each key's first row, but the first key's
-        del grouped
-        bounds = [0, *firsts.tolist(), len(rows)] if len(rows) else []
-        texts, overflow = self.texts, None
+        ends = np.flatnonzero(repeated[1:] != repeated[:-1])   # each repeated key's last entry
+        distinct = repeated[ends]   # the repeated keys, ascending
+        left = (np.diff(ends, prepend=-1) + 1).tolist()   # each one's rows not yet read
+        del repeated, ends
+        sums = {}   # index into distinct -> running sum, while some of its key's rows are not read
         with localcontext() as ctx:
             ctx.prec = _MONEY_PRECISION
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                spans = zip(starts[a:b].tolist(), stops[a:b].tolist())
-                parts = [Decimal(binascii.hexlify(texts[i:j]).translate(_UNPACK, b"ef").decode()) for i, j in spans]
-                total = sum(parts, _ZERO)
-                values[rows[a]] = float(total)
-                if total >= _FLOAT_OVERFLOW:
-                    # the running sum only grows; it is checked from the key's second row on
-                    n = max(2, bisect_left(list(accumulate(parts, initial=_ZERO)), _FLOAT_OVERFLOW))
-                    line = self.lines[int(rows[a + n - 1]) - len(keys) + len(self.lines)]   # self.lines holds the last rows
-                    if overflow is None or line < overflow.line:
-                        codes, key = list(self.ids), int(keys[rows[a]])
+            for (start, at), (stop, end) in zip(starts[:-1], starts[1:]):
+                rows = np.flatnonzero(~single[start:stop])
+                if not len(rows):
+                    continue
+                parts = binascii.hexlify(texts[at:end]).translate(_UNPACK, b"f").decode().split(",")
+                for k, j in zip(rows.tolist(), np.searchsorted(distinct, keys[start:stop][rows]).tolist()):
+                    total = sums.get(j, _ZERO) + Decimal(parts[k])
+                    if total >= _FLOAT_OVERFLOW:   # rows arrive in file order, so no sum passed on an earlier line
+                        codes, key = list(self.ids), int(distinct[j])
                         importer, exporter = codes[key >> _ID_BITS & _ID_MASK], codes[key & _ID_MASK]
                         flow = f"(product {key >> 2 * _ID_BITS}, importer {importer}, exporter {exporter})"
-                        overflow = ParseError(line, f"sum of flow {flow} overflows float64")
-        self.lines = self.texts = texts = None
-        if len(rows):
-            single[rows[bounds[:-1]]] = True   # a repeated key's first row holds its sum
+                        line = lines[start + k - len(keys) + len(lines)]   # lines holds the last rows
+                        return keys, values, ParseError(line, f"sum of flow {flow} overflows float64")
+                    left[j] -= 1
+                    if left[j]:
+                        sums[j] = total
+                    else:   # the key's last row holds its sum
+                        del sums[j]
+                        values[start + k] = float(total)
+                        single[start + k] = True
+        del texts
+        if not single.all():
             keys, values = keys[single], values[single]
-        return keys, values, overflow
+        return keys, values, None
 
 
 def _packed(texts: list[str]) -> bytes:
@@ -604,38 +604,6 @@ def _packed(texts: list[str]) -> bytes:
         return binascii.unhexlify(block + b"f" if len(block) % 2 else block)
     except binascii.Error:   # a text holds another character, such as a space, "_" or a non-ASCII digit
         return _packed([text if _PLAIN.issuperset(text) else str(Decimal(text)) for text in texts])
-
-
-def _text_ends(texts: bytearray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where the packed texts of the ascending ``rows`` start and stop in ``texts``, in bytes, of ``rows``' dtype.
-
-    Row k's text ends at the k-th e nibble, its ",", and starts after the one
-    before; its bytes may also hold those two e nibbles and a pad f, but no
-    other text's. One scan reads ``texts`` in pieces and keeps where the last
-    text of the piece before ends.
-    """
-    starts, stops = np.empty(len(rows), dtype=rows.dtype), np.empty(len(rows), dtype=rows.dtype)
-    ends, seen, found = np.zeros(1, dtype=np.int64), 0, 0   # ends[-1] is where the last text so far ends
-    size = max(_BLOCK_CHARS // 4, 1)   # so that a piece's masks stay below the peak of the rest of totals
-    for start in range(0, len(texts) if len(rows) else 0, size):
-        piece = np.frombuffer(texts, np.uint8, min(size, len(texts) - start), start)
-        # a "," in the high nibble of byte i ends its text's bytes at i, in the low one at i + 1; no pad is
-        # high, and no byte holds two, as no text is empty, so the ends ascend with the bytes
-        low = (piece & 15) == 14
-        comma = piece >= 0xE0
-        comma |= low
-        hits = np.flatnonzero(comma)
-        del comma
-        hits += low[hits]
-        del low
-        hits += start
-        ends = np.concatenate((ends[-1:], hits))
-        del hits
-        stop = found + int(np.searchsorted(rows[found:], seen + len(ends) - 1))
-        at = rows[found:stop] - seen
-        starts[found:stop], stops[found:stop] = ends[at], ends[at + 1]
-        seen, found = seen + len(ends) - 1, stop
-    return starts, stops
 
 
 def _year_kept(cell: str, year: int, line: int) -> bool:

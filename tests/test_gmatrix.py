@@ -1,18 +1,19 @@
 """Stochastic-matrix construction, personalization, damped operator."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from wtnrank import (
+    GoogleMatrix,
     MoneyMatrix,
     PersonalizationVector,
     StochasticMatrix,
     build_google,
     build_personalization,
     build_stochastic,
-    make_google,
     pagerank,
     write_matrix_dump,
 )
@@ -43,7 +44,7 @@ def uniform_google(n_countries=3, n_products=2, alpha=0.5):
         "direct",
     )
     v = PersonalizationVector(np.full(n, 1.0 / n), "uniform-by-product")
-    return make_google(S, v, alpha)
+    return GoogleMatrix(S, v, alpha)
 
 
 class TestBuildStochastic:
@@ -200,12 +201,22 @@ class TestPersonalization:
 
 
 class TestMakeGoogle:
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, -0.2, math.nan])
     def test_alpha_open_interval(self, small_money, alpha):
         S = build_stochastic(small_money, "direct")
         v = build_personalization(small_money)
-        with pytest.raises(ValueError):
-            make_google(S, v, alpha)
+        with pytest.raises(ValueError, match="damping alpha must lie in"):
+            GoogleMatrix(S, v, alpha)
+        # a replace() is checked too: pagerank would otherwise report convergence, or residual nan, for any alpha
+        with pytest.raises(ValueError, match="damping alpha must lie in"):
+            dataclasses.replace(GoogleMatrix(S, v, 0.5), alpha=alpha)
+
+    def test_personalization_of_another_length(self, small_money):
+        G = build_google(small_money)
+        v = PersonalizationVector(np.full(G.size + 1, 1.0 / (G.size + 1)), G.v.mode)
+        for build in (lambda: GoogleMatrix(G.S, v, G.alpha), lambda: dataclasses.replace(G, v=v)):
+            with pytest.raises(ValueError, match="personalization length does not match the node count"):
+                build()
 
     def test_column_sums_via_basis_vectors(self, small_money):
         G = build_google(small_money)

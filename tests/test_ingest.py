@@ -487,19 +487,23 @@ class TestLoad:
         assert money.registry.codes == ("EUU", "USA")
         assert flows(money) == [(3, 1, 0, 15.0)]
 
-    # the traced peak above the value text is about 1, 16 and 24 bytes a row, and above the packed text (half
-    # the characters) about 24, 39 and 26; a UTF-8 text buffer gave 57 and 70 for the first two. With the bloc and
-    # without it, the peak is in the reading pass: the 12-byte key and value row buffers, the packed text and the
-    # cells of one text block, which weigh more a row in the smaller file. In the COMTRADE-shaped file, whose texts
-    # are short integers and whose keys nearly all repeat, it is in the sum pass: the row buffers, the sorted
-    # 4-byte keys and the 4-byte indices, text starts and stops of the repeated rows. Each bound is its peak plus
-    # 4 bytes a row. A line buffer, a full-length int64 permutation or the block's text adds 8 or more
+    # the traced peak above the value text is about 1, 16, 20 and 91 bytes a row, and above the packed text (half
+    # the characters) about 24, 40, 23 and 115; a UTF-8 text buffer gave 57 and 70 for the first two. In the first
+    # three files the peak is in the reading pass: the 12-byte key and value row buffers, the packed text and the
+    # cells of one text block, which weigh more a row in the smaller file and in the COMTRADE-shaped one, whose
+    # texts are short integers and a third of whose rows are mirror reports. The sum pass holds a running Decimal
+    # only for a key with rows still to come, and a COMTRADE-shaped key's rows lie close together. The doubled file
+    # lists every flow twice, the second copy after all the first, so every key stays open for the whole read: its
+    # peak is in the sum pass, a running Decimal of about 47 digits and its dict entry a key. Each bound is its
+    # peak plus 4 bytes a row. A line buffer, a full-length int64 permutation or the block's text adds 8 or more
     @pytest.mark.parametrize(
-        "n_countries,density,members,bound,packed_bound",
-        [(120, 0.3, 20, 5.0, 28.0), (60, 0.5, 0, 20.0, 43.5), (40, None, 0, 28.0, 30.5)],
-        ids=["bloc", "no-bloc", "comtrade"],
+        "n_countries,density,members,copies,bound,packed_bound",
+        [(120, 0.3, 20, 1, 5.0, 28.0), (60, 0.5, 0, 1, 20.0, 43.5), (40, None, 0, 1, 24.1, 26.6),
+         (60, 0.5, 0, 2, 95.3, 118.7)],
+        ids=["bloc", "no-bloc", "comtrade", "doubled"],
     )
-    def test_peak_memory_per_row(self, monkeypatch, tmp_path, n_countries, density, members, bound, packed_bound):
+    def test_peak_memory_per_row(self, monkeypatch, tmp_path, n_countries, density, members, copies, bound,
+                                 packed_bound):
         if density is None:   # mirror reports, integer texts and three-digit SITC codes, 1-15 rows a flow
             path = write_comtrade_file(tmp_path / "trade.csv", 1, n_countries)
             codes, *_, totals = comtrade_flows(1, n_countries)
@@ -508,7 +512,10 @@ class TestLoad:
             money = synthetic_money(SyntheticSpec(seed=7, n_countries=n_countries, n_products=10, density=density))
             path = write_trade_file(money, tmp_path / "trade.csv")
             codes, flow_count = money.registry.codes, len(money.value)
-        rows = path.read_text().splitlines()[1:]
+        header, *rows = path.read_text().splitlines()
+        if copies > 1:   # each copy of the rows after all of the one before
+            rows *= copies
+            path.write_text("\n".join([header] + rows) + "\n")
         text = sum(len(row.split(",")[4]) for row in rows)
         blocks = -(-len(path.read_text()) // ingest._BLOCK_CHARS)   # the most blocks a read takes
         blocs = {code: "BLC" for code in codes[:members]}

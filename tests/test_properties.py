@@ -42,6 +42,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wtnrank import (
+    GoogleMatrix,
     MoneyMatrix,
     NodeSubset,
     PersonalizationVector,
@@ -51,7 +52,6 @@ from wtnrank import (
     balance_sensitivity,
     build_google,
     build_stochastic,
-    make_google,
     read_money_matrix,
     reduced_google_matrix,
     sensitivity_richardson,
@@ -248,6 +248,34 @@ def test_ingest_matches_exact_oracle(generated):
     for size in (7, 65):
         with mock.patch.object(ingest, "_BLOCK_CHARS", size):
             assert money_fields(read_money_matrix(render(rows), YEAR, aggregation)) == money_fields(money)
+
+
+def test_repeated_keys_across_csv_chunks():
+    # the generated files hold at most 32 rows, so no key's rows span two of the chunks csv hands on; here each
+    # key's rows recur every 80 rows through all three, and a stretch across the first edge holds texts that
+    # are packed as their Decimal's text
+    codes = MEMBERS[:2] + OTHERS
+
+    def value(i):
+        if 950 <= i < 1100:
+            return f" {i} " if i % 2 else f"{i * 1000:_}"
+        return f"{i}.{i % 100:02d}"
+
+    rows = [(YEAR, codes[i % 4], codes[i // 4 % 4], str(i % 10), value(i), "x") for i in range(2500)]
+    aggregation = {MEMBERS[0]: "EUU"}
+    chunks, take = [], ingest._Rows.take
+
+    def spy(kept, columns, lines):
+        chunks.append(len(lines))
+        return take(kept, columns, lines)
+
+    money = read_rows(rows, aggregation)   # bit for bit the same however the file is read, quoted or not
+    assert (money.registry.codes, flows(money)) == ingest_oracle(rows, aggregation)
+    header, first, rest = render(rows).split("\n", 2)
+    with mock.patch.object(ingest._Rows, "take", spy):
+        quoted = read_money_matrix(f'{header}\n"{YEAR}"{first[4:]}\n{rest}', YEAR, aggregation)
+    assert chunks == [1025, 1025, 450]
+    assert money_fields(quoted) == money_fields(money)
 
 
 @settings(max_examples=100)
@@ -647,7 +675,7 @@ def test_block_solves_match_dense_solves(dense, alpha):
                 block = np.arange(product * money.n_countries, (product + 1) * money.n_countries)
                 u = np.zeros(G.size)
                 u[block] = G.v.values[block] / G.v.values[block].sum()
-                varied = make_google(G.S, PersonalizationVector(u, G.v.mode), alpha)
+                varied = GoogleMatrix(G.S, PersonalizationVector(u, G.v.mode), alpha)
                 Q, report = _block_variant(G, varied, block, 0.0, 1e-12)
                 assert report.converged
                 oracle = dense_pagerank_oracle(varied)
@@ -692,7 +720,7 @@ def test_dump_rebuilds_the_operator(dense, alpha, direction):
         assert np.array_equal(getattr(G.S, name), array), name
     assert np.array_equal(G.v.values, v) and dumped_alpha == G.alpha
     S = StochasticMatrix(blocks, row, col, value, dangling, G.registry, direction)
-    rebuilt = make_google(S, PersonalizationVector(v, G.v.mode), dumped_alpha)
+    rebuilt = GoogleMatrix(S, PersonalizationVector(v, G.v.mode), dumped_alpha)
     x = np.random.default_rng(0).random(G.size)
     assert rebuilt.apply(x).tobytes() == G.apply(x).tobytes()
 
